@@ -3,7 +3,7 @@
 //   kop_bisect --param <personality.field> --baseline <cache-dir>
 //              [--min 0.25] [--max 4.0] [--steps 5] [--bisect-iters 4]
 //              [--quick] [--tolerance <rel>] [--jobs N]
-//              [--cache-dir <dir>] [--json <path>] [--checkpoint]
+//              [--cache-dir <dir>] [--json <path>]
 //              [--expect-hit-rate <frac>] [--list-params]
 //
 // Recalibration question the paper pipeline keeps hitting: how far can
@@ -13,7 +13,7 @@
 // judges each scale with the kop_baseline shape predicate, then
 // bisects every pass/fail boundary in log space.
 //
-// Each scale is a *late-binding suffix*: the grid enumerates one matrix
+// Each scale binds late: the grid enumerates one matrix
 // whose points carry the scale in PointSpec::cost_scales, applied to
 // the booted stack at the warmup/measurement boundary (warmup runs at
 // calibrated costs; a boundary-insensitive constant that only shapes
@@ -23,10 +23,6 @@
 // and re-running the same bisection hits the cache for every point (the
 // pocl trick -- reuse keyed by exact content, Jääskeläinen et al.);
 // --expect-hit-rate turns that into a CI assertion.
-//
-// With --checkpoint, all scales of one sweep point share a single warm
-// prefix: the stack boots and warms once, then forks one COW child per
-// scale at the boundary.  Results are byte-identical either way.
 //
 // Exit code: 0 ok, 1 evaluation failure or hit-rate shortfall, 2 usage.
 #include <algorithm>
@@ -53,7 +49,6 @@ int usage(const char* argv0) {
                "          [--min F] [--max F] [--steps N] [--bisect-iters N]\n"
                "          [--quick] [--tolerance <rel>] [--jobs N]\n"
                "          [--cache-dir <dir>] [--json <path>]\n"
-               "          [--checkpoint] [--no-checkpoint]\n"
                "          [--expect-hit-rate <frac>] [--list-params]\n",
                argv0);
   return 2;
@@ -77,9 +72,8 @@ struct Driver {
   /// Judge a batch of scales in one JobRunner pass, one verdict per
   /// scale in input order.  Every scale contributes the same fig09
   /// sweep, tagged per point with {param, scale} in cost_scales -- so
-  /// the whole batch is one matrix where each sweep point is a shared
-  /// prefix with one suffix per scale, exactly the shape --checkpoint
-  /// forks.  Baseline lookups use the scale-free twin of each point
+  /// the whole batch is one matrix the JobRunner spreads over its
+  /// workers.  Baseline lookups use the scale-free twin of each point
   /// (the baseline was recorded without scale suffixes).  Throws on
   /// simulation failure (a scale so extreme the run collapses is an
   /// error, not a shape verdict).
@@ -155,10 +149,6 @@ int main(int argc, char** argv) {
       drv.jopts.cache_dir = argv[++i];
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--checkpoint") {
-      drv.jopts.checkpoint = true;
-    } else if (arg == "--no-checkpoint") {
-      drv.jopts.checkpoint = false;
     } else if (arg == "--expect-hit-rate" && i + 1 < argc) {
       expect_hit_rate = std::strtod(argv[++i], nullptr);
     } else if (arg == "--list-params") {
@@ -191,7 +181,7 @@ int main(int argc, char** argv) {
   int rc = 0;
   try {
     // Coarse pass: log-spaced grid, endpoints included, evaluated as
-    // ONE batched matrix (steps suffixes per sweep-point prefix).
+    // ONE batched matrix.
     std::vector<double> grid;
     for (int i = 0; i < steps; ++i) {
       grid.push_back(std::exp(std::log(lo) +
@@ -206,7 +196,7 @@ int main(int argc, char** argv) {
     // Refine every pass/fail boundary of the coarse grid by log-space
     // bisection.  Rounds are batched across boundaries: each round
     // evaluates one midpoint per still-active interval in a single
-    // matrix, so --checkpoint keeps sharing prefixes during refinement.
+    // matrix.
     struct Interval {
       double a, b;
       bool a_pass;

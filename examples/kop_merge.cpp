@@ -15,13 +15,6 @@
 // prints this build's cache namespace (`<cost-model fingerprint>-
 // schema<version>`) -- the key CI uses for its persisted bench cache.
 //
-//   kop_merge --audit-claims <claim-dir> <cache-dir> [<cache-dir> ...]
-//
-// cross-checks a --shard-claim directory: every claim file must have a
-// matching cache entry in some cache dir, else the claiming worker died
-// mid-point and the sweep silently lost coverage.  Exit 1 when any
-// claim is stranded.
-//
 //   kop_merge --digest <cache-dir>
 //
 // prints an order-independent content digest of the cache -- equal
@@ -43,10 +36,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --into <dir> [--expect <shard-list.txt>]\n"
                "          [--json <path>] <shard-dir> [<shard-dir> ...]\n"
-               "       %s --audit-claims <claim-dir> <cache-dir> [...]\n"
                "       %s --digest <cache-dir>\n"
                "       %s --fingerprint\n",
-               argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -64,18 +56,6 @@ int main(int argc, char** argv) {
                       .c_str(),
                   telemetry::kMetricsSchemaVersion);
       return 0;
-    } else if (arg == "--audit-claims" && i + 2 < argc) {
-      const std::string claim_dir = argv[++i];
-      std::vector<std::string> caches;
-      while (++i < argc) caches.emplace_back(argv[i]);
-      try {
-        const auto audit = harness::jobs::audit_claims(claim_dir, caches);
-        std::fputs(audit.text().c_str(), stdout);
-        return audit.ok() ? 0 : 1;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-      }
     } else if (arg == "--digest" && i + 1 < argc) {
       try {
         std::printf("%s\n",

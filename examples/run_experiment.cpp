@@ -93,13 +93,12 @@ int main(int argc, char** argv) {
         if (!harness::jobs::parse_shard(next(), &jopts.shard, &error))
           throw std::invalid_argument(error);
       } else if (arg == "--shard-list") jopts.shard.list_only = true;
-      else if (arg == "--shard-claim") jopts.claim_dir = next();
       else if (arg == "--help" || arg == "-h") {
         std::puts("usage: run_experiment [--bench B1,B2|all] [--machine m]\n"
                   "         [--paths p1,p2] [--threads n1,n2] [--scale f]\n"
                   "         [--csv] [--json <path>] [--jobs N]\n"
                   "         [--cache-dir <dir>] [--no-cache]\n"
-                  "         [--shard K/N] [--shard-list] [--shard-claim <dir>]");
+                  "         [--shard K/N] [--shard-list]");
         return 0;
       } else {
         throw std::invalid_argument("unknown flag " + arg);

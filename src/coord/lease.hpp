@@ -1,12 +1,10 @@
-// Point leases: the coordinator's replacement for O_EXCL claim files.
+// Point leases: exclusive, expiring ownership of one sweep point.
 //
-// A claim file is forever -- a crashed worker strands its points until
-// an operator deletes the claims by hand (kop_merge --audit-claims
-// finds them).  A lease is a claim with an expiry: the granting
-// coordinator remembers who holds each point and until when, renewals
-// push the expiry forward, and an expired or orphaned (dead-worker)
-// lease is *reclaimed* -- the point goes back on the queue for the next
-// worker, exactly once.
+// The granting coordinator remembers who holds each point and until
+// when, renewals push the expiry forward, and an expired or orphaned
+// (dead-worker) lease is *reclaimed* -- the point goes back on the
+// queue for the next worker, exactly once.  A crashed worker never
+// strands its points.
 //
 // The table is pure bookkeeping over injected timestamps: no clock, no
 // I/O, no threads.  Exactly-once dispatch is the invariant the
@@ -76,8 +74,8 @@ class LeaseTable {
   GrantOutcome grant_next(const std::string& worker, std::int64_t now_ms,
                           Lease* lease);
 
-  /// Grant one specific point (worker-enumerated dispatch, the lease
-  /// analogue of ClaimDir::try_claim).  kTaken: live lease held by
+  /// Grant one specific point (worker-enumerated dispatch, as the
+  /// JobRunner's --coord mode does).  kTaken: live lease held by
   /// someone; kComplete: already done; kUnknown: never registered.
   GrantOutcome grant(std::uint64_t hash, const std::string& worker,
                      std::int64_t now_ms, Lease* lease);

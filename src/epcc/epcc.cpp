@@ -39,7 +39,7 @@ void Suite::sample(Measurement& m, sim::Time per_construct_delay,
 
 std::vector<Measurement> Suite::run_syncbench() {
   // Warmup (stack boot, pool spin-up) ends here; everything below is
-  // the measurement phase a checkpointed sweep forks at.
+  // the measurement phase, where per-point cost scales apply.
   rt_->os().engine().snapshot_point();
   std::vector<Measurement> out;
   komp::Runtime& rt = *rt_;

@@ -56,12 +56,6 @@ class Suite {
   std::vector<Measurement> run_taskbench();
   std::vector<Measurement> run_all();
 
-  /// Mutable suite knobs.  Each run_* fires Engine::snapshot_point()
-  /// before its first sample, and `outer_reps` is re-read per
-  /// measurement, so a snapshot hook may late-bind the rep count at the
-  /// warmup/measurement boundary (checkpointed sweeps).
-  EpccConfig& config() { return cfg_; }
-
  private:
   /// Time one sample: `total_fn` runs the construct inner_iters times;
   /// records (elapsed/inner - per_construct_delay) in microseconds.

@@ -18,19 +18,14 @@ void fill_metrics(RunMetrics* m, core::Stack& stack,
   m->counters = stack.os().counters().snapshot();
 }
 
-// Engine-level snapshot hook shared by both drivers: always segment the
-// counter fabric at the boundary, then hand control to the caller's
-// at_snapshot (if any).  `ctl` and `hooks` must outlive the run; the
-// hook fires (at most once) while the app is executing.
-void install_snapshot_hook(core::Stack& stack, const RunHooks& hooks,
-                           SnapshotCtl& ctl) {
+// Route the engine's boundary to the caller's at_snapshot.  `hooks`
+// must outlive the run; the hook fires (at most once) while the app is
+// executing.
+void install_snapshot_hook(core::Stack& stack, const RunHooks& hooks) {
+  if (!hooks.at_snapshot) return;
   core::Stack* sp = &stack;
   const RunHooks* hp = &hooks;
-  SnapshotCtl* cp = &ctl;
-  stack.engine().set_snapshot_hook([sp, hp, cp] {
-    sp->os().counters().mark_segment();
-    if (hp->at_snapshot) hp->at_snapshot(*sp, *cp);
-  });
+  stack.engine().set_snapshot_hook([sp, hp] { hp->at_snapshot(*sp); });
 }
 
 }  // namespace
@@ -45,30 +40,24 @@ nas::RunResult run_nas(const core::StackConfig& config,
       cfg.path == core::PathKind::kAutoMpNautilus) {
     cfg.app_static_bytes = spec.static_bytes;
   }
-  // Mutable workload copy: the timed loops re-read `work.timesteps`
-  // every step, so an at_snapshot hook can late-bind the measured step
-  // count at the warmup/measurement boundary.
-  nas::BenchmarkSpec work = spec;
   auto stack = core::Stack::create(cfg);
   if (hooks.on_boot) hooks.on_boot(*stack);
-  SnapshotCtl ctl;
-  ctl.nas_timesteps = &work.timesteps;
-  install_snapshot_hook(*stack, hooks, ctl);
+  install_snapshot_hook(*stack, hooks);
 
   nas::RunResult result;
   if (stack->is_omp_path()) {
     stack->run_omp_app([&](komp::Runtime& rt) {
-      result = nas::run_openmp(rt, work);
+      result = nas::run_openmp(rt, spec);
       return 0;
     });
   } else {
     stack->run_cck_app([&](osal::Os& os, virgil::Virgil& vg) {
-      result = nas::run_automp(os, vg, work);
+      result = nas::run_automp(os, vg, spec);
       return 0;
     });
   }
   if (metrics != nullptr) {
-    fill_metrics(metrics, *stack, cfg, work.full_name());
+    fill_metrics(metrics, *stack, cfg, spec.full_name());
     metrics->timed_seconds = result.timed_seconds;
     metrics->init_seconds = result.init_seconds;
   }
@@ -86,15 +75,10 @@ std::vector<epcc::Measurement> run_epcc(const core::StackConfig& config,
     throw std::invalid_argument(
         "EPCC measures OpenMP directives; CCK paths have none (§6.1)");
   if (hooks.on_boot) hooks.on_boot(*stack);
-  SnapshotCtl ctl;
-  install_snapshot_hook(*stack, hooks, ctl);
+  install_snapshot_hook(*stack, hooks);
   std::vector<epcc::Measurement> out;
   stack->run_omp_app([&](komp::Runtime& rt) {
     epcc::Suite suite(rt, ecfg);
-    // The suite fires snapshot_point() before its first sample and
-    // re-reads outer_reps per measurement; aim the late-binding slot at
-    // its mutable copy before any part runs.
-    ctl.epcc_reps = &suite.config().outer_reps;
     switch (part) {
       case EpccPart::kSync: out = suite.run_syncbench(); break;
       case EpccPart::kSched: out = suite.run_schedbench(); break;

@@ -14,20 +14,6 @@
 
 namespace kop::harness {
 
-/// Late-binding control surface handed to RunHooks::at_snapshot.  The
-/// non-null pointer (one per workload kind) aims at the run's *mutable*
-/// copy of the knob that the measurement phase re-reads after the
-/// boundary, so a hook can rebind it without perturbing the warmup
-/// trajectory -- the mechanism checkpointed sweeps use to give each
-/// forked child its own rep count.
-struct SnapshotCtl {
-  /// kNas: measured timestep count (run_openmp/run_automp re-read the
-  /// loop bound every step).
-  int* nas_timesteps = nullptr;
-  /// kEpcc: outer reps of the suite about to run (re-read per sample).
-  int* epcc_reps = nullptr;
-};
-
 /// Optional observation hooks for one experiment run.  The drivers boot
 /// the stack internally, so anything that wants to watch the run --
 /// attach an OMPT tool, read engine stats or the dispatch digest after
@@ -38,13 +24,13 @@ struct SnapshotCtl {
 ///
 /// `at_snapshot` fires at most once, at the workload's explicit
 /// warmup/measurement boundary (Engine::snapshot_point), synchronously
-/// on the workload fiber.  This is where per-point cost scales bind and
-/// where checkpointed sweeps fork.  The hook must leave the dispatch
-/// trajectory untouched: no event posting, no engine-Rng draws.
+/// on the workload fiber.  This is where per-point cost scales bind.
+/// The hook must leave the dispatch trajectory untouched: no event
+/// posting, no engine-Rng draws.
 struct RunHooks {
   std::function<void(core::Stack&)> on_boot;
   std::function<void(core::Stack&)> on_done;
-  std::function<void(core::Stack&, SnapshotCtl&)> at_snapshot;
+  std::function<void(core::Stack&)> at_snapshot;
 };
 
 /// Run one NAS benchmark on a freshly booted stack.  If `metrics` is

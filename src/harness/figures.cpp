@@ -1,6 +1,6 @@
 #include "harness/figures.hpp"
 
-#include <cstdarg>
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -11,15 +11,6 @@
 namespace kop::harness {
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 jobs::PointSpec nas_point(const std::string& machine, core::PathKind path,
                           int threads, const nas::BenchmarkSpec& spec) {
@@ -79,19 +70,22 @@ void build_epcc_figure(jobs::PointMatrix& mx, const std::string& machine,
   for (auto p : paths) mx.add(epcc_point(machine, p, threads, config));
 }
 
-// The execute stage shared by every print_*(): run the matrix through
-// the pool, fail loudly on any failed point, record metrics in
-// enumeration order, and report runner/cache statistics on stderr (so
-// stdout stays byte-identical across --jobs levels and cache states).
-std::vector<jobs::PointResult> run_matrix(const jobs::PointMatrix& mx,
-                                          MetricsSink* sink,
-                                          const jobs::JobOptions& jopts) {
+// The execute stage shared by every print_*() and run_shard_mode: run
+// the points through the pool, fail loudly on any failed point, record
+// the metrics of every point this worker ran in enumeration order, and
+// report runner/cache statistics on stderr (so stdout stays
+// byte-identical across --jobs levels and cache states).
+std::vector<jobs::PointResult> run_points(
+    const std::vector<jobs::PointSpec>& points, MetricsSink* sink,
+    const jobs::JobOptions& jopts) {
   jobs::JobRunner runner(jopts);
-  auto results = runner.run(mx.points());
-  jobs::require_ok(mx.points(), results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
+  auto results = runner.run(points);
+  jobs::require_ok(points, results);
+  std::fprintf(stderr, "[jobs] %s\n", runner.summary(points.size()).c_str());
   if (sink != nullptr) {
-    for (const auto& r : results) sink->add(r.metrics);
+    for (const auto& r : results) {
+      if (!r.skipped) sink->add(r.metrics);
+    }
   }
   return results;
 }
@@ -106,110 +100,45 @@ double timed_of(const std::vector<jobs::PointResult>& results,
 bool run_shard_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out) {
   const jobs::ShardSpec& shard = jopts.shard;
-  if (shard.enabled() && jopts.claim_enabled()) {
+  const bool coord = jopts.coord_enabled();
+  if (coord && shard.enabled()) {
     throw std::invalid_argument(
-        "--shard and --shard-claim are mutually exclusive (static vs "
-        "work-stealing partition of the same sweep)");
-  }
-  if (jopts.coord_enabled() && (shard.enabled() || jopts.claim_enabled())) {
-    throw std::invalid_argument(
-        "--coord is its own dispatch mode; drop --shard/--shard-claim "
-        "(the coordinator already partitions the sweep by lease)");
+        "--coord is its own dispatch mode; drop --shard (the coordinator "
+        "already partitions the sweep by lease)");
   }
   if (shard.list_only) {
     *out = jobs::shard_list_text(mx.points(), shard);
     return true;
   }
-  if (jopts.claim_enabled()) {
-    // Work-stealing dispatch: the runner claims each point from the
-    // shared directory right before executing it, so fast workers take
-    // more of the sweep instead of idling on a static K/N split.
-    if (!jopts.cache_enabled()) {
-      std::fprintf(stderr,
-                   "[claim] warning: no --cache-dir; this worker's results "
-                   "are computed and discarded\n");
-    }
-    jobs::JobRunner runner(jopts);
-    const auto results = runner.run(mx.points());
-    jobs::require_ok(mx.points(), results);
-    std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
-    std::size_t won = 0;
-    for (const auto& r : results) {
-      if (r.skipped) continue;
-      ++won;
-      if (sink != nullptr) sink->add(r.metrics);
-    }
-    std::string text;
-    appendf(text, "[claim] executed %zu of %zu points (%zu claimed by other "
-                  "workers)", won, mx.size(), mx.size() - won);
-    if (jopts.cache_enabled()) appendf(text, " into %s", jopts.cache_dir.c_str());
-    text += "\n(figure tables need every worker's results: merge the worker"
-            " caches with kop_merge\n and rerun unsharded with --cache-dir"
-            " pointed at the merged directory)\n";
-    *out = text;
-    return true;
-  }
-  if (jopts.coord_enabled()) {
-    // Lease-based dispatch: like claim mode, but the arbiter is a
-    // kop_sweepd daemon, so a crashed worker's points are re-queued
-    // instead of stranded behind orphan claim files.
-    if (!jopts.cache_enabled()) {
-      std::fprintf(stderr,
-                   "[coord] warning: no --cache-dir; this worker's results "
-                   "are computed and discarded\n");
-    }
-    jobs::JobRunner runner(jopts);
-    const auto results = runner.run(mx.points());
-    jobs::require_ok(mx.points(), results);
-    std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
-    std::size_t won = 0;
-    for (const auto& r : results) {
-      if (r.skipped) continue;
-      ++won;
-      if (sink != nullptr) sink->add(r.metrics);
-    }
-    std::string text;
-    appendf(text, "[coord] executed %zu of %zu points (%zu leased to other "
-                  "workers or already complete)", won, mx.size(),
-            mx.size() - won);
-    if (jopts.cache_enabled()) appendf(text, " into %s", jopts.cache_dir.c_str());
-    text += "\n(figure tables need every worker's results: merge the worker"
-            " caches with kop_merge\n and rerun unsharded with --cache-dir"
-            " pointed at the merged directory)\n";
-    *out = text;
-    return true;
-  }
-  if (!shard.enabled()) return false;
+  if (!coord && !shard.enabled()) return false;
 
-  const auto mine = jobs::shard_indices(mx.points(), shard);
+  // The owned subset: every point under --coord (the runner leases each
+  // one and skips those held elsewhere), this shard's hash partition
+  // under --shard.
   std::vector<jobs::PointSpec> subset;
-  subset.reserve(mine.size());
-  for (std::size_t i : mine) subset.push_back(mx.points()[i]);
-
+  if (coord) {
+    subset = mx.points();
+  } else {
+    for (std::size_t i : jobs::shard_indices(mx.points(), shard))
+      subset.push_back(mx.points()[i]);
+  }
+  const std::string tag = coord ? "[coord]" : "[shard " + shard.label() + "]";
   if (!jopts.cache_enabled()) {
     std::fprintf(stderr,
-                 "[shard %s] warning: no --cache-dir; this shard's results "
-                 "are computed and discarded\n",
-                 shard.label().c_str());
+                 "%s warning: no --cache-dir; this worker's results are "
+                 "computed and discarded\n",
+                 tag.c_str());
   }
-  jobs::JobRunner runner(jopts);
-  const auto results = runner.run(subset);
-  jobs::require_ok(subset, results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(subset.size()).c_str());
-  if (sink != nullptr) {
-    for (const auto& r : results) sink->add(r.metrics);
-  }
-
-  std::string text;
-  appendf(text, "[shard %s] executed %zu of %zu points", shard.label().c_str(),
-          subset.size(), mx.size());
-  if (jopts.cache_enabled()) {
-    appendf(text, " into %s", jopts.cache_dir.c_str());
-  }
-  text += "\n(figure tables need every shard's results: merge the shard"
+  const auto results = run_points(subset, sink, jopts);
+  const auto ran =
+      std::count_if(results.begin(), results.end(),
+                    [](const jobs::PointResult& r) { return !r.skipped; });
+  *out = tag + " executed " + std::to_string(ran) + " of " +
+         std::to_string(mx.size()) + " points";
+  if (jopts.cache_enabled()) *out += " into " + jopts.cache_dir;
+  *out += "\n(figure tables need every worker's results: merge the worker"
           " caches with kop_merge\n and rerun unsharded with --cache-dir"
           " pointed at the merged directory)\n";
-  *out = text;
   return true;
 }
 
@@ -291,19 +220,19 @@ std::string print_nas_normalized(const std::string& title,
   build_nas_normalized(mx, machine, paths, scales, suite);
   std::string out;
   if (run_shard_mode(mx, sink, jopts, &out)) return out;
-  const auto results = run_matrix(mx, sink, jopts);
+  const auto results = run_points(mx.points(), sink, jopts);
 
-  appendf(out, "== %s ==\n", title.c_str());
-  appendf(out, "   (normalized performance: Linux-OpenMP time / path time;"
-               " higher is better; baseline = 1.0)\n\n");
+  out += "== " + title + " ==\n";
+  out += "   (normalized performance: Linux-OpenMP time / path time;"
+         " higher is better; baseline = 1.0)\n\n";
   std::map<core::PathKind, std::vector<double>> ratios_all;
 
   for (const auto& spec : suite) {
     // Single-thread Linux absolute time: the figure's `t` label.
     const double t1 = timed_of(
         results, mx.add(nas_point(machine, core::PathKind::kLinuxOmp, 1, spec)));
-    appendf(out, "%s  (t = %.2f sec single-threaded Linux)\n",
-            spec.full_name().c_str(), t1);
+    out += spec.full_name() + "  (t = " + Table::num(t1, 2) +
+           " sec single-threaded Linux)\n";
 
     std::vector<std::string> headers{"cpus", "linux time"};
     for (auto p : paths) headers.push_back(core::path_name(p));
@@ -323,12 +252,13 @@ std::string print_nas_normalized(const std::string& title,
       }
       table.add_row(std::move(row));
     }
-    appendf(out, "%s\n", table.to_string().c_str());
+    out += table.to_string() + "\n";
   }
 
   for (auto p : paths) {
-    appendf(out, "geomean normalized performance [%s]: %.3f\n",
-            core::path_name(p), sim::geomean(ratios_all[p]));
+    out += "geomean normalized performance [" +
+           std::string(core::path_name(p)) + "]: " +
+           Table::num(sim::geomean(ratios_all[p]), 3) + "\n";
   }
   out += "\n";
   return out;
@@ -344,12 +274,12 @@ std::string print_cck_absolute(const std::string& title,
   build_cck_matrix(mx, machine, scales, suite);
   std::string out;
   if (run_shard_mode(mx, sink, jopts, &out)) return out;
-  const auto results = run_matrix(mx, sink, jopts);
+  const auto results = run_points(mx.points(), sink, jopts);
 
-  appendf(out, "== %s ==\n", title.c_str());
-  appendf(out, "   (average time in seconds; lower is better)\n\n");
+  out += "== " + title + " ==\n";
+  out += "   (average time in seconds; lower is better)\n\n";
   for (const auto& spec : suite) {
-    appendf(out, "%s\n", spec.full_name().c_str());
+    out += spec.full_name() + "\n";
     Table table({"cpus", "LINUX OMP", "LINUX AutoMP", "NK AutoMP"});
     for (int n : scales) {
       const double omp = timed_of(
@@ -364,7 +294,7 @@ std::string print_cck_absolute(const std::string& title,
       table.add_row({std::to_string(n), Table::num(omp), Table::num(user),
                      Table::num(nk)});
     }
-    appendf(out, "%s\n", table.to_string().c_str());
+    out += table.to_string() + "\n";
   }
   return out;
 }
@@ -379,15 +309,15 @@ std::string print_cck_normalized(const std::string& title,
   build_cck_matrix(mx, machine, scales, suite);
   std::string out;
   if (run_shard_mode(mx, sink, jopts, &out)) return out;
-  const auto results = run_matrix(mx, sink, jopts);
+  const auto results = run_points(mx.points(), sink, jopts);
 
-  appendf(out, "== %s ==\n", title.c_str());
-  appendf(out, "   (normalized to Linux-OpenMP = 1.0; higher is better)\n\n");
+  out += "== " + title + " ==\n";
+  out += "   (normalized to Linux-OpenMP = 1.0; higher is better)\n\n";
   for (const auto& spec : suite) {
     const double t1 = timed_of(
         results, mx.add(nas_point(machine, core::PathKind::kLinuxOmp, 1, spec)));
-    appendf(out, "%s  (t = %.2f sec single-threaded Linux)\n",
-            spec.full_name().c_str(), t1);
+    out += spec.full_name() + "  (t = " + Table::num(t1, 2) +
+           " sec single-threaded Linux)\n";
     Table table({"cpus", "Linux AutoMP", "NK AutoMP"});
     for (int n : scales) {
       const double omp = timed_of(
@@ -402,7 +332,7 @@ std::string print_cck_normalized(const std::string& title,
       table.add_row({std::to_string(n), Table::num(omp / user),
                      Table::num(omp / nk)});
     }
-    appendf(out, "%s\n", table.to_string().c_str());
+    out += table.to_string() + "\n";
   }
   return out;
 }
@@ -416,11 +346,11 @@ std::string print_epcc_figure(const std::string& title,
   build_epcc_figure(mx, machine, threads, paths, config);
   std::string out;
   if (run_shard_mode(mx, sink, jopts, &out)) return out;
-  const auto results = run_matrix(mx, sink, jopts);
+  const auto results = run_points(mx.points(), sink, jopts);
 
-  appendf(out, "== %s ==\n", title.c_str());
-  appendf(out, "   (per-construct overhead in microseconds, mean +- sd over"
-               " %d samples)\n\n", config.outer_reps);
+  out += "== " + title + " ==\n";
+  out += "   (per-construct overhead in microseconds, mean +- sd over " +
+         std::to_string(config.outer_reps) + " samples)\n\n";
 
   std::vector<const std::vector<epcc::Measurement>*> measurements;
   measurements.reserve(paths.size());
@@ -451,7 +381,7 @@ std::string print_epcc_figure(const std::string& title,
       }
       table.add_row(std::move(row));
     }
-    appendf(out, "%s\n%s\n", labels[g], table.to_string().c_str());
+    out += std::string(labels[g]) + "\n" + table.to_string() + "\n";
   }
   return out;
 }

@@ -39,14 +39,11 @@ namespace kop::harness {
 ///                       every shard's results, so they are only
 ///                       printed by an unsharded rerun against the
 ///                       merged cache.
-///   --shard-claim DIR   work-stealing variant: every worker runs the
-///                       full matrix and atomically claims points from
-///                       the shared DIR before simulating them
-///                       (jobs/claim.hpp); skipped points belong to
-///                       other workers.  Merge worker caches exactly
-///                       like static shards.
-/// Throws std::invalid_argument if --shard and --shard-claim are
-/// combined.
+///   --coord ADDR        every point is leased from a kop_sweepd
+///                       daemon before it runs; points leased to other
+///                       workers (or already complete) are skipped.
+///                       Merge worker caches exactly like shards.
+/// Throws std::invalid_argument if --shard and --coord are combined.
 bool run_shard_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out);
 

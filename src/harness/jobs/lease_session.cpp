@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -15,9 +16,11 @@ namespace kop::harness::jobs {
 namespace {
 
 std::string default_worker_id() {
+  static std::atomic<std::uint64_t> next_session{0};
   char host[256] = "?";
   ::gethostname(host, sizeof(host) - 1);
-  return std::string(host) + ":" + std::to_string(::getpid());
+  return std::string(host) + ":" + std::to_string(::getpid()) + ":" +
+         std::to_string(next_session.fetch_add(1));
 }
 
 }  // namespace

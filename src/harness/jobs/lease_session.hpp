@@ -1,14 +1,11 @@
-// Lease-aware dispatch: the coordinator-backed analogue of ClaimDir.
-//
-// Where --shard-claim marks ownership with immortal O_EXCL claim files,
-// --coord asks a kop_sweepd daemon for a *lease* on each point before
-// simulating it.  The session keeps every outstanding lease alive from
-// a background heartbeat thread (renewing at TTL/3, piggybacking a PING
-// when it holds nothing so liveness never decays to Suspect mid-sweep)
-// and reports completions so the coordinator's manifest drains.  If
-// this process dies instead, the coordinator reclaims its leases at TTL
-// expiry or on the dead-worker transition and re-queues the points --
-// no operator cleanup, unlike stranded claim files.
+// Lease-aware dispatch for --coord: ask a kop_sweepd daemon for a
+// *lease* on each point before simulating it.  The session keeps every
+// outstanding lease alive from a background heartbeat thread (renewing
+// at TTL/3, piggybacking a PING when it holds nothing so liveness never
+// decays to Suspect mid-sweep) and reports completions so the
+// coordinator's manifest drains.  If this process dies instead, the
+// coordinator reclaims its leases at TTL expiry or on the dead-worker
+// transition and re-queues the points -- no operator cleanup.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +30,9 @@ class LeaseSession {
  public:
   /// Connects to the daemon socket and performs the HELLO handshake.
   /// Throws std::runtime_error when the daemon is unreachable.  The
-  /// worker id defaults to "<hostname>:<pid>" (the claim-file owner
-  /// convention).
+  /// worker id defaults to "<hostname>:<pid>:<n>", unique per session:
+  /// the coordinator reclaims leases by worker id on BYE, so sessions
+  /// sharing one id would re-queue each other's live leases.
   explicit LeaseSession(const std::string& socket_path,
                         std::string worker = "");
   ~LeaseSession();
@@ -52,8 +50,7 @@ class LeaseSession {
   std::size_t prefetch(const std::vector<PointSpec>& specs);
 
   /// Lease `spec` from the coordinator.  False when another worker
-  /// holds it or it is already complete -- the caller skips the point,
-  /// exactly like a lost ClaimDir::try_claim.
+  /// holds it or it is already complete -- the caller skips the point.
   bool try_acquire(const PointSpec& spec);
 
   /// Report the point done (entry stored in the shared cache).  No-op

@@ -243,69 +243,6 @@ MergeReport merge_caches(const MergeOptions& opts) {
   return report;
 }
 
-namespace {
-
-bool is_claim_name(const std::string& name) {
-  return name.size() == 4 + 16 + 6 && name.rfind("kop-", 0) == 0 &&
-         name.compare(name.size() - 6, 6, ".claim") == 0;
-}
-
-}  // namespace
-
-std::string ClaimAudit::text() const {
-  std::string out = "audited " + std::to_string(claims) + " claims, " +
-                    std::to_string(covered) + " covered by cache entries\n";
-  for (const auto& s : stranded) {
-    out += "  STRANDED " + s.file + " (owner " + s.owner + "; expected " +
-           s.entry + ")\n";
-  }
-  out += ok() ? "claims OK\n" : "claims STRANDED\n";
-  return out;
-}
-
-ClaimAudit audit_claims(const std::string& claim_dir,
-                        const std::vector<std::string>& caches) {
-  if (!fs::is_directory(claim_dir)) {
-    throw std::runtime_error("claim dir is not a directory: " + claim_dir);
-  }
-  ClaimAudit audit;
-  std::vector<std::string> names;
-  for (const auto& e : fs::directory_iterator(claim_dir)) {
-    if (e.is_regular_file() && is_claim_name(e.path().filename().string()))
-      names.push_back(e.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-
-  for (const auto& name : names) {
-    ++audit.claims;
-    // kop-<key>.claim promises kop-<key>.json somewhere.
-    const std::string entry =
-        name.substr(0, name.size() - 6) + ".json";
-    bool found = false;
-    for (const auto& cache : caches) {
-      if (!fs::is_directory(cache)) {
-        throw std::runtime_error("cache dir is not a directory: " + cache);
-      }
-      if (fs::exists(cache + "/" + entry)) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      ++audit.covered;
-      continue;
-    }
-    std::string owner;
-    (void)read_file(claim_dir + "/" + name, &owner);
-    while (!owner.empty() && (owner.back() == '\n' || owner.back() == '\r')) {
-      owner.pop_back();
-    }
-    audit.stranded.push_back(
-        {claim_dir + "/" + name, owner.empty() ? "?" : owner, entry});
-  }
-  return audit;
-}
-
 std::uint64_t cache_digest(const std::string& dir) {
   if (!fs::is_directory(dir)) {
     throw std::runtime_error("cache dir is not a directory: " + dir);

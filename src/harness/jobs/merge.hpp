@@ -62,32 +62,6 @@ struct MergeReport {
 /// dest, unreadable manifest); per-entry problems land in the report.
 MergeReport merge_caches(const MergeOptions& opts);
 
-/// One claim file with no matching cache entry in any searched cache:
-/// a worker claimed the point and then died before storing the result.
-/// Unlike coordinator leases, claim files never expire, so the point
-/// is stranded until an operator deletes the claim and re-runs.
-struct StrandedClaim {
-  std::string file;   // claim path
-  std::string owner;  // "<hostname>:<pid>" recorded inside the claim
-  std::string entry;  // the cache entry the claim promised
-};
-
-struct ClaimAudit {
-  std::uint64_t claims = 0;    // claim files scanned
-  std::uint64_t covered = 0;   // claims whose entry exists somewhere
-  std::vector<StrandedClaim> stranded;
-
-  bool ok() const { return stranded.empty(); }
-  std::string text() const;
-};
-
-/// Cross-check a --shard-claim directory against one or more cache
-/// directories: every `kop-<key>.claim` must have `kop-<key>.json` in
-/// some cache, else the claim is stranded (worker crashed mid-point).
-/// Throws std::runtime_error when a directory cannot be read.
-ClaimAudit audit_claims(const std::string& claim_dir,
-                        const std::vector<std::string>& caches);
-
 /// Order-independent digest of a cache directory's contents: FNV-1a
 /// folded over every entry name and its bytes, in sorted-name order.
 /// Two sweeps produced the same results iff their digests match -- the

@@ -33,32 +33,18 @@ struct JobOptions {
   std::string cache_dir;
   /// Force cache off even when cache_dir is set (--no-cache).
   bool no_cache = false;
-  /// Bounded dispatch-queue capacity; 0 = 2x the worker count.
-  int queue_capacity = 0;
   /// Sweep partition for distributed execution (--shard K/N); the
   /// figure/driver layer filters points, the runner never sees it.
   ShardSpec shard;
-  /// Work-stealing alternative to --shard (--shard-claim DIR): every
-  /// worker enumerates the full sweep and atomically claims points
-  /// from this shared directory before simulating them (claim.hpp).
-  /// Unclaimed points come back with PointResult::skipped set.
-  std::string claim_dir;
-  /// Coordinator-backed alternative to both (--coord ADDR, a unix
-  /// socket path or host:port): lease each point from a kop_sweepd
-  /// daemon before simulating it (lease_session.hpp).  Crashed workers
-  /// need no cleanup -- their leases expire and the daemon re-queues
-  /// the points.
+  /// Coordinator-backed alternative (--coord ADDR, a unix socket path
+  /// or host:port): lease each point from a kop_sweepd daemon before
+  /// simulating it (lease_session.hpp).  Points leased elsewhere come
+  /// back with PointResult::skipped set.  Crashed workers need no
+  /// cleanup -- their leases expire and the daemon re-queues the
+  /// points.
   std::string coord_socket;
-  /// Checkpointed execution (--checkpoint): points sharing a canonical
-  /// prefix run one warm prefix each and fork one COW child per
-  /// late-binding suffix at the warmup/measurement boundary
-  /// (forkrun.hpp).  Results and cache entries are byte-identical to
-  /// cold runs; groups degrade to cold execution where fork is
-  /// unavailable (ThreadSanitizer builds) or a child dies.
-  bool checkpoint = false;
 
   bool cache_enabled() const { return !cache_dir.empty() && !no_cache; }
-  bool claim_enabled() const { return !claim_dir.empty(); }
   bool coord_enabled() const { return !coord_socket.empty(); }
 };
 

@@ -163,36 +163,6 @@ std::string PointSpec::canonical() const {
 
 std::uint64_t PointSpec::content_hash() const { return fnv1a64(canonical()); }
 
-std::string PointSpec::prefix_canonical() const {
-  // Everything the warmup trajectory depends on: the full canonical
-  // with the late-binding knobs normalized out.  The rep count pins to
-  // 1 (not dropped) so the prefix form stays parseable by the same
-  // eyes as canonical().
-  PointSpec p = *this;
-  p.cost_scales.clear();
-  p.nas.timesteps = 1;
-  p.epcc.outer_reps = 1;
-  return "prefix-v1|" + p.canonical();
-}
-
-std::string PointSpec::suffix_canonical() const {
-  std::string out = "suffix-v1";
-  out += kind == Kind::kNas ? "|timesteps=" + fmt(nas.timesteps)
-                            : "|reps=" + fmt(epcc.outer_reps);
-  for (const auto& s : cost_scales) {
-    out += "|scale=" + s.key + ":" + fmt(s.scale);
-  }
-  return out;
-}
-
-std::uint64_t PointSpec::prefix_hash() const {
-  return fnv1a64(prefix_canonical());
-}
-
-std::uint64_t PointSpec::suffix_hash() const {
-  return fnv1a64(suffix_canonical());
-}
-
 std::string PointSpec::label() const {
   std::string out = kind == Kind::kNas
                         ? nas.full_name()
@@ -268,10 +238,7 @@ PointResult run_point(const PointSpec& spec, const RunHooks& hooks) {
   const core::StackConfig cfg = spec.stack_config();
   RunHooks h = hooks;
   if (!h.at_snapshot) {
-    // Default suffix binding: cost scales apply at the boundary, the
-    // same instant a checkpointed child would bind them, so cold and
-    // checkpointed trajectories match byte for byte.
-    h.at_snapshot = [&spec](core::Stack& stack, SnapshotCtl&) {
+    h.at_snapshot = [&spec](core::Stack& stack) {
       apply_point_scales(stack, spec.cost_scales);
     };
   }

@@ -90,19 +90,6 @@ struct PointSpec {
   /// FNV-1a 64 of canonical().
   std::uint64_t content_hash() const;
 
-  /// --- Prefix/suffix split (checkpointed sweeps) ---
-  /// The *prefix* is everything that shapes the simulation before the
-  /// warmup/measurement boundary: machine, workload shape, path,
-  /// scheduler, team size.  The *suffix* is what binds at the boundary:
-  /// rep count (nas.timesteps / epcc.outer_reps) and cost_scales.  Two
-  /// points with equal prefix_hash() can share one warm prefix run and
-  /// fork per suffix; canonical() == prefix + suffix remains the cache
-  /// identity, so checkpointed and cold results key identically.
-  std::string prefix_canonical() const;
-  std::string suffix_canonical() const;
-  std::uint64_t prefix_hash() const;
-  std::uint64_t suffix_hash() const;
-
   /// Short human label for logs and error reports.
   std::string label() const;
   /// The stack configuration this point boots.
@@ -118,25 +105,24 @@ struct PointResult {
   bool failed = false;
   std::string error;
   bool from_cache = false;
-  /// Claim mode (--shard-claim): another worker owns this point; it was
-  /// neither simulated nor loaded, and `metrics` is empty.
+  /// Coord mode (--coord): another worker holds this point's lease or
+  /// it is already complete; it was neither simulated nor loaded, and
+  /// `metrics` is empty.
   bool skipped = false;
 };
 
 /// Execute one point on a freshly booted stack (blocking, this host
 /// thread).  Exceptions from the simulation propagate to the caller;
 /// the JobRunner turns them into failure capture + one retry.
-/// spec.cost_scales bind at the warmup/measurement boundary (identical
-/// trajectory to a checkpointed run of the same point).
+/// spec.cost_scales bind at the warmup/measurement boundary.
 PointResult run_point(const PointSpec& spec);
 
 /// As above, with observation hooks.  When `hooks.at_snapshot` is set
-/// the caller owns *all* suffix binding -- run_point will not apply
-/// spec.cost_scales itself (the checkpoint group runner binds each
-/// member's suffix, including the representative's, in its own hook).
+/// the caller owns cost-scale binding: run_point will not apply
+/// spec.cost_scales itself.
 PointResult run_point(const PointSpec& spec, const RunHooks& hooks);
 
-/// Apply a point's cost-scale suffix to a booted stack: scales whose
+/// Apply a point's cost scales to a booted stack: scales whose
 /// personality prefix matches the stack's cost sheet are applied to a
 /// copy of os().costs() and rebound atomically (osal::Os::rebind_costs);
 /// the rest are skipped.  Returns true if any scale applied.  Throws

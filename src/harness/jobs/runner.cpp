@@ -9,8 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "harness/jobs/forkrun.hpp"
-
 namespace kop::harness::jobs {
 
 int effective_jobs(const JobOptions& opts, std::size_t n_points) {
@@ -65,29 +63,16 @@ JobRunner::JobRunner(JobOptions opts) : opts_(std::move(opts)) {
   if (opts_.cache_enabled()) {
     cache_ = std::make_unique<ResultCache>(opts_.cache_dir);
   }
-  if (opts_.claim_enabled()) {
-    claim_ = std::make_unique<ClaimDir>(opts_.claim_dir);
-  }
   if (opts_.coord_enabled()) {
     lease_ = std::make_unique<LeaseSession>(opts_.coord_socket);
   }
 }
 
 PointResult JobRunner::execute_one(const PointSpec& spec) {
-  // Claim before the cache lookup: the claim files are the sweep's
-  // exactly-once coverage ledger, so a point counts as this worker's
-  // even when its result then comes from a warm cache.
-  if (claim_ != nullptr && !claim_->try_claim(spec)) {
-    PointResult skipped;
-    skipped.skipped = true;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.skipped;
-    return skipped;
-  }
-  // A lease is the coordinator's claim: same exactly-once semantics,
-  // but reclaimable if this worker dies.  Completion is reported after
-  // the result is in the cache, so a GET served as COMPLETE can always
-  // be answered from disk.
+  // A lease makes this worker the point's only executor; it is
+  // reclaimable if this worker dies.  Completion is reported after the
+  // result is in the cache, so a GET served as COMPLETE can always be
+  // answered from disk.
   if (lease_ != nullptr && !lease_->try_acquire(spec)) {
     PointResult skipped;
     skipped.skipped = true;
@@ -104,10 +89,6 @@ PointResult JobRunner::execute_one(const PointSpec& spec) {
       return cached;
     }
   }
-  return simulate_point(spec);
-}
-
-PointResult JobRunner::simulate_point(const PointSpec& spec) {
   // One retry: the simulation is deterministic, but host-side
   // transients (allocation pressure, a torn cache entry mid-write)
   // deserve a second attempt before the point is declared failed.
@@ -143,63 +124,6 @@ PointResult JobRunner::simulate_point(const PointSpec& spec) {
     }
   }
   return {};  // unreachable
-}
-
-void JobRunner::execute_group(const std::vector<PointSpec>& points,
-                              const std::vector<std::size_t>& members,
-                              std::vector<PointResult>& results) {
-  // Admission (claims, leases, cache lookups) happens here, in the
-  // parent, for every member: forked children must never touch these
-  // shared resources.  Whatever survives admission shares one warm
-  // prefix.
-  std::vector<std::size_t> torun;
-  for (std::size_t idx : members) {
-    const PointSpec& spec = points[idx];
-    if ((claim_ != nullptr && !claim_->try_claim(spec)) ||
-        (lease_ != nullptr && !lease_->try_acquire(spec))) {
-      results[idx].skipped = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.skipped;
-      continue;
-    }
-    if (cache_ != nullptr && cache_->load(spec, &results[idx])) {
-      if (lease_ != nullptr) lease_->complete(spec);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.cache_hits;
-      continue;
-    }
-    torun.push_back(idx);
-  }
-  // A warm prefix pays off only when at least two suffixes share it.
-  if (torun.size() < 2) {
-    for (std::size_t idx : torun) results[idx] = simulate_point(points[idx]);
-    return;
-  }
-
-  std::vector<PointSpec> specs;
-  specs.reserve(torun.size());
-  for (std::size_t idx : torun) specs.push_back(points[idx]);
-  std::vector<PointResult> group = run_prefix_group(specs);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.prefixes;
-  }
-  for (std::size_t i = 0; i < torun.size(); ++i) {
-    const std::size_t idx = torun[i];
-    if (group[i].failed) {
-      // Child fork/pipe mishaps (or a genuine simulation failure) fall
-      // back to the cold path, which carries its own retry; a point
-      // that fails both ways reports the cold error.
-      results[idx] = simulate_point(points[idx]);
-      continue;
-    }
-    results[idx] = std::move(group[i]);
-    if (cache_ != nullptr) cache_->store(points[idx], results[idx]);
-    if (lease_ != nullptr) lease_->complete(points[idx]);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.executed;
-    if (i > 0) ++stats_.forked;
-  }
 }
 
 std::vector<PointResult> JobRunner::run(const std::vector<PointSpec>& points) {
@@ -241,52 +165,12 @@ std::vector<PointResult> JobRunner::run(const std::vector<PointSpec>& points) {
       unique_idx.begin(), unique_idx.end(),
       [&cost](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
 
-  // Checkpoint mode coalesces prefix-sharing points into one dispatch
-  // unit (one warm prefix, one fork per extra suffix); otherwise every
-  // unit is a single point.  Unit order follows the cost-sorted first
-  // member, so the dispatch heuristic is preserved either way.
-  std::vector<std::vector<std::size_t>> units;
-  if (opts_.checkpoint && checkpoint_supported()) {
-    std::map<std::uint64_t, std::size_t> unit_of;  // prefix hash -> unit
-    for (std::size_t i : unique_idx) {
-      auto [it, inserted] =
-          unit_of.try_emplace(points[i].prefix_hash(), units.size());
-      if (inserted) units.emplace_back();
-      units[it->second].push_back(i);
-    }
-  } else {
-    units.reserve(unique_idx.size());
-    for (std::size_t i : unique_idx) units.push_back({i});
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(unique_idx.size());
+  for (std::size_t i : unique_idx) {
+    tasks.push_back([&, i] { results[i] = execute_one(points[i]); });
   }
-
-  auto execute_unit = [&](const std::vector<std::size_t>& unit) {
-    if (unit.size() == 1) {
-      results[unit[0]] = execute_one(points[unit[0]]);
-    } else {
-      execute_group(points, unit, results);
-    }
-  };
-
-  const int jobs = effective_jobs(opts_, units.size());
-  if (jobs == 1) {
-    for (const auto& unit : units) execute_unit(unit);
-  } else {
-    const std::size_t cap =
-        opts_.queue_capacity > 0 ? static_cast<std::size_t>(opts_.queue_capacity)
-                                 : static_cast<std::size_t>(jobs) * 2;
-    BoundedQueue queue(cap);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(jobs));
-    for (int w = 0; w < jobs; ++w) {
-      workers.emplace_back([&] {
-        std::size_t u;
-        while (queue.pop(&u)) execute_unit(units[u]);
-      });
-    }
-    for (std::size_t u = 0; u < units.size(); ++u) queue.push(u);
-    queue.close();
-    for (auto& t : workers) t.join();
-  }
+  run_tasks(tasks);
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (alias[i] != i) results[i] = results[alias[i]];
@@ -325,12 +209,8 @@ std::string JobRunner::summary(std::size_t n_points) const {
       out += " (" + std::to_string(cs.corrupt) + " corrupt entries re-run)";
     }
   }
-  if (stats_.prefixes > 0) {
-    out += ", " + std::to_string(stats_.prefixes) + " warm prefixes (" +
-           std::to_string(stats_.forked) + " forked)";
-  }
   if (stats_.skipped > 0) {
-    out += ", " + std::to_string(stats_.skipped) + " claimed elsewhere";
+    out += ", " + std::to_string(stats_.skipped) + " leased elsewhere or done";
   }
   if (stats_.retries > 0) out += ", " + std::to_string(stats_.retries) + " retried";
   if (stats_.failures > 0) out += ", " + std::to_string(stats_.failures) + " FAILED";

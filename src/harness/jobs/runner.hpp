@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "harness/jobs/cache.hpp"
-#include "harness/jobs/claim.hpp"
 #include "harness/jobs/lease_session.hpp"
 #include "harness/jobs/options.hpp"
 #include "harness/jobs/point.hpp"
@@ -67,10 +66,8 @@ class JobRunner {
     std::uint64_t cache_hits = 0;
     std::uint64_t retries = 0;
     std::uint64_t failures = 0;    // points failed after the retry
-    std::uint64_t skipped = 0;     // claim mode: owned by another worker
-    std::uint64_t forked = 0;      // checkpoint mode: members run in a
-                                   // forked child of a shared prefix
-    std::uint64_t prefixes = 0;    // checkpoint mode: warm prefixes run
+    std::uint64_t skipped = 0;     // coord mode: leased elsewhere or
+                                   // already complete
   };
   const Stats& stats() const { return stats_; }
   const JobOptions& options() const { return opts_; }
@@ -83,20 +80,12 @@ class JobRunner {
   std::string summary(std::size_t n_points) const;
 
  private:
+  /// The one admission path: lease -> cache -> simulate (one retry)
+  /// -> store -> DONE.
   PointResult execute_one(const PointSpec& spec);
-  /// The simulate half of execute_one (retry, cache store, lease
-  /// completion) without the admission half (claim/lease acquisition,
-  /// cache lookup) -- the checkpoint group path admits members itself.
-  PointResult simulate_point(const PointSpec& spec);
-  /// Checkpoint mode: run the to-run members of one prefix group via
-  /// forkrun, falling back to cold simulation per failed member.
-  void execute_group(const std::vector<PointSpec>& points,
-                     const std::vector<std::size_t>& members,
-                     std::vector<PointResult>& results);
 
   JobOptions opts_;
   std::unique_ptr<ResultCache> cache_;
-  std::unique_ptr<ClaimDir> claim_;
   std::unique_ptr<LeaseSession> lease_;
   Stats stats_;
   std::mutex stats_mu_;

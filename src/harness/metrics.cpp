@@ -231,14 +231,8 @@ FigOptions parse_fig_options(int argc, char** argv) {
       }
     } else if (arg == "--shard-list") {
       opts.jobs.shard.list_only = true;
-    } else if (arg == "--shard-claim" && i + 1 < argc) {
-      opts.jobs.claim_dir = argv[++i];
     } else if (arg == "--coord" && i + 1 < argc) {
       opts.jobs.coord_socket = argv[++i];
-    } else if (arg == "--checkpoint") {
-      opts.jobs.checkpoint = true;
-    } else if (arg == "--no-checkpoint") {
-      opts.jobs.checkpoint = false;
     } else if (arg == "--numa-sched" && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "hier") {
@@ -257,8 +251,7 @@ FigOptions parse_fig_options(int argc, char** argv) {
           stderr,
           "usage: %s [--json <path>] [--quick] [--jobs N]\n"
           "          [--cache-dir <dir>] [--no-cache]\n"
-          "          [--shard K/N] [--shard-list] [--shard-claim <dir>]\n"
-          "          [--coord <addr>] [--checkpoint | --no-checkpoint]\n"
+          "          [--shard K/N] [--shard-list] [--coord <addr>]\n"
           "          [--numa-sched flat|hier] [--numa-migrate]\n"
           "  --json <path>    write a kop-metrics v1 JSON artifact\n"
           "  --quick          reduced problem sizes (CI smoke)\n"
@@ -269,20 +262,10 @@ FigOptions parse_fig_options(int argc, char** argv) {
           "                   of the sweep (use with --cache-dir; merge\n"
           "                   shard caches with kop_merge)\n"
           "  --shard-list     print the point partition and exit\n"
-          "  --shard-claim <d>  work-stealing partition: claim points\n"
-          "                   from shared dir <d> before simulating them\n"
-          "                   (every worker runs the same command; merge\n"
-          "                   worker caches with kop_merge)\n"
           "  --coord <addr>   lease points from a kop_sweepd daemon at\n"
-          "                   <addr> -- unix socket path or host:port --\n"
-          "                   instead of claim files (crashed workers are\n"
-          "                   reclaimed by lease expiry; merge worker\n"
-          "                   caches with kop_merge)\n"
-          "  --checkpoint     share one warm prefix across points that\n"
-          "                   differ only in reps/cost scales: fork one\n"
-          "                   COW child per suffix at the warmup end\n"
-          "                   (results byte-identical to cold runs)\n"
-          "  --no-checkpoint  force cold per-point runs (default)\n"
+          "                   <addr> -- unix socket path or host:port\n"
+          "                   (crashed workers are reclaimed by lease\n"
+          "                   expiry; merge worker caches with kop_merge)\n"
           "  --numa-sched <m> task-steal victim order on komp paths:\n"
           "                   flat (default ring) or hier (topology-tree\n"
           "                   walk, same zone first then ascending SLIT\n"

@@ -98,8 +98,6 @@ std::string format_counters_table(const telemetry::Snapshot& snap);
 ///   --jobs N           host worker threads (default: all cores)
 ///   --cache-dir <dir>  content-addressed result cache directory
 ///   --no-cache         ignore --cache-dir (force re-simulation)
-///   --checkpoint       fork-share warm prefixes across suffix points
-///   --no-checkpoint    force cold per-point runs (the default)
 ///   --numa-sched <m>   flat | hier task-steal victim order
 ///   --numa-migrate     migration-on-next-touch placement
 struct FigOptions {

@@ -14,11 +14,9 @@
 
 #include "coord/coordinator.hpp"
 #include "harness/jobs/cache.hpp"
-#include "harness/jobs/forkrun.hpp"
 #include "harness/jobs/merge.hpp"
 #include "harness/propcheck/propcheck.hpp"
 #include "ompt/ompt.hpp"
-#include "sim/checkpoint.hpp"
 #include "telemetry/counters.hpp"
 
 namespace kop::harness::propcheck {
@@ -215,13 +213,8 @@ struct Observation {
   std::string error;
 };
 
-// Run one case and record everything observable.  When `ckpt` is
-// non-null, the snapshot hook COW-forks one child at the warmup/
-// measurement boundary (exactly what a --checkpoint sweep does); both
-// processes then bind the same suffix and finish the run, and the child
-// returns with *is_child set (the caller must child_exit, never unwind).
-void observe(const CaseParams& params, Observation* obs,
-             sim::Checkpoint* ckpt = nullptr, bool* is_child = nullptr) {
+// Run one case and record everything observable.
+void observe(const CaseParams& params, Observation* obs) {
   RunHooks hooks;
   hooks.on_boot = [obs](core::Stack& s) { s.os().tools().attach(&obs->trace); };
   hooks.on_done = [obs](core::Stack& s) {
@@ -230,8 +223,7 @@ void observe(const CaseParams& params, Observation* obs,
     obs->end_time = s.engine().now();
   };
   const jobs::PointSpec spec = params.point();
-  hooks.at_snapshot = [&spec, ckpt, is_child](core::Stack& s, SnapshotCtl&) {
-    if (ckpt != nullptr && ckpt->fork_child()) *is_child = true;
+  hooks.at_snapshot = [&spec](core::Stack& s) {
     jobs::apply_point_scales(s, spec.cost_scales);
   };
   core::StackConfig cfg = spec.stack_config();
@@ -671,98 +663,13 @@ void check_journal_replay(const CaseParams& params,
   fs::remove_all(dir, ec);  // best-effort scratch hygiene
 }
 
-// Checkpoint equivalence: COW-forking at the warmup/measurement
-// boundary (the --checkpoint fast path) must not change the observable
-// run.  Replay the case with a fork at the snapshot: the forked child
-// and the continuing parent must both reproduce the cold run's engine
-// dispatch digest, OMPT trace digest, and encoded metrics document
-// bit-for-bit.  Skipped when fork is unsafe (TSan builds).
-void check_checkpoint_equivalence(const CaseParams& params,
-                                  const Observation& cold,
-                                  const std::string& cold_encoded,
-                                  std::vector<Violation>* out) {
-  if (!jobs::checkpoint_supported()) return;
-  auto violate = [out](std::string detail) {
-    out->push_back({"checkpoint-equivalence", std::move(detail)});
-  };
-  sim::Checkpoint ckpt;
-  bool is_child = false;
-  Observation forked;
-  observe(params, &forked, &ckpt, &is_child);
-  if (is_child) {
-    // Forked child: pipe the observation back and _exit -- never unwind
-    // into the surrounding suite (hygiene rules in sim/checkpoint.hpp).
-    std::string payload;
-    if (forked.threw) {
-      payload = "threw " + forked.error;
-    } else {
-      payload = jobs::hex16(forked.engine_digest) + " " +
-                jobs::hex16(forked.trace.digest) + "\n" +
-                jobs::ResultCache::encode(params.point(), forked.result);
-    }
-    ckpt.child_exit(payload, 0);
-  }
-  if (ckpt.children() != 1) {
-    violate("snapshot hook never fired: no child was forked");
-    return;
-  }
-  if (forked.threw) {
-    violate("parent run threw after the fork: " + forked.error);
-  } else {
-    if (forked.engine_digest != cold.engine_digest) {
-      violate("parent engine digest " + jobs::hex16(forked.engine_digest) +
-              " vs cold " + jobs::hex16(cold.engine_digest));
-    }
-    if (forked.trace.digest != cold.trace.digest) {
-      violate("parent OMPT digest " + jobs::hex16(forked.trace.digest) +
-              " vs cold " + jobs::hex16(cold.trace.digest));
-    }
-    if (jobs::ResultCache::encode(params.point(), forked.result) !=
-        cold_encoded) {
-      violate("parent metrics document differs from the cold run");
-    }
-  }
-  const sim::Checkpoint::Harvest h = ckpt.harvest(0);
-  if (h.exit_code == sim::Checkpoint::kGuardLostExit) {
-    violate("fiber guard page lost across the fork");
-    return;
-  }
-  if (!h.ok()) {
-    violate("forked child died (exit " + std::to_string(h.exit_code) + ")");
-    return;
-  }
-  const std::size_t nl = h.payload.find('\n');
-  if (h.payload.compare(0, 6, "threw ") == 0) {
-    violate("forked child threw: " + h.payload.substr(6));
-    return;
-  }
-  if (nl == std::string::npos || nl != 33) {
-    violate("malformed child payload (" + std::to_string(h.payload.size()) +
-            " bytes)");
-    return;
-  }
-  const std::string child_engine = h.payload.substr(0, 16);
-  const std::string child_trace = h.payload.substr(17, 16);
-  if (child_engine != jobs::hex16(cold.engine_digest)) {
-    violate("child engine digest " + child_engine + " vs cold " +
-            jobs::hex16(cold.engine_digest));
-  }
-  if (child_trace != jobs::hex16(cold.trace.digest)) {
-    violate("child OMPT digest " + child_trace + " vs cold " +
-            jobs::hex16(cold.trace.digest));
-  }
-  if (h.payload.substr(nl + 1) != cold_encoded) {
-    violate("child metrics document differs from the cold run");
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> invariant_names() {
   return {"run-completes",    "time-monotonic",       "work-conservation",
           "task-balance",     "steal-accounting",     "counter-conservation",
           "determinism",      "cache-roundtrip",      "exactly-once-dispatch",
-          "journal-replay",   "checkpoint-equivalence"};
+          "journal-replay"};
 }
 
 CaseOutcome check_case(const CaseParams& params, const CheckOptions& opt) {
@@ -838,7 +745,6 @@ CaseOutcome check_case(const CaseParams& params, const CheckOptions& opt) {
     check_journal_replay(params, opt.scratch_dir, &out.violations);
   }
   check_exactly_once_dispatch(params, &out.violations);
-  check_checkpoint_equivalence(params, a, encoded, &out.violations);
   return out;
 }
 

@@ -32,11 +32,6 @@
 //                        into an identical lease table; torn tails are
 //                        tolerated, checksum corruption is rejected
 //                        (needs scratch_dir, like cache-roundtrip)
-//   checkpoint-equivalence  a run that COW-forks at the warmup/
-//                        measurement boundary (the --checkpoint fast
-//                        path) reproduces the cold run exactly, in both
-//                        the forked child and the continuing parent
-//                        (skipped under TSan, where fork is unsafe)
 //
 // A failing case is shrunk to a minimal failing CaseParams; its token
 // is a single space-free string that replays from the CLI
@@ -80,9 +75,9 @@ struct CaseParams {
   int tasks_per_thread = 4;
   int tree_depth = 2;
 
-  // Late-binding cost-scale suffix: random hw.apply_cost_scale
-  // overrides, applied at the warmup/measurement boundary exactly as a
-  // sweep's --checkpoint path would.  The generator draws scales from
+  // Late-binding cost scales: random hw.apply_cost_scale overrides,
+  // applied at the warmup/measurement boundary exactly as a sweep's
+  // run_point would.  The generator draws scales from
   // an exact-decimal palette with the personality matched to the
   // case's path, so tokens round-trip the drawn values bit-for-bit.
   std::vector<jobs::PointSpec::CostScale> cost_scales;

@@ -113,13 +113,13 @@ std::vector<std::string> cost_param_names();
 /// factories below; not usually called directly.
 void apply_cost_overrides(OsCosts& c);
 
-/// --- Late binding (checkpointed sweeps) -------------------------------
+/// --- Late binding (per-point cost scales) -----------------------------
 ///
 /// Per-point overrides must not go through the global registry above --
 /// concurrent JobRunner workers would race on it and cross-contaminate
 /// points.  Instead a sweep applies its scale directly to one stack's
 /// already-built cost sheet at the warmup/measurement boundary
-/// (osal::Os::rebind_costs), in both cold and checkpointed runs.
+/// (osal::Os::rebind_costs).
 
 /// True iff `field` names a scalable OsCosts field (the per-personality
 /// field set cost_param_names() enumerates).

@@ -42,7 +42,7 @@ class Cpu {
 
   bool held() const { return held_; }
 
-  /// Rebind the scheduling parameters (checkpoint late binding); takes
+  /// Rebind the scheduling parameters (per-point cost scales); takes
   /// effect from the next occupy() slice.
   void set_sched_costs(sim::Time timeslice_ns, sim::Time context_switch_ns) {
     timeslice_ns_ = timeslice_ns;

@@ -86,7 +86,7 @@ class Os {
   virtual sim::Engine& engine() = 0;
   virtual const hw::MachineConfig& machine() const = 0;
   virtual const hw::OsCosts& costs() const = 0;
-  /// Swap in a new cost sheet mid-run (checkpoint late binding): the
+  /// Swap in a new cost sheet mid-run (per-point cost scales): the
   /// execution model and per-CPU scheduling parameters are rebuilt from
   /// `costs`.  Call only at a quiescent boundary (no work block in
   /// flight); the personality must match the current sheet.

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -9,24 +8,6 @@
 #include "sim/racecheck.hpp"
 
 namespace kop::sim {
-
-namespace {
-
-// KOP_FIBER_STACK_KB overrides the per-fiber stack size for every
-// engine in the process (deep workloads, or trimming COW footprint for
-// checkpointed sweeps).  Unparseable or absurd values fall back to the
-// compiled-in default rather than failing the run.
-std::size_t env_fiber_stack_bytes() {
-  const char* env = std::getenv("KOP_FIBER_STACK_KB");
-  if (env == nullptr || *env == '\0') return Fiber::kDefaultStackBytes;
-  char* end = nullptr;
-  const unsigned long long kb = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return Fiber::kDefaultStackBytes;
-  if (kb < 16 || kb > 64 * 1024) return Fiber::kDefaultStackBytes;
-  return static_cast<std::size_t>(kb) * 1024;
-}
-
-}  // namespace
 
 const char* sched_policy_name(SchedPolicy p) {
   switch (p) {
@@ -46,7 +27,6 @@ SimThread::SimThread(Engine& eng, std::uint64_t id, std::string name,
 Engine::Engine(std::uint64_t rng_seed, SchedConfig sched)
     : rng_(rng_seed),
       sched_(sched),
-      fiber_stack_bytes_(env_fiber_stack_bytes()),
       // Offset the seed so sched seed 0 and rng seed 0 decorrelate.
       sched_rng_(sched.seed ^ 0xc2b2ae3d27d4eb4fULL),
       queue_(sched.policy != SchedPolicy::kFifo) {}
@@ -58,10 +38,6 @@ RaceChecker& Engine::enable_racecheck() {
   return *racecheck_;
 }
 
-void Engine::set_fiber_stack_bytes(std::size_t bytes) {
-  fiber_stack_bytes_ = bytes > 0 ? bytes : env_fiber_stack_bytes();
-}
-
 void Engine::snapshot_point() {
   if (snapshot_fired_) return;
   snapshot_fired_ = true;
@@ -70,7 +46,7 @@ void Engine::snapshot_point() {
 
 SimThread* Engine::spawn(std::string name, std::function<void()> body,
                          std::size_t stack_bytes) {
-  if (stack_bytes == 0) stack_bytes = fiber_stack_bytes_;
+  if (stack_bytes == 0) stack_bytes = Fiber::kDefaultStackBytes;
   auto thread = std::unique_ptr<SimThread>(new SimThread(
       *this, next_thread_id_++, std::move(name), std::move(body), stack_bytes));
   SimThread* raw = thread.get();

@@ -111,15 +111,9 @@ class Engine {
 
   /// Create a simulated thread.  The thread starts *blocked*; call
   /// wake() (typically from an OS scheduler) to start it.
-  /// `stack_bytes` 0 uses the engine's fiber-stack default (the
-  /// KOP_FIBER_STACK_KB environment variable, else Fiber's 256 KiB).
+  /// `stack_bytes` 0 uses Fiber's 256 KiB default.
   SimThread* spawn(std::string name, std::function<void()> body,
                    std::size_t stack_bytes = 0);
-
-  /// Per-fiber stack size used when spawn() is called without an
-  /// explicit size.  Seeded from KOP_FIBER_STACK_KB at construction.
-  std::size_t fiber_stack_bytes() const { return fiber_stack_bytes_; }
-  void set_fiber_stack_bytes(std::size_t bytes);
 
   /// Make `t` runnable now / at `when`.  Returns false (and does
   /// nothing) if the thread has already finished.
@@ -158,22 +152,18 @@ class Engine {
   /// thread is immediately rescheduled; useful for modelled spin loops).
   void yield_now();
 
-  /// --- Checkpoint boundary ---
+  /// --- Warmup/measurement boundary ---
 
   /// Workloads call snapshot_point() exactly where warmup ends and the
   /// measurement phase begins.  The first call fires the installed hook
   /// synchronously on the calling fiber; later calls are no-ops, so a
   /// suite running several parts marks only its first boundary.  The
   /// hook must not post events or draw from the engine Rngs: the
-  /// boundary has to be invisible to the dispatch trajectory (that is
-  /// what makes a forked measurement phase byte-identical to a cold
-  /// run).  After fork() the child inherits snapshot_fired_ == true, so
-  /// the boundary can never re-fire in a checkpoint child.
+  /// boundary has to be invisible to the dispatch trajectory.
   void set_snapshot_hook(std::function<void()> hook) {
     snapshot_hook_ = std::move(hook);
   }
   void snapshot_point();
-  bool snapshot_fired() const { return snapshot_fired_; }
 
   /// --- Race detection ---
 
@@ -231,7 +221,6 @@ class Engine {
   Time now_ = 0;
   Rng rng_;
   SchedConfig sched_;
-  std::size_t fiber_stack_bytes_ = 0;
   std::function<void()> snapshot_hook_;
   bool snapshot_fired_ = false;
   Rng sched_rng_;

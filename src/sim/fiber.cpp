@@ -250,6 +250,4 @@ void Fiber::yield() {
 
 Fiber* Fiber::current() { return g_current_fiber; }
 
-std::size_t Fiber::guard_bytes() const { return page_size(); }
-
 }  // namespace kop::sim

@@ -44,14 +44,6 @@ class Fiber {
   bool finished() const { return finished_; }
   bool running() const { return running_; }
 
-  /// mmap base of this fiber's stack mapping; the PROT_NONE guard page
-  /// occupies [stack_base(), stack_base() + guard_bytes()) below the
-  /// usable stack.  Exposed so sim::Checkpoint can assert the guard
-  /// survived a fork() (COW must not quietly remap it writable).
-  const void* stack_base() const { return stack_base_; }
-  std::size_t guard_bytes() const;
-  std::size_t map_bytes() const { return map_bytes_; }
-
  private:
   static void trampoline();
 

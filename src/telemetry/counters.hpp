@@ -91,24 +91,9 @@ class CounterFabric {
   Snapshot snapshot() const;
   void reset();
 
-  /// Checkpoint boundary bookkeeping: remember the counter state at the
-  /// warmup/measurement split (Engine::snapshot_point).  The reported
-  /// end-of-run snapshot still includes warmup counts -- a forked
-  /// measurement phase inherits them via COW, so cold and checkpointed
-  /// runs stay byte-identical -- but the segment base lets diagnostics
-  /// subtract the warmup contribution when they want phase deltas.
-  void mark_segment() {
-    segment_base_ = snapshot();
-    segment_marked_ = true;
-  }
-  bool segment_marked() const { return segment_marked_; }
-  const Snapshot& segment_base() const { return segment_base_; }
-
  private:
   std::vector<std::array<std::uint64_t, kNumCounters>> per_cpu_;
   std::array<std::uint64_t, kNumCounters> unattributed_{};
-  Snapshot segment_base_;
-  bool segment_marked_ = false;
 };
 
 }  // namespace kop::telemetry

@@ -759,6 +759,69 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
   fs::remove_all(root);
 }
 
+// A figure binary's --coord run: each worker prints a coverage note in
+// place of the table and records only the points it ran, so the
+// workers' artifacts together hold every point exactly once.
+TEST(CoordServer, FigureCoordModeRecordsEachPointOnce) {
+  const std::string sock =
+      "/tmp/kop_coord_fig_" + std::to_string(getpid()) + ".sock";
+  const fs::path root =
+      fs::temp_directory_path() / ("kop_coord_fig_" + std::to_string(getpid()));
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  coord::Coordinator c({}, {});
+  coord::ServerOptions sopt;
+  sopt.socket_path = sock;
+  sopt.poll_ms = 10;
+  coord::Server server(&c, sopt);
+  std::thread daemon([&] { server.run(); });
+
+  auto suite = kop::harness::scale_suite(kop::nas::paper_suite(), 0.25, 2);
+  suite.resize(1);
+  const std::vector<int> scales = {1, 2};
+  const std::size_t n_points =
+      kop::harness::enumerate_nas_normalized(
+          "phi", {kop::core::PathKind::kRtk}, scales, suite)
+          .size();
+
+  constexpr int kWorkers = 2;
+  std::vector<std::string> notes(kWorkers);
+  std::vector<std::size_t> recorded(kWorkers);
+  {
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        jobs::JobOptions jopts;
+        jopts.jobs = 1;
+        jopts.coord_socket = sock;
+        jopts.cache_dir = (root / ("worker" + std::to_string(w))).string();
+        kop::harness::MetricsSink sink("coord_test");
+        notes[w] = kop::harness::print_nas_normalized(
+            "x", "phi", {kop::core::PathKind::kRtk}, scales, suite, &sink,
+            jopts);
+        recorded[w] = sink.size();
+      });
+    }
+    for (auto& t : workers) t.join();
+  }
+  {
+    coord::Client admin(sock);
+    admin.shutdown();
+  }
+  daemon.join();
+
+  for (const auto& note : notes) {
+    EXPECT_EQ(note.rfind("[coord] executed ", 0), 0u) << note;
+    EXPECT_NE(note.find(" of " + std::to_string(n_points) + " points"),
+              std::string::npos)
+        << note;
+  }
+  EXPECT_EQ(recorded[0] + recorded[1], n_points);
+  EXPECT_TRUE(c.drained());
+  fs::remove_all(root);
+}
+
 // --- TCP transport ---------------------------------------------------------
 
 // Raw TCP connection for exercising the server below the Client layer.

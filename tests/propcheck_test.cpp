@@ -146,14 +146,12 @@ TEST(Token, CostScalesRoundTripExactly) {
   EXPECT_EQ(back.cost_scales[1].key, "nautilus.wake_latency_ns");
   EXPECT_EQ(back.cost_scales[1].scale, 0.25);
   EXPECT_EQ(back.token(), tok);
-  // The scales reach the materialized point (and thus its cache key),
-  // while the prefix -- what a checkpointed sweep shares -- ignores them.
+  // The scales reach the materialized point (and thus its cache key).
   const jobs::PointSpec spec = back.point();
   ASSERT_EQ(spec.cost_scales.size(), 2u);
   propcheck::CaseParams bare = p;
   bare.cost_scales.clear();
   EXPECT_NE(spec.content_hash(), bare.point().content_hash());
-  EXPECT_EQ(spec.prefix_hash(), bare.point().prefix_hash());
 }
 
 TEST(Generator, DrawsCostScalesMatchedToThePath) {
@@ -233,14 +231,14 @@ TEST(Invariants, RegistryIsPopulated) {
        {"run-completes", "time-monotonic", "work-conservation",
         "task-balance", "steal-accounting", "counter-conservation",
         "determinism", "cache-roundtrip", "exactly-once-dispatch",
-        "checkpoint-equivalence"}) {
+        "journal-replay"}) {
     EXPECT_TRUE(have.count(expected)) << expected;
   }
 }
 
 TEST(Invariants, HealthyCaseWithCostScalesPasses) {
-  // A late-binding suffix must not upset determinism, checkpoint
-  // equivalence, or the cache roundtrip (the scale is in the key).
+  // A late-binding cost scale must not upset determinism or the cache
+  // roundtrip (the scale is in the key).
   const std::string dir = scratch_dir("scaled");
   propcheck::CaseParams p = tiny_case();
   p.cost_scales.push_back({"linux.syscall_ns", 4.0});

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -399,6 +400,38 @@ TEST_F(ShardWorkflowTest, MergeDetectsDivergentDuplicates) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.divergent.size(), 1u) << report.text();
   EXPECT_EQ(report.identical_duplicates, points.size() - 1);
+}
+
+TEST_F(ShardWorkflowTest, ShardAndCoordAreMutuallyExclusive) {
+  auto suite = kop::harness::scale_suite(kop::nas::paper_suite(), 0.25, 2);
+  suite.resize(1);
+  jobs::JobOptions jopts;
+  jopts.shard.index = 0;
+  jopts.shard.count = 2;
+  jopts.coord_socket = dir("kop.sock");  // refused before any connect
+  MetricsSink sink("shard_test");
+  EXPECT_THROW(kop::harness::print_nas_normalized("x", "phi", {PathKind::kRtk},
+                                                  {1}, suite, &sink, jopts),
+               std::invalid_argument);
+}
+
+// kop_merge --digest: the determinism check CI runs between a
+// multi-worker coordinated sweep and a single-worker reference run.
+TEST_F(ShardWorkflowTest, CacheDigestTracksContentNotLayout) {
+  fs::create_directories(dir("d1"));
+  fs::create_directories(dir("d2"));
+  const std::string name = "kop-0123456789abcdef.json";
+  const std::string other = "kop-fedcba9876543210.json";
+  std::ofstream(dir("d1") + "/" + name) << "{\"v\":1}";
+  std::ofstream(dir("d2") + "/" + name) << "{\"v\":1}";
+  // Same entries in different directories digest identically.
+  EXPECT_EQ(jobs::cache_digest(dir("d1")), jobs::cache_digest(dir("d2")));
+  // Non-entry files are invisible to the digest...
+  std::ofstream(dir("d2") + "/notes.txt") << "scratch";
+  EXPECT_EQ(jobs::cache_digest(dir("d1")), jobs::cache_digest(dir("d2")));
+  // ...but a differing entry set or differing bytes is a different sweep.
+  std::ofstream(dir("d2") + "/" + other) << "{\"v\":2}";
+  EXPECT_NE(jobs::cache_digest(dir("d1")), jobs::cache_digest(dir("d2")));
 }
 
 }  // namespace
