@@ -12,10 +12,11 @@
 // gate floors at 2x (bench/numa_floor.json).
 //
 // Both schedulers run identical points (same tasks, same virtual
-// work), so the reduction compares equal total work.  --numa-sched and
-// --numa-migrate are ignored here: this binary sweeps all modes in one
-// run.  --bench-json additionally writes a kop-bench v1 document with
-// the reduction ratios for examples/kop_perfgate.
+// work), so the reduction compares equal total work.  This binary
+// sweeps every mode in one run, so it takes no --numa-sched or
+// --numa-migrate (abl_numa_firsttouch does).  --bench-json
+// additionally writes a kop-bench v1 document with the reduction
+// ratios for examples/kop_perfgate.
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -1,6 +1,6 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
-// raw event dispatch through the engine queue, the same-instant yield
-// fast path, fiber switches, timed sleep/wake chains, kernel task
+// raw event dispatch through the engine queue, same-instant yields,
+// fiber switches, timed sleep/wake chains, kernel task
 // dispatch + steals, and a full small OpenMP region.  These guard the
 // *host* performance of the reproduction (every figure is built from
 // millions of these operations).
@@ -48,10 +48,10 @@ struct BenchResult {
 // Runs `rep` (which returns items processed) eight times for warm-up
 // and then `reps` timed times.  `allocs` samples the cumulative
 // allocation count of whatever the bench exercises; the steady-state
-// figure is the delta across the timed reps only.  Eight warm-ups
-// cover calendar-ring convergence: the virtual clock crosses a bucket
-// epoch roughly every rep or two, and slot capacities stop growing
-// once every slot the workload cycles through has seen its peak load.
+// figure is the delta across the timed reps only.  A bench's working
+// set is the same every rep, so the first warm-up grows the event
+// heap, payload slab and free list to their peak; the rest of the
+// eight settle the fiber stack pool and host caches.
 BenchResult run_bench(const std::string& name, const std::string& unit,
                       int reps, const std::function<std::uint64_t()>& rep,
                       const std::function<std::uint64_t()>& allocs) {
@@ -94,8 +94,9 @@ BenchResult bench_event_loop(int reps, int n) {
                    [&] { return eng.stats().queue_allocs; });
 }
 
-// Same-instant fast path: threads ping-ponging via yield_now() at one
-// virtual instant must not round-trip the time-ordered structure.
+// Same-instant yields: threads ping-ponging via yield_now() at one
+// virtual instant, each yield one push and one pop of a four-entry
+// heap -- the per-event floor of the engine loop.
 BenchResult bench_same_instant_yield(int reps, int yields) {
   Engine eng;
   auto rep = [&]() -> std::uint64_t {
@@ -138,8 +139,8 @@ BenchResult bench_sleep_wake(int reps, int n) {
                    [&] { return eng.stats().queue_allocs; });
 }
 
-// Posts spread over a wide horizon (tens of ms): exercises whatever
-// long-range structure backs the queue, not just the near ring.
+// Posts spread over a wide horizon (up to 100 ms): a deep heap of
+// far-apart instants rather than a shallow one of near collisions.
 BenchResult bench_far_horizon(int reps, int n) {
   Engine eng;
   auto rep = [&]() -> std::uint64_t {

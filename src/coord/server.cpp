@@ -169,7 +169,7 @@ void Server::run() {
     conns_.erase(fd);
   };
 
-  while (!stop_) {
+  while (!stop_.load()) {
     const std::int64_t tick_now = now_ms();
     coord_->tick(tick_now);
     if (coord_->shutdown_requested()) break;

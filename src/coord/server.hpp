@@ -22,6 +22,7 @@
 // liveness layer owns worker health, the transport only owns frames.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -63,8 +64,9 @@ class Server {
   /// thread, or (with exit_when_drained) the sweep completes.
   void run();
 
-  /// Async-signal-safe-ish stop flag (checked every poll round).
-  void stop() { stop_ = true; }
+  /// Ask run() to return after its current poll round.  Safe from
+  /// another thread and from a signal handler (a lock-free atomic).
+  void stop() { stop_.store(true); }
 
   /// The address actually bound: the unix path, or host:port with the
   /// kernel-assigned port substituted when the caller asked for port 0.
@@ -95,7 +97,7 @@ class Server {
   std::string unlink_path_;  // non-empty: unix socket file to remove
   int listen_fd_ = -1;
   std::map<int, Conn> conns_;
-  volatile bool stop_ = false;
+  std::atomic<bool> stop_{false};
 };
 
 }  // namespace kop::coord

@@ -1,6 +1,7 @@
 #include "epcc/epcc.hpp"
 
 #include <functional>
+#include <iomanip>
 #include <sstream>
 
 namespace kop::epcc {
@@ -441,12 +442,12 @@ std::string format_table(const std::string& title,
   std::ostringstream oss;
   oss << title << "\n";
   oss << "  construct                        mean_us     sd_us\n";
+  oss << std::fixed << std::setprecision(3);
   for (const auto& m : ms) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "  %-28s %10.3f %9.3f%s\n", m.name.c_str(),
-                  m.overhead_us.mean(), m.overhead_us.stddev(),
-                  m.reference ? "  (reference)" : "");
-    oss << buf;
+    oss << "  " << std::left << std::setw(28) << m.name << std::right << ' '
+        << std::setw(10) << m.overhead_us.mean() << ' ' << std::setw(9)
+        << m.overhead_us.stddev() << (m.reference ? "  (reference)" : "")
+        << '\n';
   }
   return oss.str();
 }

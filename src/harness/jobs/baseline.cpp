@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "harness/jobs/cache.hpp"
@@ -153,14 +154,13 @@ std::string BaselineVerdict::text(const BaselineOptions& opts) const {
          std::to_string(series.size()) + " series (geomean tolerance " +
          pct(opts.geomean_tolerance) + ")\n";
   for (const auto& s : series) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "  %s/%s: geomean %.3f -> %.3f (drift %s), "
-                  "flips %d, crossover moves %d -- %s\n",
-                  s.figure.c_str(), s.series.c_str(), s.baseline_geomean,
-                  s.fresh_geomean, pct(s.drift).c_str(), s.flips,
-                  s.crossover_moves, s.ok ? "ok" : "REGRESSION");
-    out += buf;
+    std::ostringstream row;
+    row << std::fixed << std::setprecision(3) << "  " << s.figure << '/'
+        << s.series << ": geomean " << s.baseline_geomean << " -> "
+        << s.fresh_geomean << " (drift " << pct(s.drift) << "), flips "
+        << s.flips << ", crossover moves " << s.crossover_moves << " -- "
+        << (s.ok ? "ok" : "REGRESSION") << '\n';
+    out += row.str();
   }
   if (!incomparable.empty()) {
     out += "  missing from baseline: " + std::to_string(incomparable.size()) +

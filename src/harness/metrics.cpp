@@ -233,26 +233,12 @@ FigOptions parse_fig_options(int argc, char** argv) {
       opts.jobs.shard.list_only = true;
     } else if (arg == "--coord" && i + 1 < argc) {
       opts.jobs.coord_socket = argv[++i];
-    } else if (arg == "--numa-sched" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "hier") {
-        opts.numa_sched_hier = true;
-      } else if (v == "flat") {
-        opts.numa_sched_hier = false;
-      } else {
-        std::fprintf(stderr, "--numa-sched needs flat or hier\n");
-        opts.ok = false;
-        return opts;
-      }
-    } else if (arg == "--numa-migrate") {
-      opts.numa_migrate = true;
     } else {
       std::fprintf(
           stderr,
           "usage: %s [--json <path>] [--quick] [--jobs N]\n"
           "          [--cache-dir <dir>] [--no-cache]\n"
           "          [--shard K/N] [--shard-list] [--coord <addr>]\n"
-          "          [--numa-sched flat|hier] [--numa-migrate]\n"
           "  --json <path>    write a kop-metrics v1 JSON artifact\n"
           "  --quick          reduced problem sizes (CI smoke)\n"
           "  --jobs N         host worker threads (default: all cores)\n"
@@ -265,15 +251,7 @@ FigOptions parse_fig_options(int argc, char** argv) {
           "  --coord <addr>   lease points from a kop_sweepd daemon at\n"
           "                   <addr> -- unix socket path or host:port\n"
           "                   (crashed workers are reclaimed by lease\n"
-          "                   expiry; merge worker caches with kop_merge)\n"
-          "  --numa-sched <m> task-steal victim order on komp paths:\n"
-          "                   flat (default ring) or hier (topology-tree\n"
-          "                   walk, same zone first then ascending SLIT\n"
-          "                   distance; KOMP_NUMA_SCHED=hier)\n"
-          "  --numa-migrate   migration-on-next-touch placement: each\n"
-          "                   allocation's first access per slice\n"
-          "                   re-homes the slice to the toucher's\n"
-          "                   preferred DRAM zone\n",
+          "                   expiry; merge worker caches with kop_merge)\n",
           argv[0]);
       opts.ok = false;
       return opts;

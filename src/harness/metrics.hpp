@@ -98,17 +98,12 @@ std::string format_counters_table(const telemetry::Snapshot& snap);
 ///   --jobs N           host worker threads (default: all cores)
 ///   --cache-dir <dir>  content-addressed result cache directory
 ///   --no-cache         ignore --cache-dir (force re-simulation)
-///   --numa-sched <m>   flat | hier task-steal victim order
-///   --numa-migrate     migration-on-next-touch placement
+/// Binaries with flags of their own strip them before calling
+/// parse_fig_options, which rejects anything else with usage.
 struct FigOptions {
   std::string json_path;
   bool quick = false;
   bool ok = true;  // false: bad usage, caller should exit non-zero
-  /// --numa-sched: task-steal victim order (flat ring vs hierarchical
-  /// topology walk); binaries that compare both in one run ignore it.
-  bool numa_sched_hier = false;
-  /// --numa-migrate: arm app allocations for migration-on-next-touch.
-  bool numa_migrate = false;
   jobs::JobOptions jobs;
 };
 

@@ -6,8 +6,8 @@
 // invariants on every one (ek-kor2-style test pyramid, SNIPPETS.md):
 //
 //   time-monotonic       virtual time never runs backwards across the
-//                        run's observed event stream (calendar-queue
-//                        ordering, including the overflow heap)
+//                        run's observed event stream (the event heap's
+//                        (at, key, seq) order, near and far events alike)
 //   work-conservation    every iteration of every dispatching
 //                        worksharing construct executes exactly once
 //                        (chunk intervals disjoint + exact coverage)

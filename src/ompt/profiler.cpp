@@ -1,6 +1,6 @@
 #include "ompt/profiler.hpp"
 
-#include <cstdio>
+#include <iomanip>
 #include <sstream>
 
 namespace kop::ompt {
@@ -124,22 +124,26 @@ void ConstructProfiler::on_rt_task_execute(TaskRuntimeKind k, Endpoint e,
   }
 }
 
+std::string ConstructProfiler::format_row(const std::string& label,
+                                          const Agg& a) {
+  const double total_us = static_cast<double>(a.total_ns) / 1e3;
+  const double mean_us =
+      a.count ? total_us / static_cast<double>(a.count) : 0.0;
+  std::ostringstream os;
+  os << std::left << std::setw(24) << label << std::right << ' '
+     << std::setw(10) << a.count << ' ' << std::fixed << std::setprecision(3)
+     << std::setw(14) << total_us << ' ' << std::setprecision(4)
+     << std::setw(12) << mean_us << '\n';
+  return os.str();
+}
+
 std::string ConstructProfiler::format_table() const {
   std::ostringstream os;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-24s %10s %14s %12s\n", "construct",
-                "count", "total_us", "mean_us");
-  os << buf;
+  os << std::left << std::setw(24) << "construct" << std::right << ' '
+     << std::setw(10) << "count" << ' ' << std::setw(14) << "total_us" << ' '
+     << std::setw(12) << "mean_us" << '\n';
   os << std::string(63, '-') << '\n';
-  for (const auto& [label, a] : aggs_) {
-    const double total_us = static_cast<double>(a.total_ns) / 1e3;
-    const double mean_us =
-        a.count ? total_us / static_cast<double>(a.count) : 0.0;
-    std::snprintf(buf, sizeof(buf), "%-24s %10llu %14.3f %12.4f\n",
-                  label.c_str(), static_cast<unsigned long long>(a.count),
-                  total_us, mean_us);
-    os << buf;
-  }
+  for (const auto& [label, a] : aggs_) os << format_row(label, a);
   if (dispatches_ || steals_) {
     os << std::string(63, '-') << '\n';
     os << "chunk dispatches: " << dispatches_

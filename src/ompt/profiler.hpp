@@ -50,6 +50,8 @@ class ConstructProfiler : public Tool {
 
   // Human-readable per-construct table.
   std::string format_table() const;
+  // One format_table() row: label, count, total and mean microseconds.
+  static std::string format_row(const std::string& label, const Agg& a);
 
   void clear();
 

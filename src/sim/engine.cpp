@@ -28,8 +28,7 @@ Engine::Engine(std::uint64_t rng_seed, SchedConfig sched)
     : rng_(rng_seed),
       sched_(sched),
       // Offset the seed so sched seed 0 and rng seed 0 decorrelate.
-      sched_rng_(sched.seed ^ 0xc2b2ae3d27d4eb4fULL),
-      queue_(sched.policy != SchedPolicy::kFifo) {}
+      sched_rng_(sched.seed ^ 0xc2b2ae3d27d4eb4fULL) {}
 
 Engine::~Engine() = default;
 

@@ -1,9 +1,8 @@
 // The discrete-event simulation engine.
 //
 // The engine owns a virtual clock, an event queue ordered by
-// (time, key, sequence) -- a two-level calendar queue with a
-// same-instant fast path (see sim/event_queue.hpp) -- and a set of
-// SimThreads, each backed by a Fiber.
+// (time, key, sequence) -- a binary min-heap (see sim/event_queue.hpp)
+// -- and a set of SimThreads, each backed by a Fiber.
 // Higher layers (the OS models) decide *when* a thread runs; the engine
 // only provides the mechanics:
 //

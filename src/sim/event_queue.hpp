@@ -1,68 +1,23 @@
-// Two-level calendar queue for the engine's pending events.
+// The engine's pending events: one binary min-heap on (at, key, seq).
 //
-// The previous implementation was a std::priority_queue popped once per
-// event: every yield at the current instant round-tripped an O(log n)
-// heap, and every pop copied the event (std::function + shared_ptr).
-// This queue splits the pending set by distance from the clock:
+// seq is unique per engine, so (at, key, seq) is a strict total order:
+// the queue's only job is to pop the least triple, and any correct
+// priority queue dispatches the identical sequence under every
+// SchedPolicy (fifo leaves key at 0; random and pct draw it).
 //
-//   * current instant  events with at == cur_time_.  Two sources: the
-//     sorted run extracted from the cursor bucket (consumed *in place*
-//     via (bucket, key-index) references -- no payload copy) and
-//     own_, events pushed at the live instant (the yield()/advance(0)
-//     fast path: FIFO appends for the fifo policy, a small binary
-//     min-heap on (key, seq) for random/pct).
-//   * buckets_  a modular ring of kBuckets time buckets of
-//     kBucketWidthNs each, covering the window [base_epoch_,
-//     base_epoch_ + kBuckets) bucket-epochs ahead of the clock.  Each
-//     bucket is a payload slab plus a parallel vector of 32-byte sort
-//     keys (at, key, seq, slab index); only the keys are sorted --
-//     lazily, when the cursor reaches the bucket, and only if an
-//     append actually broke the ascending order -- so 88-byte Events
-//     are moved exactly twice, on push and on pop.  A 64-bit-word
-//     occupancy bitmap finds the next nonempty bucket with a couple of
-//     countr_zero scans.
-//   * overflow_  a binary min-heap on (at, key, seq) for events beyond
-//     the ring horizon; drained into the ring as the window advances.
-//
-// Total order is ascending (at, key, seq), identical to the old
-// comparator, so dispatch order -- and therefore every simulation
-// output -- is bit-for-bit unchanged under all SchedPolicy modes.
-//
-// Invariants (the correctness core):
-//   * The current instant holds *every* pending event with
-//     at == cur_time_; ring and overflow hold only strictly later
-//     events.  This is what makes the push fast path
-//     (at == cur_time_ -> own_) sound: when an instant becomes current
-//     its entire equal-at run is extracted from its (unique) bucket,
-//     and later equal-at pushes route to own_.
-//   * ring events all have bucket-epoch in [base_epoch_,
-//     base_epoch_ + kBuckets); each in-window epoch maps to a unique
-//     slot, so a slot never mixes two epochs and a forward modular
-//     bitmap scan visits epochs in increasing time order.
-//   * overflow events all have bucket-epoch >= base_epoch_ + kBuckets
-//     (re-established by migrate_overflow() whenever the window
-//     advances), so anything in the ring is earlier than everything in
-//     overflow.
-//   * The run references its source bucket by index; the bucket's
-//     storage is reset only after the run is fully consumed (the
-//     retire step at the next advance), and later same-epoch pushes
-//     append past the run region, so the references stay valid across
-//     slab reallocation.
-//   * next_time() never advances the cursor and never extracts a run
-//     (it may lazily sort a bucket's keys, which is unobservable);
-//     run_until() peeks between every dispatch, so a mutating peek
-//     would corrupt ordering when a dispatched event posts new work.
-//
-// Memory: every level is a retained-capacity vector (the arena), plus
-// a small spare pool that recycles drained bucket storage into cold
-// bucket indices as the clock marches forward.  allocs() counts
-// capacity growths so benchmarks can assert the warm queue allocates
-// nothing in steady state.
+// The heap holds 32-byte sort keys; the Event payloads (a
+// std::function and a shared_ptr) sit in a slab whose vacated slots are
+// recycled through a free list, so a payload is moved exactly twice,
+// into the slab on push and out of it on pop, however far its key
+// sifts.  All three vectors keep their capacity, so a warm queue
+// allocates nothing; allocs() counts capacity growths so benchmarks
+// can assert that.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -86,70 +41,29 @@ struct Event {
 
 class EventQueue {
  public:
-  /// Ring geometry: 1024 buckets x 8.192us covers ~8.4ms of lookahead
-  /// before events spill to the overflow heap.  Both powers of two.
-  static constexpr std::size_t kBuckets = 1024;
-  static constexpr Time kBucketWidthNs = 8192;
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// `keyed` selects the current-instant structure: false (FIFO policy)
-  /// uses plain queues, true (random/pct) min-heaps on (key, seq).
-  explicit EventQueue(bool keyed);
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Cumulative heap allocations (vector capacity growths) across all
-  /// levels; flat between two points in time == arena fully recycled.
+  /// Cumulative heap allocations (vector capacity growths); flat
+  /// between two points in time == storage fully recycled.
   std::uint64_t allocs() const { return allocs_; }
 
-  /// Insert an event.  `ev.at` must be >= the time of the last pop
-  /// (the engine clamps to now()).
   void push(Event ev);
 
   /// Remove and return the earliest event in (at, key, seq) order.
   /// Queue must be nonempty.
   Event pop();
 
-  /// Earliest pending timestamp without disturbing the cursor.  Queue
-  /// must be nonempty.
-  Time next_time();
+  /// Earliest pending timestamp.  Queue must be nonempty.
+  Time next_time() const { return heap_.front().at; }
 
  private:
-  /// Sort key mirroring one slab entry; what settle() actually sorts.
   struct Key {
     Time at;
     std::uint64_t key;
     std::uint64_t seq;
-    std::uint32_t idx;  // slab index of the payload
+    std::uint32_t slot;  // slab index of the payload
   };
-
-  struct Bucket {
-    std::vector<Event> slab;  // payloads; stable indices, husks after pop
-    std::vector<Key> keys;    // keys[head, end) are live
-    std::size_t head = 0;
-    bool dirty = false;  // an append broke ascending order
-  };
-
-  static constexpr std::uint32_t kNoBucket = ~0u;
-
-  bool run_done() const { return run_pos_ == run_end_; }
-  bool own_done() const { return keyed_ ? own_.empty() : own_head_ == own_.size(); }
-  bool cur_empty() const { return run_done() && own_done(); }
-
-  /// Extract the run of earliest-instant events and set cur_time_.
-  /// Requires cur_empty() and a nonempty ring/overflow.
-  void advance_instant();
-  /// Reset the run's source bucket once fully drained (storage kept or
-  /// donated to the spare pool).
-  void retire_run_bucket();
-  /// Re-establish the overflow invariant after base_epoch_ advanced.
-  void migrate_overflow();
-  void ring_insert(Event ev);
-  /// Index of the first occupied bucket at/after `start`, modular.
-  /// Requires ring_count_ > 0.
-  std::size_t scan_from(std::size_t start) const;
-  /// Sort bucket `b`'s live keys if dirty (ascending (at, key, seq)).
-  void settle(Bucket& b);
 
   template <typename V, typename X>
   void grow_push(V& v, X&& x) {
@@ -157,38 +71,10 @@ class EventQueue {
     v.push_back(std::forward<X>(x));
   }
 
-  bool keyed_;
-  std::size_t size_ = 0;
+  std::vector<Key> heap_;
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_;  // vacated slab slots
   std::uint64_t allocs_ = 0;
-
-  // Current instant: the in-place bucket run plus directly pushed own_.
-  Time cur_time_ = 0;
-  std::uint32_t run_bucket_ = kNoBucket;
-  std::size_t run_pos_ = 0;  // index into the bucket's keys
-  std::size_t run_end_ = 0;
-  std::vector<Event> own_;
-  std::size_t own_head_ = 0;  // FIFO mode; keyed mode pops the heap
-
-  // Calendar ring.
-  std::vector<Bucket> buckets_;
-  std::uint64_t bitmap_[kBuckets / 64] = {};
-  std::size_t ring_count_ = 0;  // live keys outside the current run
-  std::size_t occupied_ = 0;    // buckets with their bitmap bit set
-  std::uint64_t base_epoch_ = 0;  // bucket-epoch of the cursor slot
-
-  // Storage recycled between ring slots: a drained bucket donates its
-  // vectors (low-water-mark only -- capacity is worth more staying in
-  // place when many buckets are live), and a cold bucket's first
-  // insert takes them back, so the marching clock does not touch the
-  // allocator in steady state.
-  struct Spare {
-    std::vector<Event> slab;
-    std::vector<Key> keys;
-  };
-  std::vector<Spare> spares_;
-
-  // Beyond-horizon events, min-heap on (at, key, seq).
-  std::vector<Event> overflow_;
 };
 
 }  // namespace kop::sim

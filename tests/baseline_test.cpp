@@ -91,6 +91,18 @@ TEST(CompareShapes, FlagsCrossoverMove) {
   EXPECT_FALSE(v.series[0].ok);
 }
 
+TEST(CompareShapes, TextPrintsLongSeriesNamesWhole) {
+  jobs::ShapeCell c = cell("BT-B", "1", 2.0, 2.0);
+  c.series = std::string(200, 'S');
+  const auto v = jobs::compare_shapes({c}, {});
+  const std::string text = v.text({});
+  const std::string row = "  fig09/" + c.series +
+                          ": geomean 2.000 -> 2.000 (drift 0.00%), flips 0, "
+                          "crossover moves 0 -- ok\n";
+  EXPECT_NE(text.find(row), std::string::npos) << text;
+  EXPECT_NE(text.find(row + "verdict: OK\n"), std::string::npos);
+}
+
 TEST(CompareShapes, SeriesJudgedIndependently) {
   std::vector<jobs::ShapeCell> cells = {cell("BT-B", "1", 1.9, 1.9)};
   jobs::ShapeCell bad = cell("BT-B", "1", 1.9, 0.5);

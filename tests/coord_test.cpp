@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -686,6 +687,38 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
   }
   daemon.join();
   EXPECT_TRUE(c.drained());
+}
+
+TEST(CoordServer, StopFromAnotherThreadEndsRun) {
+  // stop() is how kop_sweepd's signal handler and embedding programs
+  // end the loop: a flag written on one thread while run() polls it on
+  // another.  The sweep never drains, so nothing else can end run().
+  coord::Coordinator c({}, {});
+  c.add_point(synthetic_point(1));
+  coord::ServerOptions sopt;
+  sopt.address = "127.0.0.1:0";
+  sopt.poll_ms = 10;
+  coord::Server server(&c, sopt);
+  std::promise<void> returned;
+  std::thread daemon([&] {
+    server.run();
+    returned.set_value();
+  });
+
+  {
+    // The loop is up and serving before the stop.
+    coord::Client client(server.bound_address());
+    EXPECT_NE(client.stats().find("\"points\""), std::string::npos);
+  }
+  server.stop();
+  const bool ended =
+      returned.get_future().wait_for(std::chrono::seconds(10)) ==
+      std::future_status::ready;
+  // A loop that missed the flag still has to be ended for the join.
+  if (!ended) coord::Client(server.bound_address()).shutdown();
+  daemon.join();
+  EXPECT_TRUE(ended) << "run() did not return after stop()";
+  EXPECT_FALSE(c.drained());
 }
 
 TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {

@@ -123,5 +123,15 @@ TEST(Epcc, FormatTableMentionsConstructs) {
   EXPECT_NE(table.find("(a) ARRAY"), std::string::npos);
 }
 
+TEST(Epcc, FormatTablePrintsLongNamesWhole) {
+  Measurement m;
+  m.name = std::string(200, 'N');
+  m.overhead_us.add(1.5);
+  m.reference = true;
+  const std::string table = format_table("(x) LONG", {m});
+  EXPECT_EQ(table.substr(table.find('\n', table.find("construct"))),
+            "\n  " + m.name + "      1.500     0.000  (reference)\n");
+}
+
 }  // namespace
 }  // namespace kop::epcc

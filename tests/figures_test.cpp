@@ -139,4 +139,26 @@ TEST(FigureRows, CckTablesHaveOneTablePerBenchmark) {
   }
 }
 
+// parse_fig_options takes the flags every figure shares and nothing
+// else.  A flag only one binary reads (abl_numa_firsttouch's
+// --numa-sched and --numa-migrate, fig_numa's --bench-json) is that
+// binary's to strip first; every other figure rejects it with usage
+// instead of silently ignoring it.
+TEST(FigOptions, RejectsFlagsOnlyOneBinaryReads) {
+  auto parse = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "fig09");
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    return kop::harness::parse_fig_options(static_cast<int>(argv.size()),
+                                           argv.data());
+  };
+  const auto shared = parse({"--quick", "--jobs", "2", "--no-cache"});
+  EXPECT_TRUE(shared.ok);
+  EXPECT_TRUE(shared.quick);
+  EXPECT_EQ(shared.jobs.jobs, 2);
+  EXPECT_FALSE(parse({"--quick", "--numa-sched", "hier"}).ok);
+  EXPECT_FALSE(parse({"--quick", "--numa-migrate"}).ok);
+  EXPECT_FALSE(parse({"--quick", "--bench-json", "bench.json"}).ok);
+}
+
 }  // namespace

@@ -216,6 +216,15 @@ TEST(OmptProfiler, AggregatesMatchCallbackCounts) {
   EXPECT_TRUE(prof.aggregates().empty());
 }
 
+TEST(OmptProfiler, FormatRowPrintsLongLabelsWhole) {
+  kop::ompt::ConstructProfiler::Agg a;
+  a.count = 4;
+  a.total_ns = 10'000;
+  const std::string label(200, 'L');
+  EXPECT_EQ(kop::ompt::ConstructProfiler::format_row(label, a),
+            label + "          4         10.000       2.5000\n");
+}
+
 class VirgilEvents : public ::testing::TestWithParam<kop::core::PathKind> {};
 
 TEST_P(VirgilEvents, RuntimeTaskSubmitAndExecuteBalance) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/stack.hpp"
-#include "sim/event_queue.hpp"
 #include "komp/runtime.hpp"
 #include "nautilus/buddy.hpp"
 #include "nautilus/kernel.hpp"
@@ -436,21 +435,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::uint64_t>(1, 7, 42)));
 
 // ------------------------------------------------------------------
-// Calendar-queue overflow horizon: events beyond the ring's window
-// (kBuckets * kBucketWidthNs) park in the overflow heap and must still
-// fire in exact time order, interleaved with near-term traffic.
+// Far horizon: events many milliseconds ahead of the clock (up to 500
+// horizons of 1024 * 8192 ns) must fire in exact time order,
+// interleaved with near-term traffic.
 // ------------------------------------------------------------------
 
 class OverflowHorizon : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OverflowHorizon, FarFutureSleepsFireInOrder) {
-  const sim::Time horizon =
-      static_cast<sim::Time>(sim::EventQueue::kBuckets) *
-      sim::EventQueue::kBucketWidthNs;
+  const sim::Time horizon = sim::Time{1024} * 8192;
   sim::Engine engine(GetParam());
   sim::Rng rng(GetParam() * 1315423911ULL + 1);
 
-  // A mix of in-window posts and posts up to ~500 horizons out,
+  // A mix of posts within one horizon and posts up to ~500 horizons out,
   // shuffled so insertion order correlates with nothing.
   std::vector<sim::Time> deadlines;
   for (int i = 0; i < 200; ++i) {
@@ -470,9 +467,8 @@ TEST_P(OverflowHorizon, FarFutureSleepsFireInOrder) {
   for (const sim::Time t : deadlines) {
     engine.post_at(t, [&fired, &engine] { fired.push_back(engine.now()); });
   }
-  // Plus fibers whose sleeps hop the horizon repeatedly: each sleep
-  // re-parks the thread's wake in the overflow heap, and the window
-  // must migrate it back as the clock advances.
+  // Plus fibers whose sleeps hop the horizon repeatedly, so far-future
+  // wakes keep joining a queue that already holds far-future posts.
   std::vector<sim::Time> wakes;
   for (int t = 0; t < 3; ++t) {
     auto* st = engine.spawn("sleeper" + std::to_string(t), [&, t] {
@@ -499,15 +495,13 @@ TEST_P(OverflowHorizon, FarFutureSleepsFireInOrder) {
 
 TEST_P(OverflowHorizon, DigestIsStableAcrossRuns) {
   auto once = [&] {
-    const sim::Time horizon =
-        static_cast<sim::Time>(sim::EventQueue::kBuckets) *
-        sim::EventQueue::kBucketWidthNs;
+    const sim::Time horizon = sim::Time{1024} * 8192;
     sim::Engine engine(GetParam(), {sim::SchedPolicy::kPct, GetParam()});
     for (int t = 0; t < 4; ++t) {
       auto* st = engine.spawn("hopper" + std::to_string(t), [&engine, horizon,
                                                             t] {
-        // Alternate short hops with jumps most of a horizon out, so the
-        // wake events keep crossing the ring/overflow boundary.
+        // Alternate short hops with jumps most of a horizon out, so
+        // near and far wake events keep interleaving.
         for (int hop = 0; hop < 4; ++hop)
           engine.sleep_for((t + 1) * 3 *
                            (hop % 2 == 0 ? sim::Time(1) : horizon / 2));

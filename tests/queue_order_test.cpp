@@ -1,11 +1,12 @@
-// Dispatch-order pinning for the calendar event queue.
+// Dispatch-order pinning for the engine's event queue.
 //
-// The golden arrays were generated from the engine BEFORE the
-// priority_queue -> calendar-queue swap (the scripted scenario mixes
+// The golden arrays were generated from the engine's original
+// std::priority_queue of Events (the scripted scenario mixes
 // same-instant bursts, out-of-order posts, yield ping-pong, sleeps,
-// and dispatch-time posts).  Any future queue change that reorders
-// dispatch under any SchedPolicy breaks these -- and with them the
-// byte-identity of every figure in the evaluation.
+// and dispatch-time posts).  The queue must pop the least
+// (at, key, seq) triple and nothing else, so any queue change that
+// reorders dispatch under any SchedPolicy breaks these -- and with
+// them the byte-identity of every figure in the evaluation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,8 @@
 namespace kop::sim {
 namespace {
 
-// Generated pre-swap by the same scenario below (see the file comment).
+// Generated from the original queue by the scenario below (see the file
+// comment).
 constexpr int kGoldenFifo[] = {0, 1, 2, 3, 10, 11, 100, 110, 120,
                                101, 111, 121, 102, 112, 122, 20, 21,
                                200, 201, 202, 30, 31, 32};
@@ -121,8 +123,8 @@ TEST(QueueOrder, FifoSameInstantIsPostingOrder) {
 
 // Model check: EventQueue against a reference min-heap on (at, key,
 // seq) under adversarial interleavings of pushes and pops, with
-// horizons spanning the same-instant fast path, the calendar ring, and
-// the overflow heap.
+// same-instant repeats, near posts and posts up to 50 ms out, for
+// all-zero keys (fifo) and random keys (random/pct).
 TEST(QueueOrder, MatchesReferenceHeapModel) {
   struct Ref {
     Time at;
@@ -135,7 +137,7 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
     return a.seq > b.seq;
   };
   for (const bool keyed : {false, true}) {
-    EventQueue q(keyed);
+    EventQueue q;
     std::priority_queue<Ref, std::vector<Ref>, decltype(ref_later)> model(
         ref_later);
     Rng rng(keyed ? 1234 : 4321);
@@ -181,26 +183,30 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
   }
 }
 
-// A warm queue cycling through a fixed working set must stop allocating.
+// A warm queue cycling through a fixed working set must stop
+// allocating, whether the set is packed into 4 us or spread over 50 ms.
 TEST(QueueOrder, WarmQueueStopsAllocating) {
-  EventQueue q(false);
-  Rng rng(5);
-  std::uint64_t seq = 0;
-  Time now = 0;
-  auto cycle = [&] {
-    for (int i = 0; i < 2000; ++i) {
-      Event ev;
-      ev.at = now + static_cast<Time>(rng.next_u64() % 4096);
-      ev.seq = seq++;
-      q.push(ev);
-    }
-    while (!q.empty()) now = q.pop().at;
-  };
-  for (int warm = 0; warm < 12; ++warm) cycle();
-  const std::uint64_t allocs_before = q.allocs();
-  for (int rep = 0; rep < 5; ++rep) cycle();
-  EXPECT_EQ(q.allocs(), allocs_before)
-      << "warm queue allocated in steady state";
+  for (const std::uint64_t horizon_ns : {4096ull, 50'000'000ull}) {
+    EventQueue q;
+    Rng rng(5);
+    std::uint64_t seq = 0;
+    Time now = 0;
+    auto cycle = [&] {
+      for (int i = 0; i < 2000; ++i) {
+        Event ev;
+        ev.at = now + static_cast<Time>(rng.next_u64() % horizon_ns);
+        ev.seq = seq++;
+        q.push(ev);
+      }
+      while (!q.empty()) now = q.pop().at;
+    };
+    for (int warm = 0; warm < 12; ++warm) cycle();
+    const std::uint64_t allocs_before = q.allocs();
+    for (int rep = 0; rep < 5; ++rep) cycle();
+    EXPECT_EQ(q.allocs(), allocs_before)
+        << "warm queue allocated in steady state (horizon " << horizon_ns
+        << " ns)";
+  }
 }
 
 TEST(RingDeque, FifoAndLifoAcrossGrowth) {
