@@ -8,14 +8,20 @@
 #include <stdexcept>
 #include <vector>
 
-// AddressSanitizer tracks one shadow stack per host thread, so fiber
-// switches need shadow bookkeeping.  GCC's ASan runtime intercepts
-// swapcontext itself and manages the shadow across switches natively
-// (manual annotations on top of the interceptor corrupt the shadow
-// state and cause false stack-buffer-overflow reports after exception
-// unwinds).  Clang has no such interceptor, so there the explicit
-// __sanitizer_*_switch_fiber annotations below do that job.
-#if defined(__clang__) && defined(__has_feature)
+#if !defined(__x86_64__)
+#error "sim/fiber.cpp: port kop_sim_fiber_switch and its first frame to this architecture"
+#endif
+
+// AddressSanitizer tracks one stack per host thread and cannot see a
+// fiber switch, so every switch is announced with the
+// __sanitizer_*_switch_fiber pair (GCC and Clang alike).  Without them
+// ASan keeps the host thread's stack bounds while a fiber runs; the
+// __asan_handle_no_return it calls on every throw then refuses to clear
+// the unwound frames' redzones, and the next call that reaches down
+// into them reports a stack-buffer-overflow.
+#if defined(__SANITIZE_ADDRESS__)
+#define KOP_ASAN_FIBERS 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define KOP_ASAN_FIBERS 1
 #endif
@@ -29,11 +35,12 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** stack_bottom_old,
                                      size_t* stack_size_old);
+void __asan_unpoison_memory_region(const volatile void* addr, size_t size);
 }
 #endif
 
 // ThreadSanitizer models each host thread as one stack of execution;
-// without annotations every ucontext switch looks like wild cross-stack
+// without annotations every fiber switch looks like wild cross-stack
 // access.  The fiber API (GCC >= 10 / Clang libtsan) registers each
 // fiber as its own TSan "thread"; flag 0 on switch establishes
 // happens-before across the transfer, so the cooperative fibers of one
@@ -57,30 +64,67 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+// Pushes the SysV callee-saved state (rbp, rbx, r12-r15, then MXCSR and
+// the x87 control word in one 8-byte slot) onto the running stack,
+// stores that stack pointer through save_sp, loads load_sp, pops the
+// same state from there and returns on the loaded stack.  Everything
+// else is caller-saved, so the compiler already treats it as
+// clobbered by the call.  The signal mask stays untouched, so a switch
+// never enters the kernel.  No CET shadow stack is switched, so fibers
+// cannot run with user shadow stacks enabled.
+extern "C" __attribute__((visibility("hidden"))) void kop_sim_fiber_switch(
+    void** save_sp, void* load_sp);
+
+asm(".pushsection .text\n"
+    ".globl kop_sim_fiber_switch\n"
+    ".hidden kop_sim_fiber_switch\n"
+    ".type kop_sim_fiber_switch, @function\n"
+    ".p2align 4\n"
+    "kop_sim_fiber_switch:\n"
+    "  pushq %rbp\n"
+    "  pushq %rbx\n"
+    "  pushq %r12\n"
+    "  pushq %r13\n"
+    "  pushq %r14\n"
+    "  pushq %r15\n"
+    "  subq $8, %rsp\n"
+    "  stmxcsr (%rsp)\n"
+    "  fnstcw 4(%rsp)\n"
+    "  movq %rsp, (%rdi)\n"
+    "  movq %rsi, %rsp\n"
+    "  ldmxcsr (%rsp)\n"
+    "  fldcw 4(%rsp)\n"
+    "  addq $8, %rsp\n"
+    "  popq %r15\n"
+    "  popq %r14\n"
+    "  popq %r13\n"
+    "  popq %r12\n"
+    "  popq %rbx\n"
+    "  popq %rbp\n"
+    "  ret\n"
+    ".size kop_sim_fiber_switch, .-kop_sim_fiber_switch\n"
+    ".popsection\n");
+
 namespace kop::sim {
 
 namespace {
 
+// The frame kop_sim_fiber_switch pops, lowest address first, as a new
+// fiber's stack holds it before the first resume.
+struct FirstFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad;
+  void* callee_saved[6];  // r15, r14, r13, r12, rbx, rbp
+  void (*entry)();        // the switch's ret lands here
+  void* entry_return;     // entry's return address: null ends backtraces
+};
+// Placed flush against the 16-byte-aligned stack top, the frame leaves
+// rsp % 16 == 8 when `entry` starts, as if it had been called.
+static_assert(sizeof(FirstFrame) % 16 == 8);
+
 // The fiber whose stack the host thread is currently executing on.
 thread_local Fiber* g_current_fiber = nullptr;
-
-#ifdef KOP_ASAN_FIBERS
-// Where the currently suspended *host* context's stack lives, so a
-// yielding fiber can announce it as the switch destination.  Written on
-// arrival in a fiber (finish_switch_fiber out-params), read on yield.
-thread_local const void* g_host_stack_bottom = nullptr;
-thread_local size_t g_host_stack_size = 0;
-
-void asan_start_switch(void** fake_save, const void* bottom, size_t size) {
-  __sanitizer_start_switch_fiber(fake_save, bottom, size);
-}
-void asan_finish_switch(void* fake_save, const void** bottom, size_t* size) {
-  __sanitizer_finish_switch_fiber(fake_save, bottom, size);
-}
-#else
-void asan_start_switch(void**, const void*, size_t) {}
-void asan_finish_switch(void*, const void**, size_t*) {}
-#endif
 
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -147,15 +191,19 @@ Fiber::Fiber(Entry entry, std::size_t stack_bytes) : entry_(std::move(entry)) {
     }
   }
   stack_base_ = base;
-
-  if (getcontext(&context_) != 0) {
-    ::munmap(base, map_bytes_);
-    throw std::runtime_error("fiber: getcontext failed");
-  }
-  context_.uc_stack.ss_sp = static_cast<char*>(base) + ps;
-  context_.uc_stack.ss_size = usable;
-  context_.uc_link = nullptr;  // finish is handled in the trampoline
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+  char* const top = static_cast<char*>(base) + map_bytes_;
+#ifdef KOP_ASAN_FIBERS
+  // A pooled stack still carries the redzones of its last fiber's
+  // frames that never returned (the trampoline's among them).
+  __asan_unpoison_memory_region(top - usable, usable);
+#endif
+  auto* frame = new (top - sizeof(FirstFrame))
+      FirstFrame{0, 0, 0, {}, &Fiber::trampoline, nullptr};
+  // The fiber starts with the constructor's floating-point control
+  // state, as a freshly created thread inherits its creator's.
+  asm volatile("stmxcsr %0\n\tfnstcw %1"
+               : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+  sp_ = frame;
 #ifdef KOP_TSAN_FIBERS
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -166,8 +214,8 @@ Fiber::~Fiber() {
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
   // Recycle only stacks with no live frames: a fiber destroyed while
-  // suspended mid-run still has frames (and, under ASan, poisoned
-  // shadow) on its stack, so that mapping goes back to the kernel.
+  // suspended mid-run still has frames on its stack, so that mapping
+  // goes back to the kernel.
   const bool clean = finished_ || !started_;
   if (stack_base_ != nullptr &&
       !(clean && g_stack_pool.put(stack_base_, map_bytes_))) {
@@ -176,12 +224,13 @@ Fiber::~Fiber() {
 }
 
 void Fiber::trampoline() {
+  Fiber* self = g_current_fiber;
   // First arrival on this fiber's stack: tell ASan the switch landed
   // and remember the resumer's stack for the trip back.
 #ifdef KOP_ASAN_FIBERS
-  asan_finish_switch(nullptr, &g_host_stack_bottom, &g_host_stack_size);
+  __sanitizer_finish_switch_fiber(nullptr, &self->asan_return_bottom_,
+                                  &self->asan_return_size_);
 #endif
-  Fiber* self = g_current_fiber;
   try {
     self->entry_();
   } catch (...) {
@@ -193,12 +242,13 @@ void Fiber::trampoline() {
   // Return to the resumer; this fiber never runs again (a null
   // fake-stack save lets ASan retire this stack's fake frames).
 #ifdef KOP_ASAN_FIBERS
-  asan_start_switch(nullptr, g_host_stack_bottom, g_host_stack_size);
+  __sanitizer_start_switch_fiber(nullptr, self->asan_return_bottom_,
+                                 self->asan_return_size_);
 #endif
 #ifdef KOP_TSAN_FIBERS
   __tsan_switch_to_fiber(self->tsan_return_, 0);
 #endif
-  swapcontext(&self->context_, &self->return_context_);
+  kop_sim_fiber_switch(&self->sp_, self->return_sp_);
   // Unreachable.
 }
 
@@ -209,14 +259,20 @@ void Fiber::resume() {
   g_current_fiber = this;
   running_ = true;
   started_ = true;
+#ifdef KOP_ASAN_FIBERS
   void* fake = nullptr;
-  asan_start_switch(&fake, context_.uc_stack.ss_sp, context_.uc_stack.ss_size);
+  const std::size_t guard = page_size();
+  __sanitizer_start_switch_fiber(&fake, static_cast<char*>(stack_base_) + guard,
+                                 map_bytes_ - guard);
+#endif
 #ifdef KOP_TSAN_FIBERS
   tsan_return_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_context_, &context_);
-  asan_finish_switch(fake, nullptr, nullptr);
+  kop_sim_fiber_switch(&return_sp_, sp_);
+#ifdef KOP_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
+#endif
   g_current_fiber = prev;
   if (pending_exception_) {
     auto ex = pending_exception_;
@@ -230,19 +286,19 @@ void Fiber::yield() {
   if (self == nullptr) throw std::logic_error("fiber: yield outside a fiber");
   self->running_ = false;
   g_current_fiber = nullptr;
-  void* fake = nullptr;
 #ifdef KOP_ASAN_FIBERS
-  asan_start_switch(&fake, g_host_stack_bottom, g_host_stack_size);
+  void* fake = nullptr;
+  __sanitizer_start_switch_fiber(&fake, self->asan_return_bottom_,
+                                 self->asan_return_size_);
 #endif
 #ifdef KOP_TSAN_FIBERS
   __tsan_switch_to_fiber(self->tsan_return_, 0);
 #endif
-  swapcontext(&self->context_, &self->return_context_);
-  // Resumed again.
+  kop_sim_fiber_switch(&self->sp_, self->return_sp_);
+  // Resumed again, possibly from a different stack.
 #ifdef KOP_ASAN_FIBERS
-  asan_finish_switch(fake, &g_host_stack_bottom, &g_host_stack_size);
-#else
-  (void)fake;
+  __sanitizer_finish_switch_fiber(fake, &self->asan_return_bottom_,
+                                  &self->asan_return_size_);
 #endif
   g_current_fiber = self;
   self->running_ = true;

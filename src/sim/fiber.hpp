@@ -1,14 +1,16 @@
-// Cooperative fibers built on ucontext, used to give every simulated
-// thread its own C++ call stack.
+// Cooperative fibers, used to give every simulated thread its own C++
+// call stack.
 //
 // A Fiber runs an arbitrary callable on a private mmap'd stack with a
 // guard page.  Control transfers are explicit (resume / Fiber::yield);
 // the engine resumes a fiber when its wake event fires, and the fiber
 // yields back whenever the simulated thread blocks.  Exceptions thrown
 // by the entry function are captured and rethrown in the resumer.
+//
+// A switch saves and restores only the callee-saved registers, MXCSR
+// and the x87 control word (one x86-64 routine in fiber.cpp), so it
+// never enters the kernel.  The signal mask is not part of a fiber.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -50,14 +52,16 @@ class Fiber {
   Entry entry_;
   void* stack_base_ = nullptr;   // mmap base (guard page at the bottom)
   std::size_t map_bytes_ = 0;    // total mapped size incl. guard
-  ucontext_t context_{};         // fiber's own context
-  ucontext_t return_context_{};  // where to go on yield/finish
+  void* sp_ = nullptr;           // fiber's saved stack pointer
+  void* return_sp_ = nullptr;    // resumer's saved stack pointer
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;
   std::exception_ptr pending_exception_;
-  // ThreadSanitizer fiber context (always present so the ABI does not
-  // depend on the sanitizer config; null when TSan is off).
+  // Sanitizer fiber state (always present so the ABI does not depend
+  // on the sanitizer config; unused when the sanitizer is off).
+  const void* asan_return_bottom_ = nullptr;  // resumer's stack, for yield
+  std::size_t asan_return_size_ = 0;
   void* tsan_fiber_ = nullptr;   // __tsan_create_fiber handle
   void* tsan_return_ = nullptr;  // resumer's TSan fiber, for yield
 };

@@ -668,7 +668,9 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
       const auto grant = client.next("tester");
       ASSERT_TRUE(grant.granted) << grant.status;
       seen.insert(grant.point);
-      if (grant.point == 1) EXPECT_EQ(grant.payload, "tok-one");
+      if (grant.point == 1) {
+        EXPECT_EQ(grant.payload, "tok-one");
+      }
       EXPECT_TRUE(client.renew("tester", grant.lease_id));
       EXPECT_TRUE(client.done("tester", grant.lease_id, grant.point));
     }

@@ -572,10 +572,12 @@ TEST_P(CompilerFuzz, PlansAreConsistentWithThePdg) {
     const cck::LoopPlan plan = par.plan(fn, loop);
 
     // 1. DOALL if and only if the metadata-aware PDG is carried-free.
-    if (plan.tech == cck::Technique::kDoall)
+    if (plan.tech == cck::Technique::kDoall) {
       EXPECT_FALSE(pdg.has_loop_carried_dep());
-    if (!pdg.has_loop_carried_dep())
+    }
+    if (!pdg.has_loop_carried_dep()) {
       EXPECT_EQ(plan.tech, cck::Technique::kDoall);
+    }
 
     // 2. Chunks stay within the iteration space.
     if (plan.tech != cck::Technique::kSequential) {
@@ -586,8 +588,9 @@ TEST_P(CompilerFuzz, PlansAreConsistentWithThePdg) {
     // 3. Privatization notes only appear when the PDG recorded a
     // blocked object.
     for (const auto& note : plan.notes) {
-      if (note.find("privatization") != std::string::npos)
+      if (note.find("privatization") != std::string::npos) {
         EXPECT_FALSE(pdg.unsupported_privatization().empty());
+      }
     }
 
     // 4. Pipeline fractions are sane.

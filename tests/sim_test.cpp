@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event engine, fibers, RNG and stats.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -49,6 +52,98 @@ TEST(Fiber, NestedFibersRestoreCurrent) {
   });
   outer.resume();
   EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+// Keeps *p in memory with its address taken, so the frames below are
+// real frames (and, under ASan, carry redzones).
+void escape(void* p) { asm volatile("" : : "r"(p) : "memory"); }
+
+// Throws from `depth` nested frames, each with a live local array.
+[[gnu::noinline]] void throw_from_depth(int depth) {
+  char frame[64];
+  escape(frame);
+  if (depth == 0) throw std::runtime_error("deep");
+  throw_from_depth(depth - 1);
+  escape(frame);  // live across the call: no tail call
+}
+
+// Writes a 16 KiB local array, reaching far below its caller's frame.
+[[gnu::noinline]] void scribble_stack() {
+  char buf[16 * 1024];
+  std::memset(buf, 0x5a, sizeof buf);
+  escape(buf);
+}
+
+TEST(Fiber, EntryStackIsSixteenByteAligned) {
+  std::uintptr_t addr = 1;
+  Fiber f([&] {
+    alignas(16) char local[16];
+    escape(local);
+    addr = reinterpret_cast<std::uintptr_t>(local);
+  });
+  f.resume();
+  EXPECT_EQ(addr % 16, 0u);
+}
+
+// Both rounding controls travel with the fiber: the x87 control word
+// (what fegetround reads) and MXCSR (what SSE division obeys).
+TEST(Fiber, FloatingPointControlIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  volatile double one = 1.0, three = 3.0;
+  const double nearest = one / three;
+  int fiber_mode = -1;
+  double fiber_quotient = 0;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    Fiber::yield();
+    fiber_mode = std::fegetround();
+    fiber_quotient = one / three;
+  });
+  f.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one / three, nearest);
+  f.resume();
+  EXPECT_EQ(fiber_mode, FE_UPWARD);
+  EXPECT_GT(fiber_quotient, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(Fiber, DeepExceptionAfterManyYieldsReachesResumer) {
+  int yields = 0;
+  Fiber f([&] {
+    for (; yields < 1000; ++yields) Fiber::yield();
+    throw_from_depth(64);
+  });
+  for (int i = 0; i < 1000; ++i) f.resume();
+  ASSERT_FALSE(f.finished());
+  EXPECT_THROW(f.resume(), std::runtime_error);
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(yields, 1000);
+}
+
+// A throw unwinds frames without running their epilogues, so under ASan
+// their redzones stay poisoned unless the runtime knows the fiber's
+// stack bounds.  A destructor running mid-unwind, and then the next
+// fiber to get the pooled stack, both write over that region.
+TEST(Fiber, StackIsCleanAfterAnExceptionUnwinds) {
+  struct ScribbleOnUnwind {
+    ~ScribbleOnUnwind() { scribble_stack(); }
+  };
+  {
+    Fiber thrower([] {
+      ScribbleOnUnwind guard;
+      throw_from_depth(16);
+    });
+    EXPECT_THROW(thrower.resume(), std::runtime_error);
+    EXPECT_TRUE(thrower.finished());
+  }  // the finished fiber's stack goes back to this thread's pool
+  bool ran = false;
+  Fiber reuser([&] {
+    scribble_stack();
+    ran = true;
+  });
+  reuser.resume();
+  EXPECT_TRUE(ran);
 }
 
 TEST(Engine, SleepAdvancesVirtualTime) {

@@ -116,8 +116,9 @@ TEST(Tracer, RealRunHasMonotonicTimestamps) {
     EXPECT_GE(end, last_doc_end);
     last_doc_end = end;
     auto it = last_end.find(name);
-    if (it != last_end.end())
+    if (it != last_end.end()) {
       EXPECT_GE(ts, it->second) << "thread " << name;
+    }
     last_end[name] = end;
   }
 }
