@@ -49,29 +49,8 @@ int main(int argc, char** argv) {
   std::printf("== Ablation: barrier algorithm (centralized vs tree) ==\n");
   std::printf("   mean barrier cost (us) on PHI, kernel threads\n\n");
 
-  auto counts = opts.quick ? std::vector<int>{2, 8}
-                           : std::vector<int>{2, 4, 8, 16, 32, 64};
-  // This ablation's cells are not declarative points (no cache), so
-  // --shard partitions the table rows round-robin by index: each
-  // worker prints its rows and the operator concatenates the outputs.
-  const auto& shard = opts.jobs.shard;
-  if (shard.list_only) {
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      std::printf("%zu/%d row threads=%d\n", i % shard.count + 1, shard.count,
-                  counts[i]);
-    }
-    return 0;
-  }
-  if (shard.enabled()) {
-    std::vector<int> own;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (static_cast<int>(i % shard.count) == shard.index)
-        own.push_back(counts[i]);
-    }
-    counts = own;
-    std::printf("[shard %s] this shard's rows only (no cache; concatenate"
-                " shard outputs)\n\n", shard.label().c_str());
-  }
+  const auto counts = opts.quick ? std::vector<int>{2, 8}
+                                 : std::vector<int>{2, 4, 8, 16, 32, 64};
   // Each cell builds its own engine, so the cells are independent
   // simulation tasks; run them through the host-thread pool.
   std::vector<double> central(counts.size()), tree(counts.size());

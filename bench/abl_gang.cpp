@@ -52,29 +52,9 @@ int main(int argc, char** argv) {
   std::printf("   16 threads + a co-located second group, 2 ms windows;\n"
               "   time to finish 40 compute+barrier rounds (ms)\n\n");
 
-  std::vector<sim::Time> works = {100 * sim::kMicrosecond,
-                                  500 * sim::kMicrosecond,
-                                  2000 * sim::kMicrosecond};
-  // Not declarative points (no cache): --shard splits the table rows
-  // round-robin by index, as in abl_barrier.
-  const auto& shard = opts.jobs.shard;
-  if (shard.list_only) {
-    for (std::size_t i = 0; i < works.size(); ++i) {
-      std::printf("%zu/%d row work/round=%.0fus\n", i % shard.count + 1,
-                  shard.count, sim::to_micros(works[i]));
-    }
-    return 0;
-  }
-  if (shard.enabled()) {
-    std::vector<sim::Time> own;
-    for (std::size_t i = 0; i < works.size(); ++i) {
-      if (static_cast<int>(i % shard.count) == shard.index)
-        own.push_back(works[i]);
-    }
-    works = own;
-    std::printf("[shard %s] this shard's rows only (no cache; concatenate"
-                " shard outputs)\n\n", shard.label().c_str());
-  }
+  const std::vector<sim::Time> works = {100 * sim::kMicrosecond,
+                                        500 * sim::kMicrosecond,
+                                        2000 * sim::kMicrosecond};
   const int rounds = opts.quick ? 10 : 40;
   // Independent engines per cell: parallel map over the host pool.
   std::vector<double> gang_ms(works.size()), unco_ms(works.size());

@@ -92,9 +92,9 @@ int main(int argc, char** argv) {
     }
   }
   harness::MetricsSink sink("abl_numa_firsttouch");
-  std::string sharded;
-  if (harness::run_shard_mode(mx, &sink, opts.jobs, &sharded)) {
-    std::fputs(sharded.c_str(), stdout);
+  std::string note;
+  if (harness::run_coord_mode(mx, &sink, opts.jobs, &note)) {
+    std::fputs(note.c_str(), stdout);
     return harness::finish_figure(opts, sink);
   }
   harness::jobs::JobRunner runner(opts.jobs);

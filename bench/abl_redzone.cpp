@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
   {
     harness::jobs::PointMatrix mx;
     mx.add(p);
-    harness::MetricsSink shard_sink("abl_redzone");
-    std::string sharded;
-    if (harness::run_shard_mode(mx, &shard_sink, opts.jobs, &sharded)) {
-      std::fputs(sharded.c_str(), stdout);
-      return harness::finish_figure(opts, shard_sink);
+    harness::MetricsSink coord_sink("abl_redzone");
+    std::string note;
+    if (harness::run_coord_mode(mx, &coord_sink, opts.jobs, &note)) {
+      std::fputs(note.c_str(), stdout);
+      return harness::finish_figure(opts, coord_sink);
     }
   }
   harness::jobs::JobRunner runner(opts.jobs);

@@ -190,9 +190,9 @@ int main(int argc, char** argv) {
     mx.add(mig_point(n, true, opts.quick));
   }
   harness::MetricsSink sink("fig_numa");
-  std::string sharded;
-  if (harness::run_shard_mode(mx, &sink, opts.jobs, &sharded)) {
-    std::fputs(sharded.c_str(), stdout);
+  std::string note;
+  if (harness::run_coord_mode(mx, &sink, opts.jobs, &note)) {
+    std::fputs(note.c_str(), stdout);
     return harness::finish_figure(opts, sink);
   }
   harness::jobs::JobRunner runner(opts.jobs);

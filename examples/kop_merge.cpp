@@ -1,13 +1,14 @@
-// Shard-cache merge driver: unions the --cache-dir outputs of a
-// sharded sweep (fig* --shard K/N, run_experiment --shard K/N) into
-// one result cache the unsharded binary replays from.
+// Worker-cache merge driver: unions the --cache-dir outputs of a
+// distributed sweep (fig* --coord <addr>, kop_worker) into one result
+// cache the figure binary replays from.
 //
-//   kop_merge --into <dir> [--expect <shard-list.txt>] [--json <path>]
-//             <shard-dir> [<shard-dir> ...]
+//   kop_merge --into <dir> [--expect <manifest>] [--json <path>]
+//             <worker-dir> [<worker-dir> ...]
 //
 // Every entry is re-validated on the way in (kop-metrics v1 schema,
 // cost-model fingerprint, recorded identity vs filename); `--expect`
-// takes a `--shard-list` capture and reports coverage against it.
+// takes a coverage manifest (kop_sweepd --manifest) and reports
+// coverage against it.
 // Exit code: 0 when the merge is clean and complete, 1 otherwise.
 //
 //   kop_merge --fingerprint
@@ -34,8 +35,8 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --into <dir> [--expect <shard-list.txt>]\n"
-               "          [--json <path>] <shard-dir> [<shard-dir> ...]\n"
+               "usage: %s --into <dir> [--expect <manifest>]\n"
+               "          [--json <path>] <worker-dir> [<worker-dir> ...]\n"
                "       %s --digest <cache-dir>\n"
                "       %s --fingerprint\n",
                argv0, argv0, argv0);

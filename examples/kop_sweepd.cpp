@@ -29,9 +29,10 @@
 // lost work) before the cache sync runs.  --dump-journal pretty-prints
 // a journal offline; --verify makes it a silent checksum pass.
 //
-// --manifest writes the sweep's coverage manifest (the --shard-list
-// format); after the sweep, `kop_merge --expect <manifest>` over the
-// worker caches proves every point was completed exactly once.
+// --manifest writes the sweep's coverage manifest
+// (harness::jobs::manifest_text); after the sweep, `kop_merge --expect
+// <manifest>` over the worker caches proves every point was completed
+// exactly once.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +46,7 @@
 #include "coord/coordinator.hpp"
 #include "coord/server.hpp"
 #include "harness/jobs/cache.hpp"
-#include "harness/jobs/shard.hpp"
+#include "harness/jobs/merge.hpp"
 #include "harness/propcheck/propcheck.hpp"
 
 using namespace kop;
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
 
   if (!manifest_path.empty()) {
     std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-    out << harness::jobs::shard_list_text(manifest_points, {});
+    out << harness::jobs::manifest_text(manifest_points);
     if (!out) {
       std::fprintf(stderr, "error: cannot write %s\n", manifest_path.c_str());
       return 1;

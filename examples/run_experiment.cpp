@@ -88,17 +88,11 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--jobs needs a positive integer");
       } else if (arg == "--cache-dir") jopts.cache_dir = next();
       else if (arg == "--no-cache") jopts.no_cache = true;
-      else if (arg == "--shard") {
-        std::string error;
-        if (!harness::jobs::parse_shard(next(), &jopts.shard, &error))
-          throw std::invalid_argument(error);
-      } else if (arg == "--shard-list") jopts.shard.list_only = true;
       else if (arg == "--help" || arg == "-h") {
         std::puts("usage: run_experiment [--bench B1,B2|all] [--machine m]\n"
                   "         [--paths p1,p2] [--threads n1,n2] [--scale f]\n"
                   "         [--csv] [--json <path>] [--jobs N]\n"
-                  "         [--cache-dir <dir>] [--no-cache]\n"
-                  "         [--shard K/N] [--shard-list]");
+                  "         [--cache-dir <dir>] [--no-cache]");
         return 0;
       } else {
         throw std::invalid_argument("unknown flag " + arg);
@@ -137,20 +131,6 @@ int main(int argc, char** argv) {
     for (const auto& spec : specs)
       for (int n : threads)
         for (const auto& p : paths) mx.add(point(spec, p, n));
-
-    // ... hand a --shard / --shard-list sweep to the shared intercept
-    // (tables need every shard; an unsharded rerun against the merged
-    // cache prints them) ...
-    std::string sharded;
-    if (harness::run_shard_mode(mx, &sink, jopts, &sharded)) {
-      std::fputs(sharded.c_str(), stdout);
-      if (!json_path.empty() && !sink.empty()) {
-        sink.write_file(json_path);
-        std::printf("wrote %s (%zu runs)\n", json_path.c_str(),
-                    sink.runs().size());
-      }
-      return 0;
-    }
 
     // ... execute it through the pool/cache ...
     harness::jobs::JobRunner runner(jopts);

@@ -39,9 +39,6 @@ void Suite::sample(Measurement& m, sim::Time per_construct_delay,
 // ---------------------------------------------------------------- sync
 
 std::vector<Measurement> Suite::run_syncbench() {
-  // Warmup (stack boot, pool spin-up) ends here; everything below is
-  // the measurement phase, where per-point cost scales apply.
-  rt_->os().engine().snapshot_point();
   std::vector<Measurement> out;
   komp::Runtime& rt = *rt_;
   const sim::Time delay = cfg_.delay_ns;
@@ -174,7 +171,6 @@ std::vector<Measurement> Suite::run_syncbench() {
 // ------------------------------------------------------------ schedule
 
 std::vector<Measurement> Suite::run_schedbench() {
-  rt_->os().engine().snapshot_point();
   std::vector<Measurement> out;
   komp::Runtime& rt = *rt_;
   // Per-iteration delay, EPCC schedbench style.
@@ -227,7 +223,6 @@ std::vector<Measurement> Suite::run_schedbench() {
 // --------------------------------------------------------------- array
 
 std::vector<Measurement> Suite::run_arraybench() {
-  rt_->os().engine().snapshot_point();
   std::vector<Measurement> out;
   komp::Runtime& rt = *rt_;
   const sim::Time delay = cfg_.delay_ns;
@@ -298,7 +293,6 @@ std::vector<Measurement> Suite::run_arraybench() {
 // ---------------------------------------------------------------- task
 
 std::vector<Measurement> Suite::run_taskbench() {
-  rt_->os().engine().snapshot_point();
   std::vector<Measurement> out;
   komp::Runtime& rt = *rt_;
   const sim::Time delay = 2 * sim::kMicrosecond;  // per-task work

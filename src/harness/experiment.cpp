@@ -18,16 +18,6 @@ void fill_metrics(RunMetrics* m, core::Stack& stack,
   m->counters = stack.os().counters().snapshot();
 }
 
-// Route the engine's boundary to the caller's at_snapshot.  `hooks`
-// must outlive the run; the hook fires (at most once) while the app is
-// executing.
-void install_snapshot_hook(core::Stack& stack, const RunHooks& hooks) {
-  if (!hooks.at_snapshot) return;
-  core::Stack* sp = &stack;
-  const RunHooks* hp = &hooks;
-  stack.engine().set_snapshot_hook([sp, hp] { hp->at_snapshot(*sp); });
-}
-
 }  // namespace
 
 nas::RunResult run_nas(const core::StackConfig& config,
@@ -42,7 +32,6 @@ nas::RunResult run_nas(const core::StackConfig& config,
   }
   auto stack = core::Stack::create(cfg);
   if (hooks.on_boot) hooks.on_boot(*stack);
-  install_snapshot_hook(*stack, hooks);
 
   nas::RunResult result;
   if (stack->is_omp_path()) {
@@ -75,7 +64,6 @@ std::vector<epcc::Measurement> run_epcc(const core::StackConfig& config,
     throw std::invalid_argument(
         "EPCC measures OpenMP directives; CCK paths have none (§6.1)");
   if (hooks.on_boot) hooks.on_boot(*stack);
-  install_snapshot_hook(*stack, hooks);
   std::vector<epcc::Measurement> out;
   stack->run_omp_app([&](komp::Runtime& rt) {
     epcc::Suite suite(rt, ecfg);

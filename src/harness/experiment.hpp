@@ -21,16 +21,9 @@ namespace kop::harness {
 /// `on_boot` fires right after Stack::create (before the app runs);
 /// `on_done` fires after the app returned, while the stack is still
 /// alive.  Used by harness/propcheck; normal callers pass nothing.
-///
-/// `at_snapshot` fires at most once, at the workload's explicit
-/// warmup/measurement boundary (Engine::snapshot_point), synchronously
-/// on the workload fiber.  This is where per-point cost scales bind.
-/// The hook must leave the dispatch trajectory untouched: no event
-/// posting, no engine-Rng draws.
 struct RunHooks {
   std::function<void(core::Stack&)> on_boot;
   std::function<void(core::Stack&)> on_done;
-  std::function<void(core::Stack&)> at_snapshot;
 };
 
 /// Run one NAS benchmark on a freshly booted stack.  If `metrics` is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <stdexcept>
 
 #include "harness/table.hpp"
 #include "sim/stats.hpp"
@@ -70,7 +69,7 @@ void build_epcc_figure(jobs::PointMatrix& mx, const std::string& machine,
   for (auto p : paths) mx.add(epcc_point(machine, p, threads, config));
 }
 
-// The execute stage shared by every print_*() and run_shard_mode: run
+// The execute stage shared by every print_*() and run_coord_mode: run
 // the points through the pool, fail loudly on any failed point, record
 // the metrics of every point this worker ran in enumeration order, and
 // report runner/cache statistics on stderr (so stdout stays
@@ -97,47 +96,25 @@ double timed_of(const std::vector<jobs::PointResult>& results,
 
 }  // namespace
 
-bool run_shard_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
+bool run_coord_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out) {
-  const jobs::ShardSpec& shard = jopts.shard;
-  const bool coord = jopts.coord_enabled();
-  if (coord && shard.enabled()) {
-    throw std::invalid_argument(
-        "--coord is its own dispatch mode; drop --shard (the coordinator "
-        "already partitions the sweep by lease)");
-  }
-  if (shard.list_only) {
-    *out = jobs::shard_list_text(mx.points(), shard);
-    return true;
-  }
-  if (!coord && !shard.enabled()) return false;
-
-  // The owned subset: every point under --coord (the runner leases each
-  // one and skips those held elsewhere), this shard's hash partition
-  // under --shard.
-  std::vector<jobs::PointSpec> subset;
-  if (coord) {
-    subset = mx.points();
-  } else {
-    for (std::size_t i : jobs::shard_indices(mx.points(), shard))
-      subset.push_back(mx.points()[i]);
-  }
-  const std::string tag = coord ? "[coord]" : "[shard " + shard.label() + "]";
+  if (!jopts.coord_enabled()) return false;
   if (!jopts.cache_enabled()) {
     std::fprintf(stderr,
-                 "%s warning: no --cache-dir; this worker's results are "
-                 "computed and discarded\n",
-                 tag.c_str());
+                 "[coord] warning: no --cache-dir; this worker's results are "
+                 "computed and discarded\n");
   }
-  const auto results = run_points(subset, sink, jopts);
+  // Every point goes to the runner: it leases each one and skips those
+  // held elsewhere.
+  const auto results = run_points(mx.points(), sink, jopts);
   const auto ran =
       std::count_if(results.begin(), results.end(),
                     [](const jobs::PointResult& r) { return !r.skipped; });
-  *out = tag + " executed " + std::to_string(ran) + " of " +
+  *out = "[coord] executed " + std::to_string(ran) + " of " +
          std::to_string(mx.size()) + " points";
   if (jopts.cache_enabled()) *out += " into " + jopts.cache_dir;
   *out += "\n(figure tables need every worker's results: merge the worker"
-          " caches with kop_merge\n and rerun unsharded with --cache-dir"
+          " caches with kop_merge\n and rerun with --cache-dir"
           " pointed at the merged directory)\n";
   return true;
 }
@@ -219,7 +196,7 @@ std::string print_nas_normalized(const std::string& title,
   jobs::PointMatrix mx;
   build_nas_normalized(mx, machine, paths, scales, suite);
   std::string out;
-  if (run_shard_mode(mx, sink, jopts, &out)) return out;
+  if (run_coord_mode(mx, sink, jopts, &out)) return out;
   const auto results = run_points(mx.points(), sink, jopts);
 
   out += "== " + title + " ==\n";
@@ -273,7 +250,7 @@ std::string print_cck_absolute(const std::string& title,
   jobs::PointMatrix mx;
   build_cck_matrix(mx, machine, scales, suite);
   std::string out;
-  if (run_shard_mode(mx, sink, jopts, &out)) return out;
+  if (run_coord_mode(mx, sink, jopts, &out)) return out;
   const auto results = run_points(mx.points(), sink, jopts);
 
   out += "== " + title + " ==\n";
@@ -308,7 +285,7 @@ std::string print_cck_normalized(const std::string& title,
   jobs::PointMatrix mx;
   build_cck_matrix(mx, machine, scales, suite);
   std::string out;
-  if (run_shard_mode(mx, sink, jopts, &out)) return out;
+  if (run_coord_mode(mx, sink, jopts, &out)) return out;
   const auto results = run_points(mx.points(), sink, jopts);
 
   out += "== " + title + " ==\n";
@@ -345,7 +322,7 @@ std::string print_epcc_figure(const std::string& title,
   jobs::PointMatrix mx;
   build_epcc_figure(mx, machine, threads, paths, config);
   std::string out;
-  if (run_shard_mode(mx, sink, jopts, &out)) return out;
+  if (run_coord_mode(mx, sink, jopts, &out)) return out;
   const auto results = run_points(mx.points(), sink, jopts);
 
   out += "== " + title + " ==\n";

@@ -22,29 +22,20 @@
 
 #include "harness/experiment.hpp"
 #include "harness/jobs/runner.hpp"
-#include "harness/jobs/shard.hpp"
 #include "harness/metrics.hpp"
 
 namespace kop::harness {
 
-/// Shard-mode intercept shared by every print_*() builder, the
-/// point-based ablations, and run_experiment.  Returns false when no
-/// shard flag is active (the caller proceeds normally).  Otherwise
-/// *out receives the complete stdout text for this invocation:
-///   --shard-list        the partition manifest (no execution)
-///   --shard K/N         this shard's points are executed (populating
-///                       the cache and, when a sink is given, the
-///                       --json artifact with the shard's runs) and
-///                       *out is a coverage note -- figure tables need
-///                       every shard's results, so they are only
-///                       printed by an unsharded rerun against the
-///                       merged cache.
-///   --coord ADDR        every point is leased from a kop_sweepd
-///                       daemon before it runs; points leased to other
-///                       workers (or already complete) are skipped.
-///                       Merge worker caches exactly like shards.
-/// Throws std::invalid_argument if --shard and --coord are combined.
-bool run_shard_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
+/// Coord-mode intercept shared by every print_*() builder and the
+/// point-based ablations.  Returns false without --coord (the caller
+/// proceeds normally).  Under --coord ADDR every point is leased from a
+/// kop_sweepd daemon before it runs; points leased to other workers
+/// (or already complete) are skipped.  This worker's points populate
+/// the cache and, when a sink is given, the --json artifact, and *out
+/// receives a coverage note in place of the tables -- figure tables
+/// need every worker's results, so they are printed by a rerun against
+/// the merged worker caches.
+bool run_coord_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out);
 
 // Every builder takes an optional MetricsSink; when non-null each

@@ -92,6 +92,20 @@ bool check_entry(const std::string& name, const std::string& text,
 
 }  // namespace
 
+std::string manifest_text(const std::vector<PointSpec>& points) {
+  std::string out = "# kop-shard-list v1 points=" +
+                    std::to_string(points.size()) +
+                    " shards=1 fingerprint=" + hex16(cost_model_fingerprint()) +
+                    " schema=" + std::to_string(telemetry::kMetricsSchemaVersion) +
+                    "\n";
+  for (const auto& p : points) {
+    out += "1/1 point=" + hex16(p.content_hash());
+    out += " entry=kop-" + hex16(ResultCache::key(p)) + ".json";
+    out += " " + p.label() + "\n";
+  }
+  return out;
+}
+
 std::string MergeReport::text() const {
   std::string out;
   out += "scanned " + std::to_string(scanned) + " entries, merged " +
@@ -219,8 +233,8 @@ MergeReport merge_caches(const MergeOptions& opts) {
     if (!read_file(opts.expect_path, &manifest)) {
       throw std::runtime_error("cannot read manifest " + opts.expect_path);
     }
-    // The manifest is a --shard-list capture: take every `entry=` token
-    // (other lines -- headers, ablation banners -- are ignored).
+    // The manifest is a manifest_text() capture: take every `entry=`
+    // token (other lines -- headers, comments -- are ignored).
     std::vector<std::string> expected;
     std::istringstream lines(manifest);
     std::string line;

@@ -1,4 +1,5 @@
-// Merging shard caches back into one result cache.
+// Merging worker caches into one result cache, and the coverage
+// manifest that says which entries a complete sweep holds.
 //
 // Entries are self-contained kop-metrics v1 documents, so merging is
 // file copy plus verification.  Every candidate entry must
@@ -13,7 +14,7 @@
 //      renamed or stale file is indistinguishable from corruption).
 //
 // Two sources providing the same entry name is fine when the bytes
-// agree (shards may overlap); divergent bytes mean two simulations of
+// agree (workers may overlap); divergent bytes mean two simulations of
 // "the same" point disagreed and the merge refuses to pick a winner.
 #pragma once
 
@@ -21,16 +22,18 @@
 #include <string>
 #include <vector>
 
+#include "harness/jobs/point.hpp"
+
 namespace kop::harness::jobs {
 
 struct MergeOptions {
-  /// Shard cache directories, scanned in order.
+  /// Worker cache directories, scanned in order.
   std::vector<std::string> sources;
   /// Destination cache directory (created if needed).  May already
   /// contain entries; they participate in duplicate detection.
   std::string dest;
-  /// Optional coverage manifest: a `--shard-list` capture whose
-  /// `entry=` column names every cache file the full sweep needs.
+  /// Optional coverage manifest (manifest_text) whose `entry=` column
+  /// names every cache file the full sweep needs.
   std::string expect_path;
 };
 
@@ -56,6 +59,18 @@ struct MergeReport {
   /// Machine-readable report for CI gating.
   std::string json() const;
 };
+
+/// The coverage manifest of a sweep (what kop_sweepd --manifest
+/// writes): a `#`-comment header carrying the point count, cost-model
+/// fingerprint and schema version, then one line per point:
+///
+///   1/1 point=<content-hash> entry=kop-<cache-key>.json <label>
+///
+/// The `entry=` column names the cache file each point occupies;
+/// merge_caches reads it back for MergeOptions::expect_path.  The `1/1`
+/// column and the header's `shards=1` are constant; they keep the
+/// format of manifests already on disk.
+std::string manifest_text(const std::vector<PointSpec>& points);
 
 /// Union the source caches into dest.  Throws std::runtime_error only
 /// for setup-level failures (unreadable source directory, uncreatable

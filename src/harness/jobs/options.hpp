@@ -7,25 +7,6 @@
 
 namespace kop::harness::jobs {
 
-/// One shard of a hash-partitioned sweep.  The partition is
-/// deterministic over point *content hashes* (shard.cpp), so every
-/// machine running the same binary with the same flags agrees on the
-/// assignment without any coordination.  The CLI form is `--shard K/N`
-/// with 1-based K; internally the index is 0-based.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-  /// --shard-list: print the partition (one point per line, with its
-  /// shard, content hash, and cache entry name) instead of executing.
-  bool list_only = false;
-
-  bool enabled() const { return count > 1; }
-  /// Human/CLI form, 1-based: "2/3".
-  std::string label() const {
-    return std::to_string(index + 1) + "/" + std::to_string(count);
-  }
-};
-
 struct JobOptions {
   /// Host worker threads; 0 = std::thread::hardware_concurrency().
   int jobs = 0;
@@ -33,11 +14,8 @@ struct JobOptions {
   std::string cache_dir;
   /// Force cache off even when cache_dir is set (--no-cache).
   bool no_cache = false;
-  /// Sweep partition for distributed execution (--shard K/N); the
-  /// figure/driver layer filters points, the runner never sees it.
-  ShardSpec shard;
-  /// Coordinator-backed alternative (--coord ADDR, a unix socket path
-  /// or host:port): lease each point from a kop_sweepd daemon before
+  /// Distributed execution (--coord ADDR, a unix socket path or
+  /// host:port): lease each point from a kop_sweepd daemon before
   /// simulating it (lease_session.hpp).  Points leased elsewhere come
   /// back with PointResult::skipped set.  Crashed workers need no
   /// cleanup -- their leases expire and the daemon re-queues the

@@ -154,9 +154,11 @@ std::string PointSpec::canonical() const {
   if (numa_sched_hier) out += "|numa=hier";
   if (numa_migrate) out += "|migrate=1";
   // Scale entries append only when present, so scale-free points keep
-  // their historical canonical bytes (and cache identities).
+  // their historical canonical bytes (and cache identities).  The token
+  // names when the scale binds -- right after boot, before the
+  // workload runs -- because the key must say what was simulated.
   for (const auto& s : cost_scales) {
-    out += "|scale=" + s.key + ":" + fmt(s.scale);
+    out += "|boot_scale=" + s.key + ":" + fmt(s.scale);
   }
   return out;
 }
@@ -229,19 +231,14 @@ bool apply_point_scales(core::Stack& stack,
   return any;
 }
 
-PointResult run_point(const PointSpec& spec) {
-  return run_point(spec, RunHooks{});
-}
-
 PointResult run_point(const PointSpec& spec, const RunHooks& hooks) {
   PointResult result;
   const core::StackConfig cfg = spec.stack_config();
   RunHooks h = hooks;
-  if (!h.at_snapshot) {
-    h.at_snapshot = [&spec](core::Stack& stack) {
-      apply_point_scales(stack, spec.cost_scales);
-    };
-  }
+  h.on_boot = [&spec, &hooks](core::Stack& stack) {
+    apply_point_scales(stack, spec.cost_scales);
+    if (hooks.on_boot) hooks.on_boot(stack);
+  };
   if (spec.kind == PointSpec::Kind::kNas) {
     run_nas(cfg, spec.nas, &result.metrics, h);
   } else {

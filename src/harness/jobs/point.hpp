@@ -30,7 +30,7 @@ namespace kop::harness::jobs {
 std::uint64_t fnv1a64(const std::string& bytes);
 
 /// Zero-padded 16-digit lowercase hex -- the rendering used for cache
-/// entry names, fingerprints, and shard listings.
+/// entry names, fingerprints, and coverage manifests.
 std::string hex16(std::uint64_t v);
 
 /// 64-bit fingerprint of the whole calibration surface: every field of
@@ -69,13 +69,11 @@ struct PointSpec {
   EpccPart epcc_part = EpccPart::kAll;
   epcc::EpccConfig epcc;
 
-  /// One late-binding cost-model override: `key` is the registry form
-  /// "<personality>.<field>" (hw/cost_params.hpp), applied to this
-  /// point's booted stack at the warmup/measurement boundary via
-  /// osal::Os::rebind_costs -- never through the process-global
-  /// hw::set_cost_scale registry, which concurrent JobRunner workers
-  /// would race on.  Keys whose personality does not match the booted
-  /// sheet are skipped (a pik stack ignores "linux.*" overrides).
+  /// One per-point cost-model scale: `key` is "<personality>.<field>"
+  /// (hw/cost_params.hpp), applied to this point's stack right after
+  /// boot, before the workload runs (apply_point_scales).  Keys whose
+  /// personality does not match the booted sheet are skipped (a pik
+  /// stack ignores "linux.*" scales).
   struct CostScale {
     std::string key;
     double scale = 1.0;
@@ -114,19 +112,16 @@ struct PointResult {
 /// Execute one point on a freshly booted stack (blocking, this host
 /// thread).  Exceptions from the simulation propagate to the caller;
 /// the JobRunner turns them into failure capture + one retry.
-/// spec.cost_scales bind at the warmup/measurement boundary.
-PointResult run_point(const PointSpec& spec);
+/// spec.cost_scales bind right after boot; the caller's
+/// `hooks.on_boot`, if any, runs after them.
+PointResult run_point(const PointSpec& spec, const RunHooks& hooks = {});
 
-/// As above, with observation hooks.  When `hooks.at_snapshot` is set
-/// the caller owns cost-scale binding: run_point will not apply
-/// spec.cost_scales itself.
-PointResult run_point(const PointSpec& spec, const RunHooks& hooks);
-
-/// Apply a point's cost scales to a booted stack: scales whose
-/// personality prefix matches the stack's cost sheet are applied to a
-/// copy of os().costs() and rebound atomically (osal::Os::rebind_costs);
-/// the rest are skipped.  Returns true if any scale applied.  Throws
-/// std::invalid_argument for an unknown field or non-positive scale.
+/// Apply a point's cost scales to a booted stack before its workload
+/// runs: scales whose personality prefix matches the stack's cost sheet
+/// are applied to a copy of os().costs() and rebound atomically
+/// (osal::Os::rebind_costs); the rest are skipped.  Returns true if any
+/// scale applied.  Throws std::invalid_argument for an unknown field or
+/// non-positive scale.
 bool apply_point_scales(core::Stack& stack,
                         const std::vector<PointSpec::CostScale>& scales);
 

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "harness/jobs/shard.hpp"
 #include "hw/topology.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -222,32 +221,18 @@ FigOptions parse_fig_options(int argc, char** argv) {
       opts.jobs.cache_dir = argv[++i];
     } else if (arg == "--no-cache") {
       opts.jobs.no_cache = true;
-    } else if (arg == "--shard" && i + 1 < argc) {
-      std::string error;
-      if (!jobs::parse_shard(argv[++i], &opts.jobs.shard, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        opts.ok = false;
-        return opts;
-      }
-    } else if (arg == "--shard-list") {
-      opts.jobs.shard.list_only = true;
     } else if (arg == "--coord" && i + 1 < argc) {
       opts.jobs.coord_socket = argv[++i];
     } else {
       std::fprintf(
           stderr,
           "usage: %s [--json <path>] [--quick] [--jobs N]\n"
-          "          [--cache-dir <dir>] [--no-cache]\n"
-          "          [--shard K/N] [--shard-list] [--coord <addr>]\n"
+          "          [--cache-dir <dir>] [--no-cache] [--coord <addr>]\n"
           "  --json <path>    write a kop-metrics v1 JSON artifact\n"
           "  --quick          reduced problem sizes (CI smoke)\n"
           "  --jobs N         host worker threads (default: all cores)\n"
           "  --cache-dir <d>  content-addressed result cache directory\n"
           "  --no-cache       ignore --cache-dir, force re-simulation\n"
-          "  --shard K/N      run only shard K of an N-way hash partition\n"
-          "                   of the sweep (use with --cache-dir; merge\n"
-          "                   shard caches with kop_merge)\n"
-          "  --shard-list     print the point partition and exit\n"
           "  --coord <addr>   lease points from a kop_sweepd daemon at\n"
           "                   <addr> -- unix socket path or host:port\n"
           "                   (crashed workers are reclaimed by lease\n"

@@ -215,16 +215,18 @@ struct Observation {
 
 // Run one case and record everything observable.
 void observe(const CaseParams& params, Observation* obs) {
+  const jobs::PointSpec spec = params.point();
+  // run_nas/run_epcc directly (not run_point) so the schedule can be
+  // set; the scales bind first thing after boot, as run_point binds them.
   RunHooks hooks;
-  hooks.on_boot = [obs](core::Stack& s) { s.os().tools().attach(&obs->trace); };
+  hooks.on_boot = [obs, &spec](core::Stack& s) {
+    jobs::apply_point_scales(s, spec.cost_scales);
+    s.os().tools().attach(&obs->trace);
+  };
   hooks.on_done = [obs](core::Stack& s) {
     obs->engine_digest = s.engine().stats().dispatch_digest;
     obs->events_dispatched = s.engine().stats().events_dispatched;
     obs->end_time = s.engine().now();
-  };
-  const jobs::PointSpec spec = params.point();
-  hooks.at_snapshot = [&spec](core::Stack& s) {
-    jobs::apply_point_scales(s, spec.cost_scales);
   };
   core::StackConfig cfg = spec.stack_config();
   cfg.sched.policy = params.policy;

@@ -359,10 +359,10 @@ std::vector<CaseParams> generate(const GenOptions& opt) {
     // but cheap to sample everywhere (the flag is ignored elsewhere).
     const double ft = rng.uniform();
     p.first_touch = ft < 0.7 ? -1 : (ft < 0.85 ? 0 : 1);
-    // Late-binding cost-scale suffix (drawn last so the prefix draws
-    // above stay stable for a given generator seed).  Personality
-    // matched to the path so the scales actually bind; values from an
-    // exact-decimal palette so tokens replay them bit-for-bit.
+    // Cost scales (drawn after the knobs above so their draws stay
+    // stable for a given generator seed).  Personality matched to the
+    // path so the scales actually bind; values from an exact-decimal
+    // palette so tokens replay them bit-for-bit.
     if (rng.bernoulli(0.25)) {
       const char* pers = "linux";
       if (p.path == core::PathKind::kRtk ||

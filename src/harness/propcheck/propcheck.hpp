@@ -75,11 +75,11 @@ struct CaseParams {
   int tasks_per_thread = 4;
   int tree_depth = 2;
 
-  // Late-binding cost scales: random hw.apply_cost_scale overrides,
-  // applied at the warmup/measurement boundary exactly as a sweep's
-  // run_point would.  The generator draws scales from
-  // an exact-decimal palette with the personality matched to the
-  // case's path, so tokens round-trip the drawn values bit-for-bit.
+  // Per-point cost scales (hw::apply_cost_scale), bound right after
+  // boot exactly as a sweep's run_point binds them.  The generator
+  // draws scales from an exact-decimal palette with the personality
+  // matched to the case's path, so tokens round-trip the drawn values
+  // bit-for-bit.
   std::vector<jobs::PointSpec::CostScale> cost_scales;
 
   // Engine ready-queue schedule.

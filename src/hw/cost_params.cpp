@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace kop::hw {
@@ -11,7 +10,7 @@ namespace {
 
 // Scalable fields of OsCosts.  Booleans, enums and the personality
 // string are structural switches, not calibration knobs, so they are
-// deliberately not override-able.
+// deliberately not scalable.
 struct Field {
   const char* name;
   // Multiplies the field by `scale`, rounding times to whole ns.
@@ -50,34 +49,7 @@ const Field* find_field(const std::string& name) {
   return nullptr;
 }
 
-// Active overrides: "personality.field" -> scale.  Ordered map so the
-// application order (and thus float rounding) is deterministic.
-std::map<std::string, double>& overrides() {
-  static std::map<std::string, double> o;
-  return o;
-}
-
 }  // namespace
-
-void set_cost_scale(const std::string& key, double scale) {
-  const auto dot = key.find('.');
-  const std::string personality = key.substr(0, dot);
-  if (dot == std::string::npos ||
-      (personality != "linux" && personality != "nautilus") ||
-      find_field(key.substr(dot + 1)) == nullptr) {
-    throw std::invalid_argument("unknown cost parameter: " + key +
-                                " (expected <linux|nautilus>.<field>)");
-  }
-  if (!(scale > 0.0) || !std::isfinite(scale))
-    throw std::invalid_argument("cost scale must be finite and > 0");
-  if (scale == 1.0) {
-    overrides().erase(key);
-  } else {
-    overrides()[key] = scale;
-  }
-}
-
-void clear_cost_scales() { overrides().clear(); }
 
 std::vector<std::string> cost_param_names() {
   std::vector<std::string> names;
@@ -100,15 +72,6 @@ void apply_cost_scale(OsCosts& c, const std::string& field, double scale) {
   if (!(scale > 0.0) || !std::isfinite(scale))
     throw std::invalid_argument("cost scale must be finite and > 0");
   f->apply(c, scale);
-}
-
-void apply_cost_overrides(OsCosts& c) {
-  if (overrides().empty()) return;
-  const std::string prefix = c.personality + ".";
-  for (const auto& [key, scale] : overrides()) {
-    if (key.compare(0, prefix.size(), prefix) != 0) continue;
-    find_field(key.substr(prefix.size()))->apply(c, scale);
-  }
 }
 
 }  // namespace kop::hw

@@ -89,38 +89,19 @@ struct OsCosts {
   double compute_inflation = 1.0;
 };
 
-/// --- Calibration override surface (bisection) -------------------------
+/// --- Per-point cost scales (bisection, property tests) ---------------
 ///
-/// The bisection driver (examples/kop_bisect) perturbs one calibrated
-/// constant at a time to find where the paper's shapes break.  Overrides
-/// are multiplicative scales keyed "personality.field" (e.g.
-/// "linux.minor_fault_ns"); they are applied inside linux_costs() /
-/// nautilus_costs(), *before* the values are serialized into
-/// cost_model_fingerprint() -- so every cache key automatically moves
-/// with the override and stale entries can never be served.
-///
-/// Set a scale of 1.0 (or clear) to restore defaults.  Not thread-safe:
-/// configure before launching a JobRunner sweep.
+/// The bisection driver (examples/kop_bisect) and the property suite
+/// perturb one calibrated constant at a time.  A perturbation is a
+/// multiplicative scale keyed "personality.field" (e.g.
+/// "linux.minor_fault_ns") carried in a point's canonical form
+/// (harness/jobs/point.hpp), so its cache key names the scale.  The
+/// job layer applies it to one booted stack's cost sheet right after
+/// boot, before the workload runs (osal::Os::rebind_costs); the sheets
+/// these factories return are never modified.
 
-/// Multiply parameter `key` by `scale` in all subsequently constructed
-/// OsCosts.  Throws std::invalid_argument for an unknown key.
-void set_cost_scale(const std::string& key, double scale);
-/// Drop all active overrides.
-void clear_cost_scales();
-/// Every valid override key, sorted ("linux.*" then "nautilus.*").
+/// Every scalable key: "linux.*" then "nautilus.*", in field order.
 std::vector<std::string> cost_param_names();
-/// Applies active overrides for `c.personality` in place.  Called by the
-/// factories below; not usually called directly.
-void apply_cost_overrides(OsCosts& c);
-
-/// --- Late binding (per-point cost scales) -----------------------------
-///
-/// Per-point overrides must not go through the global registry above --
-/// concurrent JobRunner workers would race on it and cross-contaminate
-/// points.  Instead a sweep applies its scale directly to one stack's
-/// already-built cost sheet at the warmup/measurement boundary
-/// (osal::Os::rebind_costs).
-
 /// True iff `field` names a scalable OsCosts field (the per-personality
 /// field set cost_param_names() enumerates).
 bool is_cost_field(const std::string& field);
@@ -153,7 +134,6 @@ inline OsCosts linux_costs(const MachineConfig& m) {
   c.timeslice_ns = 6 * sim::kMillisecond;
   c.alloc_base_ns = 3000;
   c.numa_aware_alloc = false;  // first-touch policy
-  apply_cost_overrides(c);
   return c;
 }
 
@@ -178,7 +158,6 @@ inline OsCosts nautilus_costs(const MachineConfig& m) {
   c.alloc_base_ns = 900;  // buddy allocator hit
   c.numa_aware_alloc = true;
   c.compute_inflation = 1.01;  // -mno-red-zone code generation
-  apply_cost_overrides(c);
   return c;
 }
 

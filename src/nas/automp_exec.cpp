@@ -50,7 +50,6 @@ RunResult run_automp(osal::Os& os, virgil::Virgil& vg,
 
   // --- timed section ---
   cck::ProgramRunner runner(os, vg);
-  os.engine().snapshot_point();
   const sim::Time t0 = os.engine().now();
   for (int step = 0; step < spec.timesteps; ++step) runner.run(program);
   out.timed_seconds = sim::to_seconds(os.engine().now() - t0);

@@ -123,8 +123,6 @@ RunResult run_openmp(komp::Runtime& rt, const BenchmarkSpec& spec) {
     loops.push_back(to_cck_loop(l, regions.at(l.region)));
 
   // --- timed section ---
-  // Warmup/measurement boundary: per-point cost scales bind here.
-  rt.os().engine().snapshot_point();
   const double t0 = rt.wtime();
   for (int step = 0; step < spec.timesteps; ++step) {
     rt.parallel([&](komp::TeamThread& tt) {

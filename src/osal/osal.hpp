@@ -86,10 +86,10 @@ class Os {
   virtual sim::Engine& engine() = 0;
   virtual const hw::MachineConfig& machine() const = 0;
   virtual const hw::OsCosts& costs() const = 0;
-  /// Swap in a new cost sheet mid-run (per-point cost scales): the
-  /// execution model and per-CPU scheduling parameters are rebuilt from
-  /// `costs`.  Call only at a quiescent boundary (no work block in
-  /// flight); the personality must match the current sheet.
+  /// Swap in a new cost sheet (per-point cost scales): the execution
+  /// model and per-CPU scheduling parameters are rebuilt from `costs`.
+  /// Call after boot, before the workload runs; the personality must
+  /// match the current sheet.
   virtual void rebind_costs(const hw::OsCosts& costs) = 0;
 
   // --- observability ---

@@ -37,12 +37,6 @@ RaceChecker& Engine::enable_racecheck() {
   return *racecheck_;
 }
 
-void Engine::snapshot_point() {
-  if (snapshot_fired_) return;
-  snapshot_fired_ = true;
-  if (snapshot_hook_) snapshot_hook_();
-}
-
 SimThread* Engine::spawn(std::string name, std::function<void()> body,
                          std::size_t stack_bytes) {
   if (stack_bytes == 0) stack_bytes = Fiber::kDefaultStackBytes;

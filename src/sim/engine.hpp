@@ -151,19 +151,6 @@ class Engine {
   /// thread is immediately rescheduled; useful for modelled spin loops).
   void yield_now();
 
-  /// --- Warmup/measurement boundary ---
-
-  /// Workloads call snapshot_point() exactly where warmup ends and the
-  /// measurement phase begins.  The first call fires the installed hook
-  /// synchronously on the calling fiber; later calls are no-ops, so a
-  /// suite running several parts marks only its first boundary.  The
-  /// hook must not post events or draw from the engine Rngs: the
-  /// boundary has to be invisible to the dispatch trajectory.
-  void set_snapshot_hook(std::function<void()> hook) {
-    snapshot_hook_ = std::move(hook);
-  }
-  void snapshot_point();
-
   /// --- Race detection ---
 
   /// Attach a happens-before race detector.  Must be called before any
@@ -220,8 +207,6 @@ class Engine {
   Time now_ = 0;
   Rng rng_;
   SchedConfig sched_;
-  std::function<void()> snapshot_hook_;
-  bool snapshot_fired_ = false;
   Rng sched_rng_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_thread_id_ = 1;

@@ -30,6 +30,7 @@
 #include "coord/server.hpp"
 #include "harness/figures.hpp"
 #include "harness/jobs/cache.hpp"
+#include "harness/jobs/merge.hpp"
 #include "harness/jobs/runner.hpp"
 
 namespace {
@@ -796,7 +797,9 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
 
 // A figure binary's --coord run: each worker prints a coverage note in
 // place of the table and records only the points it ran, so the
-// workers' artifacts together hold every point exactly once.
+// workers' artifacts together hold every point exactly once -- and
+// their merged caches replay the figure byte-identically to a cold run
+// without simulating a single point again.
 TEST(CoordServer, FigureCoordModeRecordsEachPointOnce) {
   const std::string sock =
       "/tmp/kop_coord_fig_" + std::to_string(getpid()) + ".sock";
@@ -815,10 +818,9 @@ TEST(CoordServer, FigureCoordModeRecordsEachPointOnce) {
   auto suite = kop::harness::scale_suite(kop::nas::paper_suite(), 0.25, 2);
   suite.resize(1);
   const std::vector<int> scales = {1, 2};
-  const std::size_t n_points =
-      kop::harness::enumerate_nas_normalized(
-          "phi", {kop::core::PathKind::kRtk}, scales, suite)
-          .size();
+  const auto points = kop::harness::enumerate_nas_normalized(
+      "phi", {kop::core::PathKind::kRtk}, scales, suite);
+  const std::size_t n_points = points.size();
 
   constexpr int kWorkers = 2;
   std::vector<std::string> notes(kWorkers);
@@ -854,6 +856,32 @@ TEST(CoordServer, FigureCoordModeRecordsEachPointOnce) {
   }
   EXPECT_EQ(recorded[0] + recorded[1], n_points);
   EXPECT_TRUE(c.drained());
+
+  jobs::MergeOptions mopts;
+  mopts.dest = (root / "merged").string();
+  for (int w = 0; w < kWorkers; ++w)
+    mopts.sources.push_back((root / ("worker" + std::to_string(w))).string());
+  const auto report = jobs::merge_caches(mopts);
+  EXPECT_TRUE(report.ok()) << report.text();
+  EXPECT_EQ(report.merged, n_points);
+
+  jobs::JobOptions cold;
+  cold.jobs = 1;
+  kop::harness::MetricsSink cold_sink("coord_test");
+  const std::string reference = kop::harness::print_nas_normalized(
+      "x", "phi", {kop::core::PathKind::kRtk}, scales, suite, &cold_sink, cold);
+  jobs::JobOptions warm = cold;
+  warm.cache_dir = mopts.dest;
+  kop::harness::MetricsSink warm_sink("coord_test");
+  const std::string replay = kop::harness::print_nas_normalized(
+      "x", "phi", {kop::core::PathKind::kRtk}, scales, suite, &warm_sink, warm);
+  EXPECT_EQ(replay, reference);
+  EXPECT_EQ(warm_sink.to_json(), cold_sink.to_json());
+
+  jobs::JobRunner runner(warm);
+  jobs::require_ok(points, runner.run(points));
+  EXPECT_EQ(runner.stats().executed, 0u) << "replay re-simulated points";
+  EXPECT_EQ(runner.stats().cache_hits, n_points);
   fs::remove_all(root);
 }
 

@@ -1,9 +1,10 @@
 // Experiment job subsystem tests: PointSpec canonical forms and
 // content hashes, the cost-model fingerprint, the on-disk ResultCache
 // (hit / invalidation / corruption recovery), the JobRunner pool
-// (input-order results, dedup, failure capture + retry), and the
-// thread-safety smoke for concurrent run_nas into one MetricsSink
-// (run under -DKOP_SANITIZE=thread in CI).
+// (input-order results, dedup, failure capture + retry), per-point
+// cost scales bound at boot, and the thread-safety smoke for
+// concurrent run_nas into one MetricsSink (run under
+// -DKOP_SANITIZE=thread in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "harness/jobs/point.hpp"
 #include "harness/jobs/runner.hpp"
 #include "harness/metrics.hpp"
+#include "hw/cost_params.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace {
@@ -133,6 +136,17 @@ TEST(PointSpec, EveryAxisChangesTheCanonicalForm) {
   e = tiny_epcc_point();
   e.epcc_part = EpccPart::kSched;
   EXPECT_TRUE(forms.insert(e.canonical()).second);
+  // Cost scales append one `boot_scale=` token each -- named for when
+  // they bind, so a scaled point never shares a key with results bound
+  // any other way -- and the bare point carries none.
+  EXPECT_EQ(base.canonical().find("scale="), std::string::npos);
+  p = base;
+  p.cost_scales.push_back({"linux.minor_fault_ns", 4.0});
+  EXPECT_NE(p.canonical().find("|boot_scale=linux.minor_fault_ns:4"),
+            std::string::npos)
+      << p.canonical();
+  EXPECT_NE(ResultCache::key(p), ResultCache::key(base));
+  EXPECT_TRUE(forms.insert(p.canonical()).second);
 }
 
 TEST(PointSpec, CostModelFingerprintIsStable) {
@@ -332,6 +346,67 @@ TEST(ResultCache, FingerprintMismatchRecoversAsMiss) {
   cache.store(p, r);
   EXPECT_TRUE(cache.load(p, &out));
   fs::remove_all(dir);
+}
+
+// --- per-point cost scales --------------------------------------------
+
+// A scale binds right after boot, so the untimed NAS init phase (the
+// first touch of every region, where Linux takes its minor faults) runs
+// at the scaled cost too.
+TEST(CostScales, BindBeforeTheWorkloadRuns) {
+  const PointSpec bare = tiny_nas_point();
+  PointSpec scaled = bare;
+  scaled.cost_scales.push_back({"linux.minor_fault_ns", 4.0});
+  const PointResult a = kop::harness::jobs::run_point(bare);
+  const PointResult b = kop::harness::jobs::run_point(scaled);
+  ASSERT_GT(a.metrics.counters.total(kop::telemetry::Counter::kPageFaults),
+            0u);
+  EXPECT_GT(b.metrics.init_seconds, a.metrics.init_seconds);
+}
+
+// The caller's on_boot runs in addition to the binding, never instead
+// of it: the scaled result is the same with or without a hook.
+TEST(CostScales, CallerOnBootDoesNotTakeOverBinding) {
+  PointSpec p = tiny_nas_point();
+  p.cost_scales.push_back({"linux.compute_inflation", 2.0});
+  int boots = 0;
+  kop::harness::RunHooks hooks;
+  hooks.on_boot = [&boots](kop::core::Stack&) { ++boots; };
+  const PointResult hooked = kop::harness::jobs::run_point(p, hooks);
+  EXPECT_EQ(boots, 1);
+  EXPECT_EQ(ResultCache::encode(p, hooked),
+            ResultCache::encode(p, kop::harness::jobs::run_point(p)));
+
+  PointSpec bare = p;
+  bare.cost_scales.clear();
+  EXPECT_GT(hooked.metrics.timed_seconds,
+            kop::harness::jobs::run_point(bare).metrics.timed_seconds);
+}
+
+// Every key kop_bisect --list-params prints binds on a stack of its
+// personality and is skipped on the other; unknown fields throw.
+TEST(CostScales, EveryListedKeyAppliesAndUnknownFieldsThrow) {
+  const auto names = kop::hw::cost_param_names();
+  ASSERT_GE(names.size(), 32u);
+  kop::core::StackConfig cfg;
+  cfg.machine = "phi";
+  cfg.num_threads = 2;
+  for (const PathKind path : {PathKind::kLinuxOmp, PathKind::kRtk}) {
+    cfg.path = path;
+    auto stack = kop::core::Stack::create(cfg);
+    const std::string prefix = stack->os().costs().personality + ".";
+    for (const auto& name : names) {
+      EXPECT_EQ(kop::harness::jobs::apply_point_scales(*stack, {{name, 1.5}}),
+                name.compare(0, prefix.size(), prefix) == 0)
+          << name << " on " << prefix;
+    }
+    EXPECT_THROW(kop::harness::jobs::apply_point_scales(
+                     *stack, {{prefix + "not_a_field", 2.0}}),
+                 std::invalid_argument);
+    EXPECT_THROW(kop::harness::jobs::apply_point_scales(
+                     *stack, {{prefix + "syscall_ns", 0.0}}),
+                 std::invalid_argument);
+  }
 }
 
 // --- runner ----------------------------------------------------------

@@ -2,23 +2,20 @@
 // and round-trips through replay tokens, check_case holds (and its
 // digest is stable) on healthy cases, an impossible case produces a
 // run-completes violation that the shrinker reduces to a minimal
-// still-failing spec, shrunk tokens replay through the schedfuzz
-// regression list, and the cost-override registry moves the cache
-// fingerprint exactly when it should.
+// still-failing spec, and shrunk tokens replay through the schedfuzz
+// regression list.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness/jobs/cache.hpp"
 #include "harness/propcheck/propcheck.hpp"
 #include "harness/schedfuzz.hpp"
-#include "hw/cost_params.hpp"
 
 namespace {
 
@@ -164,7 +161,7 @@ TEST(Generator, DrawsCostScalesMatchedToThePath) {
     if (c.cost_scales.empty()) continue;
     ++with_scales;
     // The personality must match the booted path's cost sheet, or the
-    // drawn scale would be skipped at the boundary and test nothing.
+    // drawn scale would be skipped at boot and test nothing.
     std::string want = "linux.";
     if (c.path == PathKind::kRtk || c.path == PathKind::kAutoMpNautilus)
       want = "nautilus.";
@@ -180,7 +177,7 @@ TEST(Generator, DrawsCostScalesMatchedToThePath) {
       EXPECT_EQ(back.token(), c.token());
     }
   }
-  // Roughly a quarter of cases should carry a suffix override.
+  // Roughly a quarter of cases should carry a cost scale.
   EXPECT_GT(with_scales, opt.count / 10);
   EXPECT_LT(with_scales, opt.count / 2);
 }
@@ -237,7 +234,7 @@ TEST(Invariants, RegistryIsPopulated) {
 }
 
 TEST(Invariants, HealthyCaseWithCostScalesPasses) {
-  // A late-binding cost scale must not upset determinism or the cache
+  // A per-point cost scale must not upset determinism or the cache
   // roundtrip (the scale is in the key).
   const std::string dir = scratch_dir("scaled");
   propcheck::CaseParams p = tiny_case();
@@ -396,54 +393,6 @@ TEST(Replay, UnparseableTokenFailsLoudly) {
   const auto outcome = scenario.run(cfg);
   EXPECT_NE(outcome.wrong.find("unparseable"), std::string::npos)
       << outcome.wrong;
-}
-
-// --- cost-override registry (what kop_bisect sweeps) -----------------
-
-TEST(CostOverrides, ScalesMoveTheFingerprintAndClearRestoresIt) {
-  kop::hw::clear_cost_scales();
-  const std::uint64_t base = jobs::cost_model_fingerprint();
-
-  kop::hw::set_cost_scale("linux.minor_fault_ns", 2.0);
-  const std::uint64_t scaled = jobs::cost_model_fingerprint();
-  EXPECT_NE(scaled, base);
-
-  // Different scale, different calibration, different keys: the
-  // property kop_bisect's cache reuse stands on.
-  kop::hw::set_cost_scale("linux.minor_fault_ns", 3.0);
-  EXPECT_NE(jobs::cost_model_fingerprint(), base);
-  EXPECT_NE(jobs::cost_model_fingerprint(), scaled);
-
-  // Nautilus-personality knobs move it too (shared fingerprint).
-  kop::hw::clear_cost_scales();
-  kop::hw::set_cost_scale("nautilus.context_switch_ns", 0.5);
-  EXPECT_NE(jobs::cost_model_fingerprint(), base);
-
-  kop::hw::clear_cost_scales();
-  EXPECT_EQ(jobs::cost_model_fingerprint(), base);
-}
-
-TEST(CostOverrides, IdentityScaleIsANoOp) {
-  kop::hw::clear_cost_scales();
-  const std::uint64_t base = jobs::cost_model_fingerprint();
-  kop::hw::set_cost_scale("linux.syscall_ns", 1.0);
-  EXPECT_EQ(jobs::cost_model_fingerprint(), base);
-  kop::hw::clear_cost_scales();
-}
-
-TEST(CostOverrides, UnknownKeyThrowsAndEveryListedKeyWorks) {
-  EXPECT_THROW(kop::hw::set_cost_scale("linux.not_a_field", 2.0),
-               std::invalid_argument);
-  EXPECT_THROW(kop::hw::set_cost_scale("plan9.syscall_ns", 2.0),
-               std::invalid_argument);
-  // --list-params output is the authoritative key set: every name it
-  // prints must be settable.
-  const auto names = kop::hw::cost_param_names();
-  EXPECT_GE(names.size(), 16u);
-  for (const auto& name : names) {
-    EXPECT_NO_THROW(kop::hw::set_cost_scale(name, 1.5)) << name;
-  }
-  kop::hw::clear_cost_scales();
 }
 
 }  // namespace
