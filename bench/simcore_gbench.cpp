@@ -1,9 +1,9 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
 // raw event dispatch through the engine queue, same-instant yields,
-// fiber switches, timed sleep/wake chains, kernel task
-// dispatch + steals, and a full small OpenMP region.  These guard the
-// *host* performance of the reproduction (every figure is built from
-// millions of these operations).
+// fiber switches, timed sleep/wake chains (run-ahead and queued),
+// kernel task dispatch + steals, and a full small OpenMP region.  These
+// guard the *host* performance of the reproduction (every figure is
+// built from millions of these operations).
 //
 //   simcore_gbench [--quick] [--filter SUBSTR] [--json FILE]
 //
@@ -124,7 +124,9 @@ BenchResult bench_fiber_switch(int reps, int n) {
   return run_bench("fiber_switch", "switches", reps, rep, [] { return 0ull; });
 }
 
-// Timer-style sleep/wake chain: every sleep posts a timed wake.
+// A lone sleeper: nothing else is ever queued, so every sleep_for()
+// runs ahead -- its wake is dispatched in place, with no push, pop or
+// fiber switch.
 BenchResult bench_sleep_wake(int reps, int n) {
   Engine eng;
   auto rep = [&]() -> std::uint64_t {
@@ -136,6 +138,23 @@ BenchResult bench_sleep_wake(int reps, int n) {
     return static_cast<std::uint64_t>(n);
   };
   return run_bench("sleep_wake", "wakes", reps, rep,
+                   [&] { return eng.stats().queue_allocs; });
+}
+
+// Two sleepers in lock step: each wake ties or trails the other's, so
+// every sleep takes the queue (push, pop and two fiber switches).
+BenchResult bench_sleep_wake_lockstep(int reps, int n) {
+  Engine eng;
+  auto rep = [&]() -> std::uint64_t {
+    for (int s = 0; s < 2; ++s) {
+      eng.wake(eng.spawn("sleeper" + std::to_string(s), [&eng, n] {
+        for (int i = 0; i < n; ++i) eng.sleep_for(10);
+      }));
+    }
+    eng.run();
+    return static_cast<std::uint64_t>(2) * n;
+  };
+  return run_bench("sleep_wake_lockstep", "wakes", reps, rep,
                    [&] { return eng.stats().queue_allocs; });
 }
 
@@ -288,7 +307,9 @@ int main(int argc, char** argv) {
   if (want("fiber_switch"))
     results.push_back(bench_fiber_switch(reps, quick ? 20'000 : 100'000));
   if (want("sleep_wake"))
-    results.push_back(bench_sleep_wake(reps, quick ? 5'000 : 25'000));
+    results.push_back(bench_sleep_wake(reps, quick ? 400'000 : 2'000'000));
+  if (want("sleep_wake_lockstep"))
+    results.push_back(bench_sleep_wake_lockstep(reps, quick ? 20'000 : 100'000));
   if (want("far_horizon"))
     results.push_back(bench_far_horizon(reps, quick ? 10'000 : 50'000));
   if (want("nk_task")) bench_nk_tasks(quick ? 2 : 5, quick ? 500 : 2'000, &results);

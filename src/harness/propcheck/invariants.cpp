@@ -213,8 +213,11 @@ struct Observation {
   std::string error;
 };
 
-// Run one case and record everything observable.
-void observe(const CaseParams& params, Observation* obs) {
+// Run one case and record everything observable.  `racecheck` attaches
+// the race detector, which sends every engine wake through the event
+// queue (no sleep_for run-ahead) and changes nothing observable.
+void observe(const CaseParams& params, Observation* obs,
+             bool racecheck = false) {
   const jobs::PointSpec spec = params.point();
   // run_nas/run_epcc directly (not run_point) so the schedule can be
   // set; the scales bind first thing after boot, as run_point binds them.
@@ -231,6 +234,7 @@ void observe(const CaseParams& params, Observation* obs) {
   core::StackConfig cfg = spec.stack_config();
   cfg.sched.policy = params.policy;
   cfg.sched.seed = params.sched_seed;
+  cfg.racecheck = racecheck;
   try {
     if (params.kind == jobs::PointSpec::Kind::kNas) {
       run_nas(cfg, spec.nas, &obs->result.metrics, hooks);
@@ -711,9 +715,11 @@ CaseOutcome check_case(const CaseParams& params, const CheckOptions& opt) {
     violate("counter-conservation", msg);
   }
 
-  // Determinism: the second run must replay the first bit-for-bit.
+  // Determinism: the second run must replay the first bit-for-bit, and
+  // it takes the queue for every wake, so each run-ahead dispatch of the
+  // first run is checked against the queue's.
   Observation b;
-  observe(params, &b);
+  observe(params, &b, /*racecheck=*/true);
   if (b.threw) {
     violate("determinism", "second run threw: " + b.error);
   } else {

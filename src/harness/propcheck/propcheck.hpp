@@ -11,7 +11,9 @@
 //   work-conservation    every iteration of every dispatching
 //                        worksharing construct executes exactly once
 //                        (chunk intervals disjoint + exact coverage)
-//   determinism          the same (point, policy, seed) replayed twice
+//   determinism          the same (point, policy, seed) replayed with
+//                        the race detector attached (every wake through
+//                        the event queue, no sleep_for run-ahead)
 //                        produces identical engine dispatch digests,
 //                        OMPT trace digests, and metrics
 //   task-balance         tasks created == scheduled begin == end;

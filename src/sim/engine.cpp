@@ -130,45 +130,49 @@ void Engine::block() {
 void Engine::sleep_for(Time ns) {
   SimThread* self = current_;
   if (self == nullptr) throw std::logic_error("engine: sleep outside a sim thread");
-  wake_at(self, now_ + (ns < 0 ? 0 : ns));
-  block();
+  const Time at = now_ + (ns < 0 ? 0 : ns);
+  // The queue: a race checker needs enqueue's release snapshot, or
+  // another event is due no later than this wake.
+  if (racecheck_ || (!queue_.empty() && queue_.next_time() <= at)) {
+    wake_at(self, at);
+    block();
+    return;
+  }
+  // Run ahead: the wake is strictly earlier than every queued event, so
+  // run() would pop it next and resume this thread.  Do what that round
+  // trip does -- take a seq, draw the key, grow the peak depth to what
+  // the push would have, block and dispatch -- and stay on this fiber.
+  // A queued event at the same time (smaller seq under FIFO) takes the
+  // queue.
+  const std::uint64_t seq = next_seq_++;
+  sched_key(self);
+  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_.size() + 1);
+  self->blocked_ = true;
+  settle(at, self, self->wake_generation_, seq);
+  ++stats_.run_ahead;
 }
 
-void Engine::yield_now() {
-  SimThread* self = current_;
-  if (self == nullptr) throw std::logic_error("engine: yield outside a sim thread");
-  wake_at(self, now_);
-  block();
-}
-
-void Engine::dispatch(Event& ev) {
-  now_ = ev.at;
+SimThread* Engine::settle(Time at, SimThread* t, std::uint64_t generation,
+                          std::uint64_t seq) {
+  ++stats_.events_dispatched;
+  now_ = at;
   // Order digest: fold the dispatch identity so any reordering --
   // queue bug, policy drift, nondeterministic tie-break -- changes the
   // final stats().dispatch_digest.
   std::uint64_t d = stats_.dispatch_digest;
-  d = (d ^ static_cast<std::uint64_t>(ev.at)) * 0x100000001b3ULL;
-  d = (d ^ (ev.thread != nullptr ? ev.thread->id() : 0)) * 0x100000001b3ULL;
-  d = (d ^ ev.seq) * 0x100000001b3ULL;
+  d = (d ^ static_cast<std::uint64_t>(at)) * 0x100000001b3ULL;
+  d = (d ^ (t != nullptr ? t->id() : 0)) * 0x100000001b3ULL;
+  d = (d ^ seq) * 0x100000001b3ULL;
   stats_.dispatch_digest = d;
-  if (ev.fn) {
-    if (racecheck_) [[unlikely]]
-      racecheck_->on_callback(ev.hb);
-    ev.fn();
-    return;
-  }
-  SimThread* t = ev.thread;
-  if (t->finished()) return;
+  if (t == nullptr || t->finished()) return nullptr;
   // Stale wake: the thread already left the block() this wake targeted.
-  if (ev.generation != t->wake_generation_) {
+  if (generation != t->wake_generation_) {
     ++stats_.stale_wakes;
-    return;
+    return nullptr;
   }
-  if (!t->blocked_) return;  // duplicate wake for the same generation
+  if (!t->blocked_) return nullptr;  // duplicate wake for the same generation
   t->blocked_ = false;
   t->wake_generation_++;  // invalidate other pending wakes for that block
-  if (racecheck_) [[unlikely]]
-    racecheck_->on_resume(t->id(), ev.hb);
   if (sched_.policy == SchedPolicy::kPct) {
     // PCT-style priority change point: occasionally re-draw the
     // resumed thread's priority so a single high-priority thread
@@ -176,6 +180,20 @@ void Engine::dispatch(Event& ev) {
     if (sched_rng_.bernoulli(1.0 / 32.0))
       t->sched_priority_ = sched_rng_.next_u64();
   }
+  return t;
+}
+
+void Engine::dispatch(Event& ev) {
+  SimThread* t = settle(ev.at, ev.thread, ev.generation, ev.seq);
+  if (ev.fn) {
+    if (racecheck_) [[unlikely]]
+      racecheck_->on_callback(ev.hb);
+    ev.fn();
+    return;
+  }
+  if (t == nullptr) return;
+  if (racecheck_) [[unlikely]]
+    racecheck_->on_resume(t->id(), ev.hb);
   SimThread* prev = current_;
   current_ = t;
   t->fiber_->resume();
@@ -185,21 +203,10 @@ void Engine::dispatch(Event& ev) {
 void Engine::run() {
   while (!queue_.empty()) {
     Event ev = queue_.pop();
-    ++stats_.events_dispatched;
     dispatch(ev);
   }
   stats_.queue_allocs = queue_.allocs();
   if (live_thread_count() > 0) report_deadlock();
-}
-
-void Engine::run_until(Time t) {
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    Event ev = queue_.pop();
-    ++stats_.events_dispatched;
-    dispatch(ev);
-  }
-  stats_.queue_allocs = queue_.allocs();
-  if (now_ < t) now_ = t;
 }
 
 std::size_t Engine::live_thread_count() const {

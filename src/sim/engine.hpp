@@ -17,6 +17,17 @@
 // wake (e.g., a timeout racing a signal) is ignored.  This gives the OS
 // layers race-free timed waits without extra bookkeeping.
 //
+// Run-ahead: when a sleep_for() wake is strictly earlier than every
+// queued event (or nothing is queued) and no race checker is attached,
+// the engine dispatches that wake in place -- the same seq, sched key,
+// peak depth, clock, digest, generation and pct redraw as the queue
+// round trip -- and the thread carries on without a push, a pop or a
+// fiber switch.  Every simulated number and digest is the same either
+// way; only Stats::run_ahead and queue_allocs tell the paths apart.
+// A wake tying a queued event takes the queue (under FIFO the queued
+// one has the smaller seq).  With a race checker every wake takes the
+// queue, since enqueue's release snapshot advances the poster's clock.
+//
 // Determinism: events at equal times fire in posting order *under the
 // default FIFO ready-queue policy*, and all randomness flows through
 // the engine-owned Rng.  The ready-queue policy is pluggable: a
@@ -144,12 +155,13 @@ class Engine {
   /// Suspend the current thread until a matching wake arrives.
   void block();
 
-  /// Suspend for `ns` of virtual time.
+  /// Suspend for `ns` of virtual time.  Runs ahead (see the header
+  /// comment) when the wake would be the next event dispatched.
   void sleep_for(Time ns);
 
   /// Yield to any other work scheduled at the current instant (the
   /// thread is immediately rescheduled; useful for modelled spin loops).
-  void yield_now();
+  void yield_now() { sleep_for(0); }
 
   /// --- Race detection ---
 
@@ -167,10 +179,6 @@ class Engine {
   /// unfinished threads remain blocked with no pending events.
   void run();
 
-  /// Process events with timestamps <= t (then stops; more run() calls
-  /// may continue).  Does not deadlock-check.
-  void run_until(Time t);
-
   std::size_t live_thread_count() const;
 
   /// Run-loop statistics (engine health / wall-clock budgeting).
@@ -182,6 +190,10 @@ class Engine {
     /// Heap allocations made by the event queue after warm-up; a warm
     /// engine should dispatch with this not moving (arena reuse).
     std::uint64_t queue_allocs = 0;
+    /// sleep_for() wakes dispatched in place, without the queue (a
+    /// subset of events_dispatched).  Deterministic, but it describes
+    /// engine mechanics, not the simulated run.
+    std::uint64_t run_ahead = 0;
     /// FNV-1a fold of every dispatched event's (at, thread id, seq).
     /// Two runs of the same workload under the same (policy, seed) must
     /// end with identical digests -- the machine-checkable form of the
@@ -197,10 +209,20 @@ class Engine {
   /// Tie-break key for an event being posted now (depends on policy).
   std::uint64_t sched_key(const SimThread* target);
 
-  /// Push with stats upkeep (peak depth is tracked here, on push only:
-  /// the depth cannot grow anywhere else).
+  /// Push with stats upkeep (peak depth is tracked here, on push, since
+  /// the depth grows nowhere else; sleep_for's run-ahead raises it to
+  /// what the push it skips would have reached).
   void enqueue(Event&& ev);
 
+  /// What dispatching an event means, wherever it is dispatched: count
+  /// it, move the clock to `at` and fold (at, thread id, seq) into the
+  /// digest; then, if `t` is still blocked in the block() that
+  /// `generation` names, unblock it, invalidate its other pending wakes
+  /// and apply pct's priority change point.  Returns the thread to
+  /// resume, or nullptr (callback, finished thread, stale or duplicate
+  /// wake).  dispatch() and sleep_for()'s run-ahead both call it.
+  SimThread* settle(Time at, SimThread* t, std::uint64_t generation,
+                    std::uint64_t seq);
   void dispatch(Event& ev);
   [[noreturn]] void report_deadlock() const;
 

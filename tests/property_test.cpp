@@ -379,10 +379,10 @@ class SchedPolicyProperty : public ::testing::TestWithParam<SchedPolicyCase> {
   struct Run {
     std::map<std::int64_t, int> hits;
     sim::Time end_time = 0;
-    std::uint64_t digest = 0;
+    sim::Engine::Stats stats;
   };
 
-  Run run_once() {
+  Run run_once(bool racecheck = false) {
     const auto [policy, seed] = GetParam();
     core::StackConfig cfg;
     cfg.machine = "phi";
@@ -391,6 +391,7 @@ class SchedPolicyProperty : public ::testing::TestWithParam<SchedPolicyCase> {
     cfg.app_static_bytes = 0;
     cfg.sched.policy = policy;
     cfg.sched.seed = seed;
+    cfg.racecheck = racecheck;
     auto stack = core::Stack::create(cfg);
     Run run;
     stack->run_omp_app([&](komp::Runtime& rt) {
@@ -408,7 +409,7 @@ class SchedPolicyProperty : public ::testing::TestWithParam<SchedPolicyCase> {
       return 0;
     });
     run.end_time = stack->engine().now();
-    run.digest = stack->engine().stats().dispatch_digest;
+    run.stats = stack->engine().stats();
     return run;
   }
 };
@@ -424,7 +425,21 @@ TEST_P(SchedPolicyProperty, SameSeedSameDispatchDigest) {
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.stats.dispatch_digest, b.stats.dispatch_digest);
+}
+
+// An attached race checker sends every wake through the queue, so the
+// race-checked run is the reference for sleep_for's run-ahead.
+TEST_P(SchedPolicyProperty, RunAheadMatchesTheQueuePath) {
+  const auto plain = run_once();
+  const auto queued = run_once(/*racecheck=*/true);
+  EXPECT_EQ(plain.end_time, queued.end_time);
+  EXPECT_EQ(plain.stats.dispatch_digest, queued.stats.dispatch_digest);
+  EXPECT_EQ(plain.stats.events_dispatched, queued.stats.events_dispatched);
+  EXPECT_EQ(plain.stats.peak_queue_depth, queued.stats.peak_queue_depth);
+  EXPECT_EQ(plain.stats.stale_wakes, queued.stats.stale_wakes);
+  EXPECT_GT(plain.stats.run_ahead, 0u);
+  EXPECT_EQ(queued.stats.run_ahead, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -314,6 +315,85 @@ TEST(Engine, StatsCountEventsThreadsAndStaleWakes) {
   EXPECT_EQ(s.stale_wakes, 1u);       // the t=100 token
   EXPECT_GE(s.events_dispatched, 4u); // start, post, wake, sleep-wake, stale
   EXPECT_GE(s.peak_queue_depth, 1u);
+}
+
+}  // namespace
+}  // namespace kop::sim
+
+// Run-ahead: a sleep_for() whose wake is strictly earlier than every
+// queued event is dispatched in place.  This program walks every branch
+// of that decision; its digest and stats were recorded when every wake
+// still went through the queue, under each policy.
+namespace kop::sim {
+namespace {
+
+struct RunAheadOutcome {
+  Engine::Stats stats;
+  Time end = 0;
+};
+
+RunAheadOutcome run_ahead_program(SchedPolicy policy) {
+  Engine eng(5, {policy, 11});
+  SimThread* solo = nullptr;
+  std::vector<SimThread*> lockstep;
+  for (int i = 0; i < 2; ++i) {
+    lockstep.push_back(eng.spawn("lockstep" + std::to_string(i), [&eng] {
+      // Equal periods: every wake ties or trails the other's.
+      for (int k = 0; k < 48; ++k) eng.sleep_for(25);
+    }));
+  }
+  solo = eng.spawn("solo", [&] {
+    // A lone sleeper: nothing is queued at all.
+    for (int i = 0; i < 4; ++i) eng.sleep_for(10);
+    for (SimThread* t : lockstep) eng.wake_at(t, 1000);
+    eng.post_in(100, [&] { eng.wake(solo); });  // a callback wakes a block()
+    eng.post_in(200, [] {});
+    eng.post_in(300, [] {});
+    // Strictly before the top: the in-place dispatch sets the peak depth
+    // (nothing queued later gets this deep).
+    eng.sleep_for(60);
+    eng.yield_now();  // nothing else at this instant: runs ahead too
+    eng.block();
+    eng.sleep_for(100);  // ties the t=240 timer: takes the queue
+    // A stale token: the sleep leaves the block() the token targets.
+    const WakeToken tok = eng.arm_wake_token();
+    eng.wake_token_at(tok, eng.now() + 50);
+    eng.sleep_for(20);
+    eng.sleep_for(800);  // past the lock-step wakes at t=1000
+    // Interleave with the lock-step pair: some sleeps run ahead of
+    // their next wake, others queue behind it.
+    for (int i = 0; i < 16; ++i) eng.sleep_for(7);
+  });
+  eng.wake(solo);
+  eng.run();
+  return {eng.stats(), eng.now()};
+}
+
+TEST(Engine, RunAheadKeepsOrderAndStats) {
+  struct Expected {
+    SchedPolicy policy;
+    std::uint64_t digest;
+    std::uint64_t events;
+    std::size_t peak;
+    std::uint64_t stale;
+    Time end;
+    std::uint64_t run_ahead;  // the only field the queue-only engine lacked
+  };
+  const Expected cases[] = {
+      {SchedPolicy::kFifo, 0xb1fdb2f6f4f3b53cULL, 129, 6, 1, 2200, 19},
+      {SchedPolicy::kRandom, 0x36c765a810f4cc1aULL, 129, 6, 1, 2200, 18},
+      {SchedPolicy::kPct, 0x12054148757ef334ULL, 129, 6, 1, 2200, 19},
+  };
+  for (const Expected& want : cases) {
+    SCOPED_TRACE(sched_policy_name(want.policy));
+    const RunAheadOutcome got = run_ahead_program(want.policy);
+    EXPECT_EQ(got.stats.dispatch_digest, want.digest);
+    EXPECT_EQ(got.stats.events_dispatched, want.events);
+    EXPECT_EQ(got.stats.peak_queue_depth, want.peak);
+    EXPECT_EQ(got.stats.stale_wakes, want.stale);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.stats.run_ahead, want.run_ahead);
+  }
 }
 
 }  // namespace
