@@ -43,7 +43,7 @@ double barrier_cost_us(komp::RuntimeTuning::BarrierAlgo algo, int threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   std::printf("== Ablation: barrier algorithm (centralized vs tree) ==\n");
@@ -78,4 +78,6 @@ int main(int argc, char** argv) {
   std::printf("Expected: the tree wins increasingly with thread count\n"
               "(libomp defaults to a hyper barrier for the same reason).\n");
   return 0;
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -44,7 +44,7 @@ double run(pik::GangScheduler::Policy policy, int threads, int rounds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   std::printf("== Ablation: gang vs uncoordinated scheduling of a PIK "
@@ -84,4 +84,6 @@ int main(int argc, char** argv) {
               "pay extra at every barrier, worst for fine-grained rounds --\n"
               "why the PIK process abstraction supports gang scheduling.\n");
   return 0;
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -39,7 +39,7 @@ harness::jobs::PointSpec point(const nas::BenchmarkSpec& spec, int threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Strip this binary's flags before handing the rest to the shared
   // figure-option parser.
   NumaFlags numa;
@@ -119,4 +119,6 @@ int main(int argc, char** argv) {
   std::printf("Expected: parity within one socket (24 CPUs), growing\n"
               "first-touch advantage at 2-8 sockets.\n");
   return harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

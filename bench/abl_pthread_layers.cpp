@@ -27,7 +27,7 @@ harness::jobs::PointSpec point(bool use_pte, int threads, bool quick) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   std::printf("== Ablation: PTE pthread port (Fig. 2a) vs customized "
@@ -70,4 +70,6 @@ int main(int argc, char** argv) {
   std::printf("Expected: the layered port is measurably slower on every\n"
               "construct; this is why §3.3 revisited the implementation.\n");
   return harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -10,7 +10,7 @@
 
 using namespace kop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   std::printf("== Ablation: red-zone strategies ==\n\n");
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
               "is about *who* pays (every function vs the interrupt path),\n"
               "matching the paper's design discussion.\n");
   return harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -7,7 +7,7 @@
 #include "harness/metrics.hpp"
 #include "harness/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using kop::harness::Table;
 
   const auto opts = kop::harness::parse_fig_options(argc, argv);
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
   benefits.add_row({"Automatic parallelization", "no", "no", "yes"});
   std::printf("%s", benefits.to_string().c_str());
   return 0;
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -7,7 +7,7 @@
 
 #include "harness/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = kop::harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   // The sweep definition is shared with kop_baseline so a saved cache
@@ -20,4 +20,6 @@ int main(int argc, char** argv) {
                  .c_str(),
              stdout);
   return kop::harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -7,7 +7,7 @@
 
 #include "harness/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = kop::harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   auto suite = kop::harness::scale_suite(kop::nas::cck_suite(),
@@ -26,4 +26,6 @@ int main(int argc, char** argv) {
   std::printf("IS-C is elided: AutoMP extracts no parallelism from it "
               "(every loop needs object privatization).\n");
   return kop::harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -6,7 +6,7 @@
 
 #include "harness/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto opts = kop::harness::parse_fig_options(argc, argv);
   if (!opts.ok) return 2;
   auto suite = kop::harness::scale_suite(kop::nas::paper_suite(),
@@ -23,4 +23,6 @@ int main(int argc, char** argv) {
                  .c_str(),
              stdout);
   return kop::harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -142,7 +142,7 @@ std::string bench_json(std::uint64_t flat_remote_phi,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --bench-json is specific to this binary: strip it before handing
   // the rest to the shared figure-option parser.
   std::string bench_path;
@@ -294,4 +294,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", bench_path.c_str());
   }
   return harness::finish_figure(opts, sink);
+} catch (const std::exception& e) {
+  return kop::harness::fail_figure(e);
 }

@@ -9,8 +9,7 @@
 //   kop_client --coord <addr> --wait-drained [--timeout-ms T | --timeout S]
 //   kop_client --coord <addr> --shutdown
 //
-// <addr> is a unix socket path or host:port; --socket is an equivalent
-// legacy spelling of --coord.
+// <addr> is a unix socket path or host:port.
 //
 // --get prints the kop-metrics v1 entry document on stdout and exits 0.
 // A known-but-unfinished point exits 2 (stderr says queued/leased); a
@@ -56,7 +55,6 @@ int usage(const char* argv0) {
       "          --get-file <list> [--out-dir <dir>] | --stats |\n"
       "          --wait-drained [--timeout-ms T | --timeout S] | --shutdown)\n"
       "  --coord <addr>     coordinator: unix socket path or host:port\n"
-      "  --socket <addr>    alias for --coord\n"
       "  --get <hash>       fetch one point's cached entry by content hash\n"
       "                     (exit 0 HIT, 2 PENDING/COMPLETE, 3 UNKNOWN)\n"
       "  --get-token <tok>  same, addressed by a propcheck replay token\n"
@@ -186,7 +184,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if ((arg == "--coord" || arg == "--socket") && i + 1 < argc) {
+    if (arg == "--coord" && i + 1 < argc) {
       coord_addr = argv[++i];
     } else if (arg == "--get" && i + 1 < argc) {
       get_hash = argv[++i];

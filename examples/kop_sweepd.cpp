@@ -7,8 +7,7 @@
 //              [--exit-when-drained] [--manifest <out>]
 //   kop_sweepd --dump-journal <file> [--verify]
 //
-// <addr> is a unix socket path (one box) or host:port (multi-box TCP);
-// --socket remains as an alias that always means a unix path.
+// <addr> is a unix socket path (one box) or host:port (multi-box TCP).
 //
 // The sweep manifest is a list of propcheck replay tokens, either read
 // from a file (one per line, `#` comments) or drawn from the seeded
@@ -23,11 +22,14 @@
 // and at startup every already-cached point is marked complete, so a
 // restarted coordinator re-dispatches exactly the unfinished work.
 //
-// With --journal every lease-table transition is appended to a
-// checksummed crash ledger; a restart on the same journal replays back
-// to the exact table (in-flight leases come back as queued points, not
-// lost work) before the cache sync runs.  --dump-journal pretty-prints
-// a journal offline; --verify makes it a silent checksum pass.
+// With --journal every point registration and completion is appended
+// to a checksummed crash ledger; a restart on the same journal replays
+// it before the cache sync runs: every registered point comes back
+// (worker-enumerated ones included), the completed ones complete and
+// the rest queued.  A restart ends every worker session, so restart the
+// workers too; completed points are not re-run.  --dump-journal
+// pretty-prints a journal offline; --verify makes it a silent checksum
+// pass.
 //
 // --manifest writes the sweep's coverage manifest
 // (harness::jobs::manifest_text); after the sweep, `kop_merge --expect
@@ -68,10 +70,10 @@ int usage(const char* argv0) {
       "          [--exit-when-drained] [--manifest <out>]\n"
       "       %s --dump-journal <file> [--verify]\n"
       "  --listen <addr>      unix socket path or host:port to listen on\n"
-      "  --socket <path>      alias for --listen, always a unix path\n"
       "  --cache-dir <dir>    result cache backing GET and warm restarts\n"
       "  --journal <file>     append-only crash ledger; a restart on the\n"
-      "                       same file resumes the exact lease table\n"
+      "                       same file keeps every registered point and\n"
+      "                       every completion\n"
       "  --points <file>      sweep manifest: propcheck tokens, one per line\n"
       "  --gen-seed S         draw the manifest from the seeded propcheck\n"
       "  --gen-count N        generator instead (deterministic per S,N)\n"
@@ -123,30 +125,9 @@ int dump_journal(const std::string& path, bool verify_only) {
                     line_no, offset, coord::to_hex16(rec.hash).c_str(),
                     rec.entry.c_str(), rec.label.c_str());
         break;
-      case coord::JournalRecord::Type::kGrant:
-        std::printf("%6zu @%-8zu GRANT    lease=%llu point=%s worker=%s "
-                    "expires=%lld\n",
-                    line_no, offset,
-                    static_cast<unsigned long long>(rec.lease_id),
-                    coord::to_hex16(rec.hash).c_str(), rec.worker.c_str(),
-                    static_cast<long long>(rec.expires_ms));
-        break;
-      case coord::JournalRecord::Type::kRenew:
-        std::printf("%6zu @%-8zu RENEW    lease=%llu expires=%lld\n", line_no,
-                    offset, static_cast<unsigned long long>(rec.lease_id),
-                    static_cast<long long>(rec.expires_ms));
-        break;
       case coord::JournalRecord::Type::kDone:
         std::printf("%6zu @%-8zu DONE     point=%s\n", line_no, offset,
                     coord::to_hex16(rec.hash).c_str());
-        break;
-      case coord::JournalRecord::Type::kReclaim:
-        std::printf("%6zu @%-8zu RECLAIM  point=%s\n", line_no, offset,
-                    coord::to_hex16(rec.hash).c_str());
-        break;
-      case coord::JournalRecord::Type::kSeq:
-        std::printf("%6zu @%-8zu SEQ      next-lease=%llu\n", line_no, offset,
-                    static_cast<unsigned long long>(rec.lease_id));
         break;
     }
   }
@@ -161,7 +142,6 @@ int main(int argc, char** argv) {
   std::string listen_addr, cache_dir, points_path, manifest_path;
   std::string journal_path, dump_path;
   bool dump_verify = false;
-  bool listen_is_unix_alias = false;
   std::uint64_t gen_seed = 0;
   int gen_count = 0;
   coord::CoordinatorOptions copt;
@@ -171,10 +151,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--listen" && i + 1 < argc) {
       listen_addr = argv[++i];
-      listen_is_unix_alias = false;
-    } else if (arg == "--socket" && i + 1 < argc) {
-      listen_addr = argv[++i];
-      listen_is_unix_alias = true;
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache_dir = argv[++i];
     } else if (arg == "--journal" && i + 1 < argc) {
@@ -284,8 +260,9 @@ int main(int argc, char** argv) {
   coord::Coordinator coordinator(copt, std::move(probe));
 
   // Journal recovery runs before the manifest pass: the ledger is the
-  // authoritative record of the previous incarnation's lease table
-  // (including worker-enumerated points the manifest does not know).
+  // authoritative record of the previous incarnation's points and
+  // completions (including worker-enumerated points the manifest does
+  // not know).
   std::unique_ptr<coord::Journal> journal;
   if (!journal_path.empty()) {
     coord::ReplayStats replay;
@@ -301,12 +278,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     coordinator.attach_journal(journal.get());
-    const std::size_t requeued = coordinator.requeue_live_leases();
     if (replay.records > 0 || replay.truncated_bytes > 0) {
       std::fprintf(stderr,
-                   "[sweepd] journal %s: replayed %zu record(s), re-queued "
-                   "%zu in-flight lease(s)%s\n",
-                   journal_path.c_str(), replay.records, requeued,
+                   "[sweepd] journal %s: replayed %zu record(s), %zu of %zu "
+                   "point(s) complete%s\n",
+                   journal_path.c_str(), replay.records,
+                   coordinator.leases().complete(),
+                   coordinator.leases().total(),
                    replay.truncated_bytes > 0 ? " (torn tail dropped)" : "");
     }
   }
@@ -316,11 +294,7 @@ int main(int argc, char** argv) {
   if (journal != nullptr) journal->commit();
 
   try {
-    if (listen_is_unix_alias) {
-      sopt.socket_path = listen_addr;
-    } else {
-      sopt.address = listen_addr;
-    }
+    sopt.address = listen_addr;
     coord::Server server(&coordinator, sopt);
     g_server = &server;
     std::signal(SIGINT, on_signal);

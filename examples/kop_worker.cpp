@@ -4,8 +4,7 @@
 //              [--max-points N] [--idle-wait-ms W] [--crash-after N]
 //
 // <addr> is a unix socket path (same box as the daemon) or host:port
-// (kop_sweepd --listen over TCP); --socket is an equivalent legacy
-// spelling of --coord.
+// (kop_sweepd --listen over TCP).
 //
 // Each GRANT carries a propcheck replay token; the worker materializes
 // the PointSpec, simulates it (or takes a warm cache hit), stores the
@@ -45,7 +44,6 @@ int usage(const char* argv0) {
       "usage: %s --coord <addr> --cache-dir <dir> [--worker <id>]\n"
       "          [--max-points N] [--idle-wait-ms W] [--crash-after N]\n"
       "  --coord <addr>     kop_sweepd address: unix socket path or host:port\n"
-      "  --socket <addr>    alias for --coord\n"
       "  --cache-dir <dir>  this worker's result cache (merge with kop_merge)\n"
       "  --worker <id>      worker name (default <hostname>:<pid>)\n"
       "  --max-points N     stop after completing N points\n"
@@ -63,7 +61,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if ((arg == "--coord" || arg == "--socket") && i + 1 < argc) {
+    if (arg == "--coord" && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache_dir = argv[++i];

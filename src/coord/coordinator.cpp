@@ -5,8 +5,7 @@
 namespace kop::coord {
 
 Coordinator::Coordinator(CoordinatorOptions opt, CacheProbe probe)
-    : opt_(opt),
-      probe_(std::move(probe)),
+    : probe_(std::move(probe)),
       table_(opt.lease_ttl_ms),
       liveness_(opt.liveness) {}
 
@@ -44,62 +43,29 @@ void Coordinator::tick(std::int64_t now_ms) {
     const auto reclaimed = table_.reclaim_worker(worker);
     counters_.add("leases_reclaimed_dead", reclaimed.size());
     counters_.add("points_requeued", reclaimed.size());
-    journal_reclaims(reclaimed);
   }
   const auto expired = table_.reclaim_expired(now_ms);
   counters_.add("leases_expired", expired.size());
   counters_.add("points_requeued", expired.size());
-  journal_reclaims(expired);
-  if (journal_ != nullptr) {
-    // Group commit: one write+fsync per poll round covers every record
-    // the round produced.  An unflushed GRANT replays as still-queued
-    // (the eventual DONE resolves OK-STALE); an unflushed DONE re-runs
-    // one deterministic point -- both safe, so durability can batch.
-    if (journal_->appended_since_compact() >= opt_.journal_compact_after) {
-      journal_->compact(snapshot_records());
-      counters_.add("journal_compactions");
-    } else {
-      journal_->commit();
-    }
-  }
+  // Group commit: one write+fsync per poll round covers every record
+  // the round produced.  An unflushed R is re-sent by the point's
+  // owner; an unflushed D re-runs one deterministic point -- both safe,
+  // so durability can batch.
+  if (journal_ != nullptr) journal_->commit();
 }
 
 void Coordinator::attach_journal(Journal* journal) { journal_ = journal; }
-
-void Coordinator::journal_grant(const Lease& lease) {
-  if (journal_ == nullptr) return;
-  JournalRecord rec;
-  rec.type = JournalRecord::Type::kGrant;
-  rec.lease_id = lease.id;
-  rec.hash = lease.point;
-  rec.worker = lease.worker;
-  rec.expires_ms = lease.expires_ms;
-  journal_->append(rec);
-}
-
-void Coordinator::journal_done(std::uint64_t hash) {
-  if (journal_ == nullptr) return;
-  JournalRecord rec;
-  rec.type = JournalRecord::Type::kDone;
-  rec.hash = hash;
-  journal_->append(rec);
-}
-
-void Coordinator::journal_reclaims(const std::vector<std::uint64_t>& hashes) {
-  if (journal_ == nullptr) return;
-  for (std::uint64_t hash : hashes) {
-    JournalRecord rec;
-    rec.type = JournalRecord::Type::kReclaim;
-    rec.hash = hash;
-    journal_->append(rec);
-  }
-}
 
 void Coordinator::complete_point(std::uint64_t hash) {
   if (table_.point_info(hash) == nullptr) return;
   if (table_.point_state(hash) == PointState::kComplete) return;
   table_.mark_complete(hash);
-  journal_done(hash);
+  if (journal_ != nullptr) {
+    JournalRecord rec;
+    rec.type = JournalRecord::Type::kDone;
+    rec.hash = hash;
+    journal_->append(rec);
+  }
 }
 
 bool Coordinator::apply_record(const JournalRecord& rec) {
@@ -113,18 +79,8 @@ bool Coordinator::apply_record(const JournalRecord& rec) {
       table_.add_point(std::move(info));
       return true;
     }
-    case JournalRecord::Type::kGrant:
-      return table_.restore_grant(rec.lease_id, rec.hash, rec.worker,
-                                  rec.expires_ms);
-    case JournalRecord::Type::kRenew:
-      return table_.restore_renew(rec.lease_id, rec.expires_ms);
     case JournalRecord::Type::kDone:
       return table_.mark_complete(rec.hash);
-    case JournalRecord::Type::kReclaim:
-      return table_.reclaim_point(rec.hash);
-    case JournalRecord::Type::kSeq:
-      table_.restore_next_lease_id(rec.lease_id);
-      return true;
   }
   return false;
 }
@@ -156,58 +112,6 @@ bool Coordinator::recover_from_journal(const std::string& path,
   }
   counters_.add("journal_records_replayed", index);
   return true;
-}
-
-std::size_t Coordinator::requeue_live_leases() {
-  const auto requeued = table_.reclaim_all();
-  counters_.add("journal_leases_requeued", requeued.size());
-  counters_.add("points_requeued", requeued.size());
-  journal_reclaims(requeued);
-  if (journal_ != nullptr) journal_->commit();
-  return requeued.size();
-}
-
-std::vector<JournalRecord> Coordinator::snapshot_records() const {
-  std::vector<JournalRecord> out;
-  JournalRecord seq;
-  seq.type = JournalRecord::Type::kSeq;
-  seq.lease_id = table_.next_lease_id();
-  out.push_back(seq);
-  auto push_register = [&](std::uint64_t hash) {
-    const PointInfo* info = table_.point_info(hash);
-    JournalRecord rec;
-    rec.type = JournalRecord::Type::kRegister;
-    rec.hash = hash;
-    rec.entry = info->entry;
-    rec.payload = info->payload;
-    rec.label = info->label;
-    out.push_back(rec);
-  };
-  // R records replay back into queue insertions, so queued points go
-  // first *in queue order*; leased/complete points follow and are
-  // removed from the replayed queue by their G/D records.
-  for (std::uint64_t hash : table_.queued_hashes()) push_register(hash);
-  for (std::uint64_t hash : table_.point_hashes()) {
-    if (table_.point_state(hash) != PointState::kQueued) push_register(hash);
-  }
-  for (const Lease& lease : table_.live_leases()) {
-    JournalRecord rec;
-    rec.type = JournalRecord::Type::kGrant;
-    rec.lease_id = lease.id;
-    rec.hash = lease.point;
-    rec.worker = lease.worker;
-    rec.expires_ms = lease.expires_ms;
-    out.push_back(rec);
-  }
-  for (std::uint64_t hash : table_.point_hashes()) {
-    if (table_.point_state(hash) == PointState::kComplete) {
-      JournalRecord rec;
-      rec.type = JournalRecord::Type::kDone;
-      rec.hash = hash;
-      out.push_back(rec);
-    }
-  }
-  return out;
 }
 
 bool Coordinator::admit(const Request& r, std::int64_t now_ms,
@@ -244,7 +148,6 @@ std::string Coordinator::on_next(const Request& r, std::int64_t now_ms) {
   switch (table_.grant_next(r.worker, now_ms, &lease)) {
     case GrantOutcome::kGranted: {
       counters_.add("leases_granted");
-      journal_grant(lease);
       const PointInfo* info = table_.point_info(lease.point);
       const std::string payload =
           info != nullptr && !info->payload.empty() ? info->payload : "-";
@@ -263,7 +166,8 @@ std::string Coordinator::on_lease(const Request& r, std::int64_t now_ms) {
   std::string reply;
   if (!admit(r, now_ms, &reply)) return reply;
   if (table_.point_info(r.hash) == nullptr) {
-    if (!opt_.accept_unknown_points) return "UNKNOWN";
+    // Worker-enumerated sweep: the figure binary knows the matrix and
+    // the coordinator only arbitrates, so LEASE registers the point.
     PointInfo info;
     info.hash = r.hash;
     info.entry = r.entry;
@@ -273,7 +177,6 @@ std::string Coordinator::on_lease(const Request& r, std::int64_t now_ms) {
   switch (table_.grant(r.hash, r.worker, now_ms, &lease)) {
     case GrantOutcome::kGranted:
       counters_.add("leases_granted");
-      journal_grant(lease);
       return "GRANT " + to_hex16(r.hash) + " " + to_hex16(lease.id) + " " +
              std::to_string(table_.ttl_ms()) + " -";
     case GrantOutcome::kTaken:
@@ -290,17 +193,9 @@ std::string Coordinator::on_renew(const Request& r, std::int64_t now_ms) {
   std::string reply;
   if (!admit(r, now_ms, &reply)) return reply;
   switch (table_.renew(r.lease_id, now_ms)) {
-    case RenewOutcome::kOk: {
+    case RenewOutcome::kOk:
       counters_.add("leases_renewed");
-      if (journal_ != nullptr) {
-        JournalRecord rec;
-        rec.type = JournalRecord::Type::kRenew;
-        rec.lease_id = r.lease_id;
-        rec.expires_ms = now_ms + table_.ttl_ms();
-        journal_->append(rec);
-      }
       return "OK " + std::to_string(table_.ttl_ms());
-    }
     case RenewOutcome::kExpired:
       counters_.add("renewals_lost");
       return "EXPIRED";
@@ -315,31 +210,21 @@ std::string Coordinator::on_done(const Request& r, std::int64_t now_ms) {
   // is on disk, content-addressed).  Refresh liveness only if the
   // incarnation is not dead.
   liveness_.heartbeat(r.worker, now_ms);
-  // The journal records completion by *point*; grab the lease's
-  // authoritative point hash before complete() erases the lease.
-  const Lease* live = table_.lease_by_id(r.lease_id);
-  const std::uint64_t lease_point = live != nullptr ? live->point : 0;
-  switch (table_.complete(r.lease_id)) {
-    case CompleteOutcome::kOk:
-      counters_.add("completions");
-      journal_done(lease_point);
-      return "OK";
-    case CompleteOutcome::kUnknown:
-      return "UNKNOWN";
-    default:
-      break;
-  }
-  // The lease is gone (expired + reclaimed, maybe re-granted).  Resolve
-  // by point: an incomplete point still gets its completion -- dropping
-  // a finished, deterministic, content-addressed result would only
-  // force a redundant re-run by whoever holds the re-granted lease.
   if (table_.point_info(r.hash) == nullptr) return "UNKNOWN";
   if (table_.point_state(r.hash) == PointState::kComplete) {
     counters_.add("completions_dup");
     return "DUP";
   }
+  // OK only for the live lease on the named point.  Anything else -- a
+  // lease that expired and was reclaimed (maybe re-granted), or an id
+  // on another point -- resolves by point: an incomplete point still
+  // gets its completion, since dropping a finished, deterministic,
+  // content-addressed result would only force a redundant re-run.
+  const Lease* live = table_.lease_by_id(r.lease_id);
+  const bool own_lease = live != nullptr && live->point == r.hash;
   complete_point(r.hash);
   counters_.add("completions");
+  if (own_lease) return "OK";
   counters_.add("completions_stale_lease");
   return "OK-STALE";
 }
@@ -412,7 +297,6 @@ std::string Coordinator::handle_line(const std::string& line,
       const auto reclaimed = table_.reclaim_worker(r.worker);
       counters_.add("leases_released_bye", reclaimed.size());
       counters_.add("points_requeued", reclaimed.size());
-      journal_reclaims(reclaimed);
       return "OK";
     }
     case Request::Verb::kGet:

@@ -22,14 +22,17 @@
 // incomplete (the simulation is deterministic, the entry is
 // content-addressed -- the result is the result) and counted as
 // `completions_stale_lease`; completions for already-complete points
-// change nothing (`completions_dup`).  kop_merge's coverage manifest
-// is the end-to-end proof: every expected entry present exactly once.
+// change nothing (`completions_dup`).  A DONE completes by lease id
+// only when that lease is live on the hash the DONE names; any other
+// DONE resolves by the named point, so a lease id reused after a
+// journal replay can never complete the wrong point.  kop_merge's
+// coverage manifest is the end-to-end proof: every expected entry
+// present exactly once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "coord/journal.hpp"
 #include "coord/lease.hpp"
@@ -42,13 +45,6 @@ namespace kop::coord {
 struct CoordinatorOptions {
   LivenessOptions liveness;
   std::int64_t lease_ttl_ms = 5000;
-  /// LEASE on a hash that is not in the manifest registers the point on
-  /// the fly (worker-enumerated sweeps, where the figure binary knows
-  /// the matrix and the coordinator only arbitrates).  Off: UNKNOWN.
-  bool accept_unknown_points = true;
-  /// Journal records appended since the last compaction before tick()
-  /// rewrites the file down to the canonical snapshot.
-  std::size_t journal_compact_after = 65536;
 };
 
 /// Injected cache lookup: return true and fill *doc with the validated
@@ -74,31 +70,17 @@ class Coordinator {
   std::size_t sync_with_cache();
 
   /// Attach the crash journal (non-owning; may be null to detach).
-  /// Every lease-table transition from here on is appended; tick()
-  /// group-commits and compacts.  Attach *after* recover_from_journal
-  /// and the initial add_point/sync_with_cache pass -- recovery must
-  /// not re-journal what it replays.
+  /// Every registration and completion from here on is appended;
+  /// tick() group-commits.  Attach *after* recover_from_journal --
+  /// recovery must not re-journal what it replays.
   void attach_journal(Journal* journal);
 
   /// Replay a journal file into this (fresh) coordinator.  On success
-  /// the lease table -- queue order, live leases, id counter -- matches
-  /// the table the writing daemon last committed.  False on corruption
-  /// (*error names the offending line).  Call requeue_live_leases()
-  /// afterwards to turn the dead daemon's in-flight leases back into
-  /// queued points.
+  /// the table is the restart table: every registered point, the
+  /// completed ones complete, the rest queued in registration order,
+  /// no leases.  False on corruption (*error names the offending line).
   bool recover_from_journal(const std::string& path, ReplayStats* stats,
                             std::string* error);
-
-  /// Restart semantics: every live lease belongs to a worker that can
-  /// no longer renew against this process, so requeue them all (journaled
-  /// as reclaims).  Returns how many were requeued.
-  std::size_t requeue_live_leases();
-
-  /// The canonical compacted form of the current table: S, then R for
-  /// every point (queued ones first, in queue order), then G for live
-  /// leases, then D for completed points.  Replaying these records into
-  /// an empty coordinator reproduces debug_state() exactly.
-  std::vector<JournalRecord> snapshot_records() const;
 
   /// The lease table rendered for state-equality checks (tests, the
   /// journal-replay propcheck invariant).
@@ -138,15 +120,10 @@ class Coordinator {
   /// Heartbeat gate shared by worker-bearing verbs: returns false and
   /// fills *reply (NOHELLO / DEAD) when the request must be rejected.
   bool admit(const Request& r, std::int64_t now_ms, std::string* reply);
-  /// Journal one completed transition (no-op without a journal).
-  void journal_grant(const Lease& lease);
-  void journal_done(std::uint64_t hash);
-  void journal_reclaims(const std::vector<std::uint64_t>& hashes);
   /// mark_complete + journal, only when the state actually changed.
   void complete_point(std::uint64_t hash);
   bool apply_record(const JournalRecord& rec);
 
-  CoordinatorOptions opt_;
   CacheProbe probe_;
   LeaseTable table_;
   LivenessTracker liveness_;

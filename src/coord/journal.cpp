@@ -1,7 +1,6 @@
 #include "coord/journal.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "coord/proto.hpp"
 
@@ -82,29 +82,6 @@ bool unescape_field(const std::string& s, std::string* out) {
   return true;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-bool parse_i64(const std::string& s, std::int64_t* out) {
-  std::uint64_t v = 0;
-  if (s.size() > 1 && s[0] == '-') {
-    if (!parse_u64(s.substr(1), &v)) return false;
-    *out = -static_cast<std::int64_t>(v);
-    return true;
-  }
-  if (!parse_u64(s, &v)) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
 }  // namespace
 
 std::string encode_record(const JournalRecord& rec) {
@@ -114,22 +91,8 @@ std::string encode_record(const JournalRecord& rec) {
       body = "R " + to_hex16(rec.hash) + " " + escape_field(rec.entry) + " " +
              escape_field(rec.payload) + " " + escape_field(rec.label);
       break;
-    case JournalRecord::Type::kGrant:
-      body = "G " + to_hex16(rec.lease_id) + " " + to_hex16(rec.hash) + " " +
-             escape_field(rec.worker) + " " + std::to_string(rec.expires_ms);
-      break;
-    case JournalRecord::Type::kRenew:
-      body = "N " + to_hex16(rec.lease_id) + " " +
-             std::to_string(rec.expires_ms);
-      break;
     case JournalRecord::Type::kDone:
       body = "D " + to_hex16(rec.hash);
-      break;
-    case JournalRecord::Type::kReclaim:
-      body = "C " + to_hex16(rec.hash);
-      break;
-    case JournalRecord::Type::kSeq:
-      body = "S " + to_hex16(rec.lease_id);
       break;
   }
   return body + " !" + to_hex16(fnv1a64(body.data(), body.size()));
@@ -164,39 +127,11 @@ bool decode_record(const std::string& line, JournalRecord* out,
       }
       rec.type = JournalRecord::Type::kRegister;
       break;
-    case 'G':
-      if (t.size() != 5 || !parse_hex16(t[1], &rec.lease_id) ||
-          !parse_hex16(t[2], &rec.hash) ||
-          !unescape_field(t[3], &rec.worker) ||
-          !parse_i64(t[4], &rec.expires_ms)) {
-        return fail("malformed G record");
-      }
-      rec.type = JournalRecord::Type::kGrant;
-      break;
-    case 'N':
-      if (t.size() != 3 || !parse_hex16(t[1], &rec.lease_id) ||
-          !parse_i64(t[2], &rec.expires_ms)) {
-        return fail("malformed N record");
-      }
-      rec.type = JournalRecord::Type::kRenew;
-      break;
     case 'D':
       if (t.size() != 2 || !parse_hex16(t[1], &rec.hash)) {
         return fail("malformed D record");
       }
       rec.type = JournalRecord::Type::kDone;
-      break;
-    case 'C':
-      if (t.size() != 2 || !parse_hex16(t[1], &rec.hash)) {
-        return fail("malformed C record");
-      }
-      rec.type = JournalRecord::Type::kReclaim;
-      break;
-    case 'S':
-      if (t.size() != 2 || !parse_hex16(t[1], &rec.lease_id)) {
-        return fail("malformed S record");
-      }
-      rec.type = JournalRecord::Type::kSeq;
       break;
     default:
       return fail(std::string("unknown record type '") + t[0] + "'");
@@ -272,7 +207,6 @@ Journal::~Journal() {
 void Journal::append(const JournalRecord& rec) {
   pending_ += encode_record(rec);
   pending_ += '\n';
-  ++appended_;
 }
 
 void Journal::commit() {
@@ -293,48 +227,6 @@ void Journal::commit() {
     throw std::runtime_error("coord: journal fsync failed: " +
                              std::string(std::strerror(errno)));
   }
-}
-
-void Journal::compact(const std::vector<JournalRecord>& records) {
-  const std::string tmp = path_ + ".tmp";
-  const int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) {
-    throw std::runtime_error("coord: cannot open " + tmp + ": " +
-                             std::strerror(errno));
-  }
-  std::string out;
-  for (const JournalRecord& rec : records) {
-    out += encode_record(rec);
-    out += '\n';
-  }
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::write(tfd, out.data() + off, out.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(tfd);
-      throw std::runtime_error("coord: compaction write failed: " + err);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(tfd) != 0 || ::close(tfd) != 0) {
-    throw std::runtime_error("coord: compaction fsync failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw std::runtime_error("coord: compaction rename failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  // Re-open: the old fd still points at the replaced (unlinked) inode.
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("coord: cannot reopen journal " + path_ + ": " +
-                             std::strerror(errno));
-  }
-  pending_.clear();
-  appended_ = 0;
 }
 
 }  // namespace kop::coord

@@ -1,23 +1,22 @@
 // Append-only queue journal: the coordinator's crash ledger.
 //
-// PR 7's restart story recovered *completed* points only (whatever
-// sync_with_cache found on disk); everything mid-flight at the moment
-// the daemon died was silently re-enumerated from the manifest and, for
-// worker-enumerated sweeps, simply lost.  The journal closes that gap:
-// every state transition the LeaseTable makes is appended as one
-// checksummed text record, so a restarted daemon replays the file back
-// to the *exact* lease table it died with -- then requeues the leases
-// whose holders are gone (they cannot renew a daemon that restarted)
-// and carries on.
+// Without a journal a restarted daemon recovers *completed* points only
+// (whatever sync_with_cache finds on disk), and a worker-enumerated
+// sweep forgets every point a figure binary registered.  The journal
+// records exactly what survives a restart: which points exist, and
+// which of them are complete.  Leases do not survive -- every worker
+// session ends with the daemon process that granted it -- so a
+// restarted daemon replays the file into its restart table directly:
+// every registered point, the completed ones complete, the rest queued
+// in registration order.
 //
 // Record grammar (one record per '\n'-terminated line):
 //
 //   R <hash> <entry> <payload> <label> !<fnv16>     point registered
-//   G <lease-id> <hash> <worker> <expires-ms> !<fnv16>   lease granted
-//   N <lease-id> <expires-ms> !<fnv16>              lease renewed
 //   D <hash> !<fnv16>                               point complete
-//   C <hash> !<fnv16>                               lease reclaimed (requeue)
-//   S <next-lease-id> !<fnv16>                      id floor (compaction)
+//
+// A point is registered once and completed once, so a file holds at
+// most two records per point and never needs compacting.
 //
 // String fields are percent-escaped (space, '%', '!', control bytes) so
 // every record stays one space-tokenized line.  The checksum is FNV-1a
@@ -27,41 +26,32 @@
 // Durability model: append() buffers, commit() writes + fsyncs the
 // batch.  The Coordinator commits from tick(), i.e. once per poll
 // round, not per request -- group commit.  That is safe because every
-// record is *re-derivable loss*: an unflushed GRANT replays as a
-// still-queued point (the worker's DONE later resolves OK-STALE), an
-// unflushed DONE re-runs one deterministic, content-addressed point.
-// The journal buys exactness cheaply; it never needs to buy it
-// synchronously.
+// record is *re-derivable loss*: an unflushed R record is re-sent by
+// whoever owns the point (the manifest, or the figure binary's LEASE),
+// and an unflushed D record re-runs one deterministic,
+// content-addressed point.
 //
 // Torn tails: a crash mid-append leaves a final line without '\n' (or a
 // short one).  Replay tolerates exactly that -- trailing bytes with no
 // terminator are dropped and reported -- but a *terminated* record with
 // a bad checksum or unknown shape is a hard error: that is corruption,
 // not a crash artifact, and silently skipping it could resurrect a
-// wrong lease table.
-//
-// Compaction: the live table is re-expressible as (S, R..., G..., D...)
-// in canonical order; compact() atomically replaces the file
-// (tmp + fsync + rename) once enough history has accumulated.
+// wrong point set.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace kop::coord {
 
 struct JournalRecord {
-  enum class Type { kRegister, kGrant, kRenew, kDone, kReclaim, kSeq };
+  enum class Type { kRegister, kDone };
   Type type = Type::kRegister;
-  std::uint64_t hash = 0;       // R/G/D/C
-  std::uint64_t lease_id = 0;   // G/N; S: the next-lease-id floor
-  std::int64_t expires_ms = 0;  // G/N
-  std::string worker;           // G
-  std::string entry;            // R
-  std::string payload;          // R
-  std::string label;            // R
+  std::uint64_t hash = 0;
+  std::string entry;    // R
+  std::string payload;  // R
+  std::string label;    // R
 };
 
 /// One record as a journal line (no trailing '\n'), checksum included.
@@ -99,17 +89,10 @@ class Journal {
   void append(const JournalRecord& rec);
 
   /// Flush buffered records and fsync.  No-op when nothing is pending.
-  /// Throws std::runtime_error on write/fsync failure (a journal that
-  /// cannot persist is a daemon that must not keep promising leases).
+  /// Throws std::runtime_error on write/fsync failure (a daemon whose
+  /// journal cannot persist must not keep accepting work it would
+  /// forget).
   void commit();
-
-  /// Atomically replace the journal with `records` (tmp + fsync +
-  /// rename) and reset the append counter.  Pending appends are folded
-  /// in by the caller snapshotting *after* they were applied.
-  void compact(const std::vector<JournalRecord>& records);
-
-  /// Records appended since open/compaction -- the compaction trigger.
-  std::size_t appended_since_compact() const { return appended_; }
 
   const std::string& path() const { return path_; }
 
@@ -117,7 +100,6 @@ class Journal {
   std::string path_;
   int fd_ = -1;
   std::string pending_;
-  std::size_t appended_ = 0;
 };
 
 }  // namespace kop::coord

@@ -44,7 +44,6 @@ Lease* LeaseTable::issue(std::uint64_t hash, const std::string& worker,
   lease.expires_ms = now_ms + ttl_ms_;
   rec.state = PointState::kLeased;
   rec.lease_id = id;
-  ++rec.grants;
   return &lease;
 }
 
@@ -94,65 +93,14 @@ RenewOutcome LeaseTable::renew(std::uint64_t lease_id, std::int64_t now_ms) {
   return RenewOutcome::kOk;
 }
 
-CompleteOutcome LeaseTable::complete(std::uint64_t lease_id) {
-  const auto it = leases_.find(lease_id);
-  if (it != leases_.end()) {
-    const std::uint64_t hash = it->second.point;
-    leases_.erase(it);
-    PointRec& rec = points_.at(hash);
-    rec.state = PointState::kComplete;
-    rec.lease_id = 0;
-    ++complete_count_;
-    return CompleteOutcome::kOk;
-  }
-  // Stale lease id (reclaimed, maybe re-granted).  We cannot recover
-  // the point from the id alone once the lease is gone, so the caller
-  // (Coordinator) resolves stale completions by point hash instead.
-  return lease_id != 0 && lease_id < next_lease_id_
-             ? CompleteOutcome::kAlreadyComplete
-             : CompleteOutcome::kUnknown;
-}
-
-std::vector<std::uint64_t> LeaseTable::reclaim_expired(std::int64_t now_ms) {
+template <typename Pred>
+std::vector<std::uint64_t> LeaseTable::reclaim_if(Pred reclaim) {
   std::vector<std::uint64_t> reclaimed;
   for (auto it = leases_.begin(); it != leases_.end();) {
-    if (now_ms >= it->second.expires_ms) {
-      const std::uint64_t hash = it->second.point;
-      PointRec& rec = points_.at(hash);
-      rec.state = PointState::kQueued;
-      rec.lease_id = 0;
-      queue_.push_back(hash);
-      reclaimed.push_back(hash);
-      it = leases_.erase(it);
-    } else {
+    if (!reclaim(it->second)) {
       ++it;
+      continue;
     }
-  }
-  return reclaimed;
-}
-
-std::vector<std::uint64_t> LeaseTable::reclaim_worker(
-    const std::string& worker) {
-  std::vector<std::uint64_t> reclaimed;
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (it->second.worker == worker) {
-      const std::uint64_t hash = it->second.point;
-      PointRec& rec = points_.at(hash);
-      rec.state = PointState::kQueued;
-      rec.lease_id = 0;
-      queue_.push_back(hash);
-      reclaimed.push_back(hash);
-      it = leases_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return reclaimed;
-}
-
-std::vector<std::uint64_t> LeaseTable::reclaim_all() {
-  std::vector<std::uint64_t> reclaimed;
-  for (auto it = leases_.begin(); it != leases_.end();) {
     const std::uint64_t hash = it->second.point;
     PointRec& rec = points_.at(hash);
     rec.state = PointState::kQueued;
@@ -164,49 +112,15 @@ std::vector<std::uint64_t> LeaseTable::reclaim_all() {
   return reclaimed;
 }
 
-bool LeaseTable::reclaim_point(std::uint64_t hash) {
-  const auto it = points_.find(hash);
-  if (it == points_.end() || it->second.state != PointState::kLeased) {
-    return false;
-  }
-  leases_.erase(it->second.lease_id);
-  it->second.state = PointState::kQueued;
-  it->second.lease_id = 0;
-  queue_.push_back(hash);
-  return true;
+std::vector<std::uint64_t> LeaseTable::reclaim_expired(std::int64_t now_ms) {
+  return reclaim_if(
+      [now_ms](const Lease& lease) { return now_ms >= lease.expires_ms; });
 }
 
-bool LeaseTable::restore_grant(std::uint64_t id, std::uint64_t hash,
-                               const std::string& worker,
-                               std::int64_t expires_ms) {
-  const auto it = points_.find(hash);
-  if (id == 0 || it == points_.end() ||
-      it->second.state != PointState::kQueued ||
-      leases_.count(id) != 0) {
-    return false;
-  }
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), hash), queue_.end());
-  Lease& lease = leases_[id];
-  lease.id = id;
-  lease.point = hash;
-  lease.worker = worker;
-  lease.expires_ms = expires_ms;
-  it->second.state = PointState::kLeased;
-  it->second.lease_id = id;
-  ++it->second.grants;
-  if (id >= next_lease_id_) next_lease_id_ = id + 1;
-  return true;
-}
-
-bool LeaseTable::restore_renew(std::uint64_t id, std::int64_t expires_ms) {
-  const auto it = leases_.find(id);
-  if (it == leases_.end()) return false;
-  it->second.expires_ms = expires_ms;
-  return true;
-}
-
-void LeaseTable::restore_next_lease_id(std::uint64_t next) {
-  if (next > next_lease_id_) next_lease_id_ = next;
+std::vector<std::uint64_t> LeaseTable::reclaim_worker(
+    const std::string& worker) {
+  return reclaim_if(
+      [&worker](const Lease& lease) { return lease.worker == worker; });
 }
 
 PointState LeaseTable::point_state(std::uint64_t hash) const {
@@ -217,14 +131,6 @@ PointState LeaseTable::point_state(std::uint64_t hash) const {
 const PointInfo* LeaseTable::point_info(std::uint64_t hash) const {
   const auto it = points_.find(hash);
   return it == points_.end() ? nullptr : &it->second.info;
-}
-
-const Lease* LeaseTable::lease_of(std::uint64_t hash) const {
-  const auto it = points_.find(hash);
-  if (it == points_.end() || it->second.state != PointState::kLeased)
-    return nullptr;
-  const auto lit = leases_.find(it->second.lease_id);
-  return lit == leases_.end() ? nullptr : &lit->second;
 }
 
 std::vector<std::uint64_t> LeaseTable::point_hashes() const {
@@ -238,13 +144,6 @@ std::vector<std::uint64_t> LeaseTable::queued_hashes() const {
   return {queue_.begin(), queue_.end()};
 }
 
-std::vector<Lease> LeaseTable::live_leases() const {
-  std::vector<Lease> out;
-  out.reserve(leases_.size());
-  for (const auto& [id, lease] : leases_) out.push_back(lease);
-  return out;
-}
-
 const Lease* LeaseTable::lease_by_id(std::uint64_t id) const {
   const auto it = leases_.find(id);
   return it == leases_.end() ? nullptr : &it->second;
@@ -256,7 +155,8 @@ std::string LeaseTable::debug_dump() const {
   for (const auto& [hash, rec] : points_) {
     out += "point " + std::to_string(hash) + " " +
            state_names[static_cast<int>(rec.state)] + " entry=" +
-           rec.info.entry + " payload=" + rec.info.payload + "\n";
+           rec.info.entry + " payload=" + rec.info.payload +
+           " label=" + rec.info.label + "\n";
   }
   out += "queue";
   for (std::uint64_t hash : queue_) out += " " + std::to_string(hash);

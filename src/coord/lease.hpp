@@ -17,11 +17,11 @@
 //     ▲                  │
 //     └────reclaim───────┘   (TTL expired, or holder declared dead)
 //
-// Completion is accepted from a *stale* lease holder as long as the
-// point is still incomplete: the result already exists (deterministic
-// simulation, content-addressed entry), so dropping it would only force
-// a redundant re-run.  A completion for an already-complete point is
-// counted separately (`stale_completions`) and changes nothing.
+// Completion is by point, never by lease: the coordinator accepts a
+// completion from a *stale* lease holder as long as the point is still
+// incomplete -- the result already exists (deterministic simulation,
+// content-addressed entry), so dropping it would only force a redundant
+// re-run.  A completion for an already-complete point changes nothing.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,6 @@ struct Lease {
 
 enum class GrantOutcome { kGranted, kTaken, kComplete, kUnknown, kIdle };
 enum class RenewOutcome { kOk, kExpired, kUnknown };
-enum class CompleteOutcome { kOk, kOkStaleLease, kAlreadyComplete, kUnknown };
 
 class LeaseTable {
  public:
@@ -64,8 +63,9 @@ class LeaseTable {
   /// wins).  Returns true when the point is new.
   bool add_point(PointInfo info);
 
-  /// Mark a point complete out-of-band (warm cache at startup).  False
-  /// when the hash is unknown.
+  /// Mark a point complete, dropping its live lease if it has one (a
+  /// DONE, a warm cache entry, a replayed D record).  False when the
+  /// hash is unknown.
   bool mark_complete(std::uint64_t hash);
 
   /// Grant the next queued point (FIFO requeue order) to `worker`.
@@ -85,10 +85,6 @@ class LeaseTable {
   /// holder died" -- either way the renewal loses.
   RenewOutcome renew(std::uint64_t lease_id, std::int64_t now_ms);
 
-  /// Completion by lease id.  See the header comment for the stale
-  /// cases; kOk and kOkStaleLease both mark the point complete.
-  CompleteOutcome complete(std::uint64_t lease_id);
-
   /// Reclaim every lease whose expiry has passed; their points go back
   /// on the queue.  Returns the reclaimed point hashes.
   std::vector<std::uint64_t> reclaim_expired(std::int64_t now_ms);
@@ -97,45 +93,12 @@ class LeaseTable {
   /// BYE).  Returns the requeued point hashes.
   std::vector<std::uint64_t> reclaim_worker(const std::string& worker);
 
-  /// Reclaim every live lease unconditionally (daemon restart: the old
-  /// process's promises cannot be renewed against the new one).
-  /// Returns the requeued point hashes.
-  std::vector<std::uint64_t> reclaim_all();
-
-  /// Requeue the live lease on one specific point (journal C-record
-  /// replay).  False when the point is not currently leased.
-  bool reclaim_point(std::uint64_t hash);
-
-  // --- journal replay ---------------------------------------------------
-  // Replay applies recorded transitions verbatim instead of allocating
-  // fresh state, so a replayed table is bit-equal (debug_dump) to the
-  // live one the records were written from.
-
-  /// Re-issue a lease with its recorded id/holder/expiry.  Bumps the id
-  /// counter past `id`.  False when the point is unknown or not queued
-  /// (a journal that grants twice without an intervening reclaim is
-  /// corrupt).
-  bool restore_grant(std::uint64_t id, std::uint64_t hash,
-                     const std::string& worker, std::int64_t expires_ms);
-
-  /// Re-apply a recorded renewal's absolute expiry.  False when the
-  /// lease id is not live.
-  bool restore_renew(std::uint64_t id, std::int64_t expires_ms);
-
-  /// Floor the id counter (compacted journals carry an S record so
-  /// completed leases' ids are never reused for new grants -- a stale
-  /// DONE with a recycled id would complete the wrong point).
-  void restore_next_lease_id(std::uint64_t next);
-
   // --- queries ---------------------------------------------------------
   PointState point_state(std::uint64_t hash) const;
   const PointInfo* point_info(std::uint64_t hash) const;
-  /// The live lease on a point, or nullptr.
-  const Lease* lease_of(std::uint64_t hash) const;
   /// The live lease with this id, or nullptr (reclaimed/completed ids
   /// are gone -- the Coordinator resolves those by point hash).
   const Lease* lease_by_id(std::uint64_t id) const;
-  std::uint64_t next_lease_id() const { return next_lease_id_; }
   std::size_t total() const { return points_.size(); }
   std::size_t queued() const { return queue_.size(); }
   std::size_t leased() const { return leases_.size(); }
@@ -146,22 +109,24 @@ class LeaseTable {
   std::vector<std::uint64_t> point_hashes() const;
   /// Queued point hashes in grant (FIFO) order.
   std::vector<std::uint64_t> queued_hashes() const;
-  /// Every live lease, ascending by id.
-  std::vector<Lease> live_leases() const;
-  /// Canonical multi-line rendering of the whole table -- point states,
-  /// queue order, live leases, id counter.  Two tables that render the
-  /// same dispatch identically; journal-replay tests compare this.
+  /// Canonical multi-line rendering of the whole table -- point states
+  /// and identities, queue order, live leases, id counter.  Two tables
+  /// that render the same dispatch identically; journal-replay tests
+  /// compare this.
   std::string debug_dump() const;
 
  private:
   Lease* issue(std::uint64_t hash, const std::string& worker,
                std::int64_t now_ms);
+  /// Requeue every live lease `reclaim(lease)` selects; returns their
+  /// point hashes in lease-id order.
+  template <typename Pred>
+  std::vector<std::uint64_t> reclaim_if(Pred reclaim);
 
   struct PointRec {
     PointInfo info;
     PointState state = PointState::kQueued;
     std::uint64_t lease_id = 0;  // valid while kLeased
-    std::uint64_t grants = 0;    // times this point was handed out
   };
 
   std::int64_t ttl_ms_;

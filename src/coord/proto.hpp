@@ -84,9 +84,8 @@ std::string to_hex16(std::uint64_t v);
 ///   host:7641       -> tcp    (last ':' splits host from numeric port)
 ///   127.0.0.1:0     -> tcp    (port 0: kernel picks; Server reports it)
 ///
-/// The same parse backs `kop_sweepd --listen`, `--coord` everywhere, and
-/// the worker/client `--socket` flags, so every surface accepts every
-/// address form.
+/// The same parse backs `kop_sweepd --listen` and `--coord` everywhere,
+/// so every surface accepts every address form.
 struct Address {
   enum class Kind { kUnix, kTcp };
   Kind kind = Kind::kUnix;

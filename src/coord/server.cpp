@@ -107,16 +107,9 @@ void Server::bind_tcp(const std::string& host, int port) {
 
 Server::Server(Coordinator* coord, ServerOptions opt)
     : coord_(coord), opt_(std::move(opt)) {
-  const std::string& spec =
-      opt_.address.empty() ? opt_.socket_path : opt_.address;
   Address addr;
   std::string err;
-  if (opt_.address.empty()) {
-    // socket_path is the legacy flag: always a unix path, even one with
-    // a colon in its basename.
-    addr.kind = Address::Kind::kUnix;
-    addr.path = spec;
-  } else if (!parse_address(spec, &addr, &err)) {
+  if (!parse_address(opt_.address, &addr, &err)) {
     throw std::runtime_error("coord: " + err);
   }
   if (addr.kind == Address::Kind::kUnix) {

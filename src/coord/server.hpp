@@ -35,9 +35,6 @@ struct ServerOptions {
   /// Where to listen: a unix socket path or host:port (parse_address).
   /// TCP port 0 binds an ephemeral port; bound_address() reports it.
   std::string address;
-  /// Legacy alias for `address` (always treated as a unix path).  Used
-  /// only when `address` is empty.
-  std::string socket_path;
   /// Poll timeout between ticks.
   int poll_ms = 100;
   /// Exit the loop once the sweep is drained (CI smoke mode).  The

@@ -72,18 +72,44 @@ PointResult JobRunner::execute_one(const PointSpec& spec) {
   // A lease makes this worker the point's only executor; it is
   // reclaimable if this worker dies.  Completion is reported after the
   // result is in the cache, so a GET served as COMPLETE can always be
-  // answered from disk.
-  if (lease_ != nullptr && !lease_->try_acquire(spec)) {
-    PointResult skipped;
-    skipped.skipped = true;
+  // answered from disk.  A coordinator that goes away fails the point
+  // (require_ok names it) instead of throwing out of a pool thread.
+  auto lost_coordinator = [&](const std::exception& e) {
+    PointResult failed;
+    failed.failed = true;
+    failed.error = spec.label() + ": lost the coordinator: " + e.what();
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.skipped;
-    return skipped;
+    ++stats_.failures;
+    return failed;
+  };
+  try {
+    if (lease_ != nullptr && !lease_->try_acquire(spec)) {
+      PointResult skipped;
+      skipped.skipped = true;
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.skipped;
+      return skipped;
+    }
+  } catch (const std::exception& e) {
+    return lost_coordinator(e);
   }
+  PointResult result = load_or_simulate(spec);
+  if (lease_ != nullptr && !result.failed) {
+    // Outside the simulate retry: a DONE that fails must not re-run a
+    // point that is already stored.
+    try {
+      lease_->complete(spec);
+    } catch (const std::exception& e) {
+      return lost_coordinator(e);
+    }
+  }
+  return result;
+}
+
+PointResult JobRunner::load_or_simulate(const PointSpec& spec) {
   if (cache_ != nullptr) {
     PointResult cached;
     if (cache_->load(spec, &cached)) {
-      if (lease_ != nullptr) lease_->complete(spec);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.cache_hits;
       return cached;
@@ -101,10 +127,9 @@ PointResult JobRunner::execute_one(const PointSpec& spec) {
         ++stats_.executed;
         if (attempt > 0) ++stats_.retries;
       }
-      if (cache_ != nullptr) cache_->store(spec, result);
       // Store before DONE: once the coordinator calls the point
       // complete, the entry must already be on disk for GET to serve.
-      if (lease_ != nullptr) lease_->complete(spec);
+      if (cache_ != nullptr) cache_->store(spec, result);
       return result;
     } catch (const std::exception& e) {
       if (attempt == 0) {

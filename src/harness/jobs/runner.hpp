@@ -83,6 +83,8 @@ class JobRunner {
   /// The one admission path: lease -> cache -> simulate (one retry)
   /// -> store -> DONE.
   PointResult execute_one(const PointSpec& spec);
+  /// The cache -> simulate (one retry) -> store part of execute_one.
+  PointResult load_or_simulate(const PointSpec& spec);
 
   JobOptions opts_;
   std::unique_ptr<ResultCache> cache_;

@@ -259,4 +259,9 @@ int finish_figure(const FigOptions& opts, const MetricsSink& sink) {
   return 0;
 }
 
+int fail_figure(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
+}
+
 }  // namespace kop::harness

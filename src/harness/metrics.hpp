@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <string>
@@ -112,5 +113,10 @@ FigOptions parse_fig_options(int argc, char** argv);
 /// Write the sink to opts.json_path (if set) and return the process
 /// exit code (non-zero on bad usage or I/O failure).
 int finish_figure(const FigOptions& opts, const MetricsSink& sink);
+
+/// Report an exception that ended a figure run -- a failed point
+/// (require_ok), an unreachable or lost coordinator -- as one error
+/// line, and return the process exit code 1.
+int fail_figure(const std::exception& e);
 
 }  // namespace kop::harness

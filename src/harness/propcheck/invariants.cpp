@@ -494,15 +494,17 @@ void check_exactly_once_dispatch(const CaseParams& params,
 }
 
 // Journal replay: a journaled coordinator killed at an arbitrary
-// committed moment must be reconstructible from its journal file alone.
-// Drive a journaled Coordinator through a random schedule (same
-// synthetic-time machinery as exactly-once-dispatch, seed-derived so
-// the token replays the exact crash), stop at a random step, and replay
-// the journal into a fresh coordinator: the lease tables -- queue
-// order, live leases with exact expiries, the id counter -- must render
-// identically.  A torn tail appended to the file (the crash-mid-append
-// artifact) must be tolerated without changing the replayed state, and
-// a checksum-corrupted *terminated* record must be rejected.
+// committed moment must restart from its journal file alone.  Drive a
+// journaled Coordinator through a random schedule (same synthetic-time
+// machinery as exactly-once-dispatch, seed-derived so the token replays
+// the exact crash), stop at a random step, and replay the journal into
+// a fresh coordinator: it must render as the restart table -- every
+// registered point with its entry, payload and label, exactly the live
+// table's completed points complete, no leases, the rest queued in
+// registration order.  A torn tail appended to the file (the
+// crash-mid-append artifact) must be tolerated without changing the
+// replayed state, and a checksum-corrupted *terminated* record must be
+// rejected.
 void check_journal_replay(const CaseParams& params,
                           const std::string& scratch_dir,
                           std::vector<Violation>* out) {
@@ -526,10 +528,6 @@ void check_journal_replay(const CaseParams& params,
   copt.lease_ttl_ms = 120;
   copt.liveness.suspect_after_ms = 180;
   copt.liveness.dead_after_ms = 420;
-  // Half the schedules compact aggressively so replay also covers the
-  // canonical-snapshot encoding, not just the incremental records.
-  copt.journal_compact_after =
-      rand_in(0, 1) == 0 ? static_cast<std::size_t>(rand_in(4, 12)) : 65536;
 
   std::string expected;
   try {
@@ -538,13 +536,16 @@ void check_journal_replay(const CaseParams& params,
     live.attach_journal(&journal);
 
     const int n_points = rand_in(3, 8);
+    std::vector<coord::PointInfo> registered;
     for (int i = 0; i < n_points; ++i) {
       std::uint64_t h = fold(seed, static_cast<std::uint64_t>(i) + 0x51);
       if (h == 0) ++h;
       coord::PointInfo info;
       info.hash = h;
+      info.entry = "kop-" + jobs::hex16(h) + ".json";
       info.label = "journal-" + std::to_string(i);
       info.payload = "tok" + std::to_string(i);
+      registered.push_back(info);
       live.add_point(std::move(info));
     }
 
@@ -599,7 +600,15 @@ void check_journal_replay(const CaseParams& params,
     // anything after this commit would be re-derivable loss (not
     // exercised here -- this invariant checks exactness *of the file*).
     journal.commit();
-    expected = live.debug_state();
+    coord::LeaseTable restart(copt.lease_ttl_ms);
+    for (const auto& info : registered) restart.add_point(info);
+    for (const auto& info : registered) {
+      if (live.leases().point_state(info.hash) ==
+          coord::PointState::kComplete) {
+        restart.mark_complete(info.hash);
+      }
+    }
+    expected = restart.debug_dump();
   } catch (const std::exception& e) {
     violate(std::string("journaled schedule threw: ") + e.what());
     fs::remove_all(dir, ec);
@@ -620,7 +629,7 @@ void check_journal_replay(const CaseParams& params,
   if (!replay_into(path, &replayed, &stats, &err)) {
     violate("clean journal failed to replay: " + err);
   } else if (replayed != expected) {
-    violate("replayed table differs from the live table\n--- live ---\n" +
+    violate("replayed table differs from the restart table\n--- restart ---\n" +
             expected + "--- replayed ---\n" + replayed);
   } else if (stats.truncated_bytes != 0) {
     violate("clean journal reported " + std::to_string(stats.truncated_bytes) +
@@ -633,7 +642,7 @@ void check_journal_replay(const CaseParams& params,
     const std::string torn = dir + "/torn.journal";
     fs::copy_file(path, torn, fs::copy_options::overwrite_existing, ec);
     std::ofstream app(torn, std::ios::binary | std::ios::app);
-    app << "G 00000000000000";  // no '\n': a torn write
+    app << "D 00000000000000";  // no '\n': a torn write
     app.close();
     coord::ReplayStats tstats;
     std::string terr, tstate;

@@ -30,8 +30,10 @@
 //                        drains with exactly one accepted completion
 //                        per point (src/coord, driven clocklessly)
 //   journal-replay       a journaled coordinator killed at a random
-//                        committed moment replays its queue journal
-//                        into an identical lease table; torn tails are
+//                        committed moment replays its journal into the
+//                        restart table: every registered point, the
+//                        completed ones complete, the rest queued in
+//                        registration order, no leases; torn tails are
 //                        tolerated, checksum corruption is rejected
 //                        (needs scratch_dir, like cache-roundtrip)
 //

@@ -249,11 +249,14 @@ TEST(CoordLease, DoubleReclaimRequeuesExactlyOnce) {
   EXPECT_EQ(lease2.point, 5u);
   EXPECT_NE(lease2.id, lease.id);
 
-  // The original holder's completion arrives late: its id no longer
-  // resolves (the Coordinator layer resolves it by hash instead).
-  EXPECT_EQ(table.complete(lease.id), coord::CompleteOutcome::kAlreadyComplete);
+  // The original holder's id no longer resolves (the Coordinator
+  // resolves its late DONE by point hash instead); completing the point
+  // retires the live lease with it.
+  EXPECT_EQ(table.lease_by_id(lease.id), nullptr);
   EXPECT_EQ(table.point_state(5), coord::PointState::kLeased);
-  EXPECT_EQ(table.complete(lease2.id), coord::CompleteOutcome::kOk);
+  EXPECT_TRUE(table.mark_complete(5));
+  EXPECT_EQ(table.lease_by_id(lease2.id), nullptr);
+  EXPECT_EQ(table.leased(), 0u);
   EXPECT_TRUE(table.drained());
 }
 
@@ -290,6 +293,36 @@ TEST(CoordLease, StaleCompletionResolvesByHashExactlyOnce) {
   EXPECT_EQ(c.counters().get("completions"), 1u);
   EXPECT_EQ(c.counters().get("completions_stale_lease"), 1u);
   EXPECT_EQ(c.counters().get("completions_dup"), 1u);
+}
+
+// A DONE completes by lease id only when that lease is live on the hash
+// the DONE names; a live id sent with another point's hash resolves by
+// the named point, and the leased point stays leased.
+TEST(CoordLease, DoneWithAnotherPointsHashLeavesTheLeasedPointOpen) {
+  coord::CoordinatorOptions opt;
+  opt.lease_ttl_ms = 60000;
+  coord::Coordinator c(opt, {});
+  c.add_point(synthetic_point(1));
+  c.add_point(synthetic_point(2));
+
+  c.handle_line("HELLO w", 0);
+  const auto g = coord::split_tokens(c.handle_line("NEXT w", 0));
+  ASSERT_EQ(g[0], "GRANT");
+  ASSERT_EQ(g[1], coord::to_hex16(1));
+
+  EXPECT_EQ(c.handle_line("DONE w " + g[2] + " " + coord::to_hex16(2), 10),
+            "OK-STALE");
+  EXPECT_EQ(c.leases().point_state(2), coord::PointState::kComplete);
+  EXPECT_EQ(c.leases().point_state(1), coord::PointState::kLeased);
+  std::uint64_t id = 0;
+  ASSERT_TRUE(coord::parse_hex16(g[2], &id));
+  ASSERT_NE(c.leases().lease_by_id(id), nullptr);
+  EXPECT_EQ(c.leases().lease_by_id(id)->point, 1u);
+
+  // The lease's own DONE still completes its point.
+  EXPECT_EQ(c.handle_line("DONE w " + g[2] + " " + g[1], 20), "OK");
+  EXPECT_TRUE(c.drained());
+  EXPECT_EQ(c.counters().get("completions_stale_lease"), 1u);
 }
 
 TEST(CoordLease, DeadWorkerLeasesReclaimedAndReHelloIsNewIncarnation) {
@@ -404,17 +437,25 @@ TEST(CoordJournal, RecordsRoundTripThroughEscaping) {
   EXPECT_EQ(d.payload, r.payload);
   EXPECT_EQ(d.label, r.label);
 
+  coord::JournalRecord done;
+  done.type = coord::JournalRecord::Type::kDone;
+  done.hash = 42;
+  ASSERT_TRUE(coord::decode_record(coord::encode_record(done), &d, &err))
+      << err;
+  EXPECT_EQ(d.type, coord::JournalRecord::Type::kDone);
+  EXPECT_EQ(d.hash, 42u);
+
   // Empty string fields survive too (encoded as "-").
-  coord::JournalRecord g;
-  g.type = coord::JournalRecord::Type::kGrant;
-  g.lease_id = 7;
-  g.hash = 42;
-  g.worker = "host:123";
-  g.expires_ms = 5000;
-  ASSERT_TRUE(coord::decode_record(coord::encode_record(g), &d, &err)) << err;
-  EXPECT_EQ(d.lease_id, 7u);
-  EXPECT_EQ(d.worker, "host:123");
-  EXPECT_EQ(d.expires_ms, 5000);
+  coord::JournalRecord bare;
+  bare.type = coord::JournalRecord::Type::kRegister;
+  bare.hash = 7;
+  ASSERT_TRUE(coord::decode_record(coord::encode_record(bare), &d, &err))
+      << err;
+  EXPECT_EQ(d.type, coord::JournalRecord::Type::kRegister);
+  EXPECT_EQ(d.hash, 7u);
+  EXPECT_EQ(d.entry, "");
+  EXPECT_EQ(d.payload, "");
+  EXPECT_EQ(d.label, "");
 
   // A flipped byte in a *terminated* record is corruption, and the
   // error says so.
@@ -425,9 +466,21 @@ TEST(CoordJournal, RecordsRoundTripThroughEscaping) {
   EXPECT_FALSE(coord::decode_record("X 12 !0000000000000000", &d, &err));
 }
 
+// Count a journal file's records by type letter.
+std::map<char, int> record_types(const std::string& path) {
+  std::map<char, int> types;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) ++types[line[0]];
+  }
+  return types;
+}
+
 // Drive a journaled coordinator, then replay the file into a fresh one:
-// the lease tables must render identically, a torn tail must be
-// tolerated, and a corrupt record must be rejected with a line number.
+// the replay is the restart table (completed points complete, the rest
+// queued in registration order, no leases), a torn tail is tolerated,
+// and a corrupt record is rejected with a line number.
 TEST(CoordJournal, ReplayReproducesLiveTable) {
   const fs::path root =
       fs::temp_directory_path() /
@@ -438,7 +491,6 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
 
   coord::CoordinatorOptions opt;
   opt.lease_ttl_ms = 60000;
-  std::string expected;
   {
     coord::Coordinator live(opt, {});
     coord::Journal journal(jpath);
@@ -452,31 +504,29 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
     EXPECT_EQ(live.handle_line("DONE w1 " + g1[2] + " " + g1[1], 10), "OK");
     EXPECT_EQ(live.handle_line("RENEW w1 " + g2[2], 20), "OK 60000");
     journal.commit();
-    expected = live.debug_state();
   }
 
-  // Replay: one complete point, one live lease with the renewed expiry,
-  // two still queued -- bit-identical table rendering.
+  // Replay: point 1 complete; point 2's lease died with the daemon, so
+  // it is queued again, in registration order.
   coord::Coordinator fresh(opt, {});
   coord::ReplayStats stats;
   std::string err;
   ASSERT_TRUE(fresh.recover_from_journal(jpath, &stats, &err)) << err;
-  EXPECT_GT(stats.records, 0u);
+  EXPECT_EQ(stats.records, 5u);
   EXPECT_EQ(stats.truncated_bytes, 0u);
-  EXPECT_EQ(fresh.debug_state(), expected);
-
-  // The restart rule: the lease's holder cannot renew against this
-  // process, so requeue it (journaled as a reclaim).
-  EXPECT_EQ(fresh.requeue_live_leases(), 1u);
+  EXPECT_EQ(record_types(jpath), (std::map<char, int>{{'R', 4}, {'D', 1}}));
+  EXPECT_EQ(fresh.leases().point_state(1), coord::PointState::kComplete);
+  EXPECT_EQ(fresh.leases().queued_hashes(),
+            (std::vector<std::uint64_t>{2, 3, 4}));
   EXPECT_EQ(fresh.leases().leased(), 0u);
-  EXPECT_EQ(fresh.leases().queued(), 3u);
   EXPECT_EQ(fresh.leases().complete(), 1u);
+  const std::string expected = fresh.debug_state();
 
   // A torn tail (crash mid-append: no terminator) is a crash artifact,
   // tolerated and reported.
   {
     std::ofstream app(jpath, std::ios::binary | std::ios::app);
-    app << "G 00000000000";  // unterminated partial record
+    app << "D 00000000000";  // unterminated partial record
   }
   coord::Coordinator torn(opt, {});
   ASSERT_TRUE(torn.recover_from_journal(jpath, &stats, &err)) << err;
@@ -496,47 +546,41 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
   fs::remove_all(root);
 }
 
-TEST(CoordJournal, CompactionPreservesReplayEquality) {
+// Grants, renewals, reclaims and BYEs never reach the journal: only
+// what survives a restart does.
+TEST(CoordJournal, HoldsOnlyRegistrationsAndCompletions) {
   const fs::path root =
       fs::temp_directory_path() /
-      ("kop_journal_compact_" + std::to_string(getpid()));
+      ("kop_journal_types_" + std::to_string(getpid()));
   fs::remove_all(root);
   fs::create_directories(root);
   const std::string jpath = (root / "queue.journal").string();
 
   coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 60000;
-  opt.journal_compact_after = 2;  // compact nearly every tick
-  std::string expected;
-  std::uint64_t compactions = 0;
+  opt.lease_ttl_ms = 100;
+  opt.liveness.suspect_after_ms = 1000;
+  opt.liveness.dead_after_ms = 5000;
   {
     coord::Coordinator live(opt, {});
     coord::Journal journal(jpath);
     live.attach_journal(&journal);
-    for (std::uint64_t h : {10, 11, 12, 13, 14}) {
-      live.add_point(synthetic_point(h));
-      live.tick(static_cast<std::int64_t>(h));
-    }
-    live.handle_line("HELLO w", 20);
-    for (int i = 0; i < 3; ++i) {
-      const auto g = coord::split_tokens(live.handle_line("NEXT w", 30));
-      ASSERT_EQ(g[0], "GRANT");
-      if (i > 0) {
-        EXPECT_EQ(live.handle_line("DONE w " + g[2] + " " + g[1], 40), "OK");
-      }
-      live.tick(50 + i);
-    }
-    journal.commit();
-    expected = live.debug_state();
-    compactions = live.counters().get("journal_compactions");
+    for (std::uint64_t h : {1, 2, 3}) live.add_point(synthetic_point(h));
+    live.handle_line("HELLO w", 0);
+    const auto g1 = coord::split_tokens(live.handle_line("NEXT w", 0));
+    ASSERT_EQ(g1[0], "GRANT");
+    EXPECT_EQ(live.handle_line("RENEW w " + g1[2], 50), "OK 100");
+    live.tick(150);  // the renewed lease expires: an expiry reclaim
+    EXPECT_EQ(live.counters().get("leases_expired"), 1u);
+    const auto g2 = coord::split_tokens(live.handle_line("NEXT w", 160));
+    ASSERT_EQ(g2[0], "GRANT");
+    EXPECT_EQ(live.handle_line("DONE w " + g2[2] + " " + g2[1], 170), "OK");
+    ASSERT_EQ(coord::split_tokens(live.handle_line("NEXT w", 180))[0],
+              "GRANT");
+    EXPECT_EQ(live.handle_line("BYE w", 190), "OK");
+    EXPECT_EQ(live.counters().get("leases_released_bye"), 1u);
+    live.tick(200);
   }
-  EXPECT_GT(compactions, 0u);
-
-  coord::Coordinator fresh(opt, {});
-  coord::ReplayStats stats;
-  std::string err;
-  ASSERT_TRUE(fresh.recover_from_journal(jpath, &stats, &err)) << err;
-  EXPECT_EQ(fresh.debug_state(), expected);
+  EXPECT_EQ(record_types(jpath), (std::map<char, int>{{'R', 3}, {'D', 1}}));
 
   fs::remove_all(root);
 }
@@ -652,7 +696,7 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
   c.add_point(synthetic_point(2));
 
   coord::ServerOptions sopt;
-  sopt.socket_path = sock;
+  sopt.address = sock;
   sopt.poll_ms = 10;
   coord::Server server(&c, sopt);
   std::thread daemon([&] { server.run(); });
@@ -733,10 +777,10 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
   fs::create_directories(root);
 
   // Worker-enumerated sweep: the daemon starts empty and registers
-  // points as LEASE requests arrive (accept_unknown_points).
+  // points as LEASE requests arrive.
   coord::Coordinator c({}, {});
   coord::ServerOptions sopt;
-  sopt.socket_path = sock;
+  sopt.address = sock;
   sopt.poll_ms = 10;
   coord::Server server(&c, sopt);
   std::thread daemon([&] { server.run(); });
@@ -795,6 +839,37 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
   fs::remove_all(root);
 }
 
+// A daemon that goes away mid-sweep fails the runner's points, with an
+// error naming the coordinator; nothing throws out of a pool thread.
+TEST(CoordServer, RunnerReportsALostDaemonAsFailedPoints) {
+  const std::string sock =
+      "/tmp/kop_coord_lost_" + std::to_string(getpid()) + ".sock";
+  coord::Coordinator c({}, {});
+  coord::ServerOptions sopt;
+  sopt.address = sock;
+  sopt.poll_ms = 10;
+  coord::Server server(&c, sopt);
+  std::thread daemon([&] { server.run(); });
+
+  jobs::JobOptions jopts;
+  jopts.jobs = 2;
+  jopts.coord_socket = sock;
+  jobs::JobRunner runner(jopts);  // HELLO while the daemon is up
+  coord::Client(sock).shutdown();
+  daemon.join();
+
+  std::vector<jobs::PointSpec> points;
+  for (int t : {1, 2, 3, 4}) points.push_back(tiny_point(t));
+  const auto results = runner.run(points);
+  ASSERT_EQ(results.size(), points.size());
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.failed);
+    EXPECT_NE(r.error.find("coordinator"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(runner.stats().failures, 4u);
+  EXPECT_EQ(runner.stats().executed, 0u);
+}
+
 // A figure binary's --coord run: each worker prints a coverage note in
 // place of the table and records only the points it ran, so the
 // workers' artifacts together hold every point exactly once -- and
@@ -810,7 +885,7 @@ TEST(CoordServer, FigureCoordModeRecordsEachPointOnce) {
 
   coord::Coordinator c({}, {});
   coord::ServerOptions sopt;
-  sopt.socket_path = sock;
+  sopt.address = sock;
   sopt.poll_ms = 10;
   coord::Server server(&c, sopt);
   std::thread daemon([&] { server.run(); });
