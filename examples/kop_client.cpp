@@ -6,7 +6,7 @@
 //   kop_client --coord <addr> --get-token <propcheck-token>
 //   kop_client --coord <addr> --get-file <list> [--out-dir <dir>]
 //   kop_client --coord <addr> --stats
-//   kop_client --coord <addr> --wait-drained [--timeout-ms T | --timeout S]
+//   kop_client --coord <addr> --wait-drained [--timeout-ms T]
 //   kop_client --coord <addr> --shutdown
 //
 // <addr> is a unix socket path or host:port.
@@ -25,9 +25,8 @@
 // pending, 3 any unknown.
 //
 // --wait-drained polls STATS with exponential backoff (25ms doubling to
-// 2s); --timeout-ms / --timeout bound the wait and exit 2 on expiry,
-// and a daemon that vanishes mid-wait is an error (exit 1), never a
-// hang.
+// 2s); --timeout-ms bounds the wait and exits 2 on expiry, and a daemon
+// that vanishes mid-wait is an error (exit 1), never a hang.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -53,7 +52,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --coord <addr> (--get <hash> | --get-token <token> |\n"
       "          --get-file <list> [--out-dir <dir>] | --stats |\n"
-      "          --wait-drained [--timeout-ms T | --timeout S] | --shutdown)\n"
+      "          --wait-drained [--timeout-ms T] | --shutdown)\n"
       "  --coord <addr>     coordinator: unix socket path or host:port\n"
       "  --get <hash>       fetch one point's cached entry by content hash\n"
       "                     (exit 0 HIT, 2 PENDING/COMPLETE, 3 UNKNOWN)\n"
@@ -66,7 +65,6 @@ int usage(const char* argv0) {
       "  --wait-drained     poll until every point is complete\n"
       "                     (exponential backoff, 25ms doubling to 2s)\n"
       "  --timeout-ms T     give up waiting after T ms (exit 2)\n"
-      "  --timeout S        same, in whole seconds\n"
       "  --shutdown         ask the daemon to exit\n",
       argv0);
   return 2;
@@ -200,8 +198,6 @@ int main(int argc, char** argv) {
       wait_drained = true;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
       timeout_ms = std::atol(argv[++i]);
-    } else if (arg == "--timeout" && i + 1 < argc) {
-      timeout_ms = std::atol(argv[++i]) * 1000;
     } else if (arg == "--shutdown") {
       shutdown = true;
     } else {

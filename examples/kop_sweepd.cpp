@@ -3,7 +3,7 @@
 //
 //   kop_sweepd --listen <addr> [--cache-dir <dir>] [--journal <file>]
 //              (--points <token-file> | --gen-seed S --gen-count N)
-//              [--ttl-ms T] [--suspect-ms S] [--dead-ms D]
+//              [--suspect-ms S] [--dead-ms D]
 //              [--exit-when-drained] [--manifest <out>]
 //   kop_sweepd --dump-journal <file> [--verify]
 //
@@ -14,8 +14,9 @@
 // propcheck generator -- the same deterministic case distribution the
 // invariant suite runs, so a coordinated sweep is replayable from two
 // integers.  Workers (kop_worker, or any fig binary with --coord)
-// lease points, renew while simulating, and report completions; dead
-// workers are detected by heartbeat silence and their leases re-queued.
+// lease points, heartbeat while simulating, and report completions.  A
+// lease lives as long as its holder: a worker silent for --dead-ms is
+// declared dead and its points re-queued.
 //
 // With --cache-dir the daemon also answers `GET <point-hash>` from the
 // cache (kop_client): warm results are served without any simulation,
@@ -66,7 +67,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --listen <addr> [--cache-dir <dir>] [--journal <file>]\n"
       "          (--points <token-file> | --gen-seed S --gen-count N)\n"
-      "          [--ttl-ms T] [--suspect-ms S] [--dead-ms D]\n"
+      "          [--suspect-ms S] [--dead-ms D]\n"
       "          [--exit-when-drained] [--manifest <out>]\n"
       "       %s --dump-journal <file> [--verify]\n"
       "  --listen <addr>      unix socket path or host:port to listen on\n"
@@ -77,9 +78,10 @@ int usage(const char* argv0) {
       "  --points <file>      sweep manifest: propcheck tokens, one per line\n"
       "  --gen-seed S         draw the manifest from the seeded propcheck\n"
       "  --gen-count N        generator instead (deterministic per S,N)\n"
-      "  --ttl-ms T           lease TTL (default 5000)\n"
       "  --suspect-ms S       heartbeat silence before Suspect (default 3000)\n"
-      "  --dead-ms D          heartbeat silence before Dead (default 10000)\n"
+      "                       (workers PING every S/3 ms)\n"
+      "  --dead-ms D          heartbeat silence before Dead (default 5000)\n"
+      "                       (re-queues the dead worker's points)\n"
       "  --exit-when-drained  exit 0 once every point is complete\n"
       "  --manifest <out>     write the coverage manifest (kop_merge --expect)\n"
       "  --dump-journal <f>   pretty-print a journal record by record\n"
@@ -165,8 +167,6 @@ int main(int argc, char** argv) {
       gen_seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--gen-count" && i + 1 < argc) {
       gen_count = std::atoi(argv[++i]);
-    } else if (arg == "--ttl-ms" && i + 1 < argc) {
-      copt.lease_ttl_ms = std::atoll(argv[++i]);
     } else if (arg == "--suspect-ms" && i + 1 < argc) {
       copt.liveness.suspect_after_ms = std::atoll(argv[++i]);
     } else if (arg == "--dead-ms" && i + 1 < argc) {
@@ -301,9 +301,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::fprintf(stderr,
                  "[sweepd] %zu points (%zu warm from cache) on %s "
-                 "(ttl=%lld suspect=%lld dead=%lld)\n",
+                 "(suspect=%lld dead=%lld)\n",
                  specs.size(), warm, server.bound_address().c_str(),
-                 static_cast<long long>(copt.lease_ttl_ms),
                  static_cast<long long>(copt.liveness.suspect_after_ms),
                  static_cast<long long>(copt.liveness.dead_after_ms));
     server.run();

@@ -168,12 +168,11 @@ std::string Client::request(const std::string& line) {
 Client::HelloReply Client::hello(const std::string& worker) {
   const std::string r = request("HELLO " + worker);
   const auto t = split_tokens(r);
-  if (t.size() < 5 || t[0] != "OK") {
+  if (t.size() < 4 || t[0] != "OK") {
     throw std::runtime_error("coord: HELLO rejected: " + r);
   }
   HelloReply out;
   out.incarnation = static_cast<std::uint64_t>(to_ms(t[1]));
-  out.ttl_ms = field_ms(t, "ttl");
   out.suspect_ms = field_ms(t, "suspect");
   out.dead_ms = field_ms(t, "dead");
   return out;
@@ -188,12 +187,11 @@ Client::Grant parse_grant(const std::string& r) {
     g.status = "ERR empty";
     return g;
   }
-  if (t[0] == "GRANT" && t.size() >= 5 && parse_hex16(t[1], &g.point) &&
+  if (t[0] == "GRANT" && t.size() >= 4 && parse_hex16(t[1], &g.point) &&
       parse_hex16(t[2], &g.lease_id)) {
     g.granted = true;
     g.status = "GRANT";
-    g.ttl_ms = to_ms(t[3]);
-    g.payload = t[4] == "-" ? "" : t[4];
+    g.payload = t[3] == "-" ? "" : t[3];
     return g;
   }
   g.status = t[0];
@@ -211,11 +209,6 @@ Client::Grant Client::lease(const std::string& worker, std::uint64_t hash,
   std::string line = "LEASE " + worker + " " + to_hex16(hash);
   if (!entry.empty()) line += " " + entry;
   return parse_grant(request(line));
-}
-
-bool Client::renew(const std::string& worker, std::uint64_t lease_id) {
-  const std::string r = request("RENEW " + worker + " " + to_hex16(lease_id));
-  return r.rfind("OK", 0) == 0;
 }
 
 bool Client::done(const std::string& worker, std::uint64_t lease_id,

@@ -39,7 +39,6 @@ class Client {
 
   struct HelloReply {
     std::uint64_t incarnation = 0;
-    std::int64_t ttl_ms = 0;
     std::int64_t suspect_ms = 0;
     std::int64_t dead_ms = 0;
   };
@@ -51,15 +50,12 @@ class Client {
     std::string status;
     std::uint64_t point = 0;
     std::uint64_t lease_id = 0;
-    std::int64_t ttl_ms = 0;
     std::string payload;  // "-" normalized to empty
   };
   Grant next(const std::string& worker);
   Grant lease(const std::string& worker, std::uint64_t hash,
               const std::string& entry = "");
 
-  /// True while the lease is still live (renewal succeeded).
-  bool renew(const std::string& worker, std::uint64_t lease_id);
   /// True when the completion was recorded (OK or OK-STALE).
   bool done(const std::string& worker, std::uint64_t lease_id,
             std::uint64_t hash);

@@ -5,9 +5,7 @@
 namespace kop::coord {
 
 Coordinator::Coordinator(CoordinatorOptions opt, CacheProbe probe)
-    : probe_(std::move(probe)),
-      table_(opt.lease_ttl_ms),
-      liveness_(opt.liveness) {}
+    : probe_(std::move(probe)), liveness_(opt.liveness) {}
 
 void Coordinator::add_point(PointInfo info) {
   JournalRecord rec;
@@ -44,9 +42,6 @@ void Coordinator::tick(std::int64_t now_ms) {
     counters_.add("leases_reclaimed_dead", reclaimed.size());
     counters_.add("points_requeued", reclaimed.size());
   }
-  const auto expired = table_.reclaim_expired(now_ms);
-  counters_.add("leases_expired", expired.size());
-  counters_.add("points_requeued", expired.size());
   // Group commit: one write+fsync per poll round covers every record
   // the round produced.  An unflushed R is re-sent by the point's
   // owner; an unflushed D re-runs one deterministic point -- both safe,
@@ -136,7 +131,6 @@ std::string Coordinator::on_hello(const Request& r, std::int64_t now_ms) {
   const std::uint64_t incarnation = liveness_.hello(r.worker, now_ms);
   counters_.add("hellos");
   return "OK " + std::to_string(incarnation) +
-         " ttl=" + std::to_string(table_.ttl_ms()) +
          " suspect=" + std::to_string(liveness_.options().suspect_after_ms) +
          " dead=" + std::to_string(liveness_.options().dead_after_ms);
 }
@@ -145,14 +139,14 @@ std::string Coordinator::on_next(const Request& r, std::int64_t now_ms) {
   std::string reply;
   if (!admit(r, now_ms, &reply)) return reply;
   Lease lease;
-  switch (table_.grant_next(r.worker, now_ms, &lease)) {
+  switch (table_.grant_next(r.worker, &lease)) {
     case GrantOutcome::kGranted: {
       counters_.add("leases_granted");
       const PointInfo* info = table_.point_info(lease.point);
       const std::string payload =
           info != nullptr && !info->payload.empty() ? info->payload : "-";
       return "GRANT " + to_hex16(lease.point) + " " + to_hex16(lease.id) +
-             " " + std::to_string(table_.ttl_ms()) + " " + payload;
+             " " + payload;
     }
     case GrantOutcome::kComplete:
       return "DRAINED";
@@ -174,31 +168,15 @@ std::string Coordinator::on_lease(const Request& r, std::int64_t now_ms) {
     add_point(std::move(info));
   }
   Lease lease;
-  switch (table_.grant(r.hash, r.worker, now_ms, &lease)) {
+  switch (table_.grant(r.hash, r.worker, &lease)) {
     case GrantOutcome::kGranted:
       counters_.add("leases_granted");
-      return "GRANT " + to_hex16(r.hash) + " " + to_hex16(lease.id) + " " +
-             std::to_string(table_.ttl_ms()) + " -";
+      return "GRANT " + to_hex16(r.hash) + " " + to_hex16(lease.id) + " -";
     case GrantOutcome::kTaken:
       counters_.add("lease_conflicts");
       return "TAKEN";
     case GrantOutcome::kComplete:
       return "COMPLETE";
-    default:
-      return "UNKNOWN";
-  }
-}
-
-std::string Coordinator::on_renew(const Request& r, std::int64_t now_ms) {
-  std::string reply;
-  if (!admit(r, now_ms, &reply)) return reply;
-  switch (table_.renew(r.lease_id, now_ms)) {
-    case RenewOutcome::kOk:
-      counters_.add("leases_renewed");
-      return "OK " + std::to_string(table_.ttl_ms());
-    case RenewOutcome::kExpired:
-      counters_.add("renewals_lost");
-      return "EXPIRED";
     default:
       return "UNKNOWN";
   }
@@ -216,10 +194,11 @@ std::string Coordinator::on_done(const Request& r, std::int64_t now_ms) {
     return "DUP";
   }
   // OK only for the live lease on the named point.  Anything else -- a
-  // lease that expired and was reclaimed (maybe re-granted), or an id
-  // on another point -- resolves by point: an incomplete point still
-  // gets its completion, since dropping a finished, deterministic,
-  // content-addressed result would only force a redundant re-run.
+  // lease reclaimed when its holder was declared dead (maybe
+  // re-granted), or an id on another point -- resolves by point: an
+  // incomplete point still gets its completion, since dropping a
+  // finished, deterministic, content-addressed result would only force
+  // a redundant re-run.
   const Lease* live = table_.lease_by_id(r.lease_id);
   const bool own_lease = live != nullptr && live->point == r.hash;
   complete_point(r.hash);
@@ -283,8 +262,6 @@ std::string Coordinator::handle_line(const std::string& line,
       return on_next(r, now_ms);
     case Request::Verb::kLease:
       return on_lease(r, now_ms);
-    case Request::Verb::kRenew:
-      return on_renew(r, now_ms);
     case Request::Verb::kDone:
       return on_done(r, now_ms);
     case Request::Verb::kPing: {

@@ -18,16 +18,16 @@
 // (queued/leased); the sweep still completes it exactly once.
 //
 // Exactly-once: completion is recorded per *point*, never per lease.
-// Late completions from expired leases are accepted while the point is
-// incomplete (the simulation is deterministic, the entry is
-// content-addressed -- the result is the result) and counted as
-// `completions_stale_lease`; completions for already-complete points
-// change nothing (`completions_dup`).  A DONE completes by lease id
-// only when that lease is live on the hash the DONE names; any other
-// DONE resolves by the named point, so a lease id reused after a
-// journal replay can never complete the wrong point.  kop_merge's
-// coverage manifest is the end-to-end proof: every expected entry
-// present exactly once.
+// Late completions from reclaimed leases (a holder declared dead that
+// finished anyway) are accepted while the point is incomplete (the
+// simulation is deterministic, the entry is content-addressed -- the
+// result is the result) and counted as `completions_stale_lease`;
+// completions for already-complete points change nothing
+// (`completions_dup`).  A DONE completes by lease id only when that
+// lease is live on the hash the DONE names; any other DONE resolves by
+// the named point, so a lease id reused after a journal replay can
+// never complete the wrong point.  kop_merge's coverage manifest is
+// the end-to-end proof: every expected entry present exactly once.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@ namespace kop::coord {
 
 struct CoordinatorOptions {
   LivenessOptions liveness;
-  std::int64_t lease_ttl_ms = 5000;
 };
 
 /// Injected cache lookup: return true and fill *doc with the validated
@@ -90,9 +89,9 @@ class Coordinator {
   /// inside HIT bodies; the server appends the line terminator).
   std::string handle_line(const std::string& line, std::int64_t now_ms);
 
-  /// Periodic maintenance: liveness transitions, dead-worker reclaim,
-  /// lease-expiry reclaim.  The server calls this between polls; tests
-  /// call it with synthetic time.
+  /// Periodic maintenance: liveness transitions and dead-worker
+  /// reclaim, the only way a lease comes back besides BYE.  The server
+  /// calls this between polls; tests call it with synthetic time.
   void tick(std::int64_t now_ms);
 
   /// True once every registered point is complete.
@@ -111,7 +110,6 @@ class Coordinator {
   std::string on_hello(const Request& r, std::int64_t now_ms);
   std::string on_next(const Request& r, std::int64_t now_ms);
   std::string on_lease(const Request& r, std::int64_t now_ms);
-  std::string on_renew(const Request& r, std::int64_t now_ms);
   std::string on_done(const Request& r, std::int64_t now_ms);
   std::string on_get(const Request& r, std::int64_t now_ms);
   std::string on_mget(const Request& r, std::int64_t now_ms);

@@ -4,9 +4,6 @@
 
 namespace kop::coord {
 
-LeaseTable::LeaseTable(std::int64_t ttl_ms)
-    : ttl_ms_(std::max<std::int64_t>(ttl_ms, 1)) {}
-
 bool LeaseTable::add_point(PointInfo info) {
   const std::uint64_t hash = info.hash;
   const auto [it, inserted] = points_.try_emplace(hash);
@@ -33,33 +30,30 @@ bool LeaseTable::mark_complete(std::uint64_t hash) {
   return true;
 }
 
-Lease* LeaseTable::issue(std::uint64_t hash, const std::string& worker,
-                         std::int64_t now_ms) {
+Lease* LeaseTable::issue(std::uint64_t hash, const std::string& worker) {
   PointRec& rec = points_.at(hash);
   const std::uint64_t id = next_lease_id_++;
   Lease& lease = leases_[id];
   lease.id = id;
   lease.point = hash;
   lease.worker = worker;
-  lease.expires_ms = now_ms + ttl_ms_;
   rec.state = PointState::kLeased;
   rec.lease_id = id;
   return &lease;
 }
 
-GrantOutcome LeaseTable::grant_next(const std::string& worker,
-                                    std::int64_t now_ms, Lease* lease) {
+GrantOutcome LeaseTable::grant_next(const std::string& worker, Lease* lease) {
   if (queue_.empty()) {
     return drained() ? GrantOutcome::kComplete : GrantOutcome::kIdle;
   }
   const std::uint64_t hash = queue_.front();
   queue_.pop_front();
-  *lease = *issue(hash, worker, now_ms);
+  *lease = *issue(hash, worker);
   return GrantOutcome::kGranted;
 }
 
 GrantOutcome LeaseTable::grant(std::uint64_t hash, const std::string& worker,
-                               std::int64_t now_ms, Lease* lease) {
+                               Lease* lease) {
   const auto it = points_.find(hash);
   if (it == points_.end()) return GrantOutcome::kUnknown;
   PointRec& rec = it->second;
@@ -72,32 +66,15 @@ GrantOutcome LeaseTable::grant(std::uint64_t hash, const std::string& worker,
       break;
   }
   queue_.erase(std::remove(queue_.begin(), queue_.end(), hash), queue_.end());
-  *lease = *issue(hash, worker, now_ms);
+  *lease = *issue(hash, worker);
   return GrantOutcome::kGranted;
 }
 
-RenewOutcome LeaseTable::renew(std::uint64_t lease_id, std::int64_t now_ms) {
-  const auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    // Distinguish "reclaimed" from "never issued" for the caller: ids
-    // below the counter were real leases once.
-    return lease_id != 0 && lease_id < next_lease_id_ ? RenewOutcome::kExpired
-                                                      : RenewOutcome::kUnknown;
-  }
-  if (now_ms >= it->second.expires_ms) {
-    // Expired but not yet swept by reclaim_expired: the renewal still
-    // loses -- renewing past the boundary would make expiry racy.
-    return RenewOutcome::kExpired;
-  }
-  it->second.expires_ms = now_ms + ttl_ms_;
-  return RenewOutcome::kOk;
-}
-
-template <typename Pred>
-std::vector<std::uint64_t> LeaseTable::reclaim_if(Pred reclaim) {
+std::vector<std::uint64_t> LeaseTable::reclaim_worker(
+    const std::string& worker) {
   std::vector<std::uint64_t> reclaimed;
   for (auto it = leases_.begin(); it != leases_.end();) {
-    if (!reclaim(it->second)) {
+    if (it->second.worker != worker) {
       ++it;
       continue;
     }
@@ -110,17 +87,6 @@ std::vector<std::uint64_t> LeaseTable::reclaim_if(Pred reclaim) {
     it = leases_.erase(it);
   }
   return reclaimed;
-}
-
-std::vector<std::uint64_t> LeaseTable::reclaim_expired(std::int64_t now_ms) {
-  return reclaim_if(
-      [now_ms](const Lease& lease) { return now_ms >= lease.expires_ms; });
-}
-
-std::vector<std::uint64_t> LeaseTable::reclaim_worker(
-    const std::string& worker) {
-  return reclaim_if(
-      [&worker](const Lease& lease) { return lease.worker == worker; });
 }
 
 PointState LeaseTable::point_state(std::uint64_t hash) const {
@@ -163,8 +129,7 @@ std::string LeaseTable::debug_dump() const {
   out += "\n";
   for (const auto& [id, lease] : leases_) {
     out += "lease " + std::to_string(id) + " point=" +
-           std::to_string(lease.point) + " worker=" + lease.worker +
-           " expires=" + std::to_string(lease.expires_ms) + "\n";
+           std::to_string(lease.point) + " worker=" + lease.worker + "\n";
   }
   return out;
 }

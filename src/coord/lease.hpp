@@ -1,21 +1,22 @@
-// Point leases: exclusive, expiring ownership of one sweep point.
+// Point leases: exclusive ownership of one sweep point for as long as
+// its holder lives.
 //
-// The granting coordinator remembers who holds each point and until
-// when, renewals push the expiry forward, and an expired or orphaned
-// (dead-worker) lease is *reclaimed* -- the point goes back on the
-// queue for the next worker, exactly once.  A crashed worker never
-// strands its points.
+// The granting coordinator remembers who holds each point; a lease has
+// no expiry of its own.  When the holder is declared dead (heartbeat
+// silence, liveness.hpp) or says BYE, its leases are *reclaimed* -- the
+// points go back on the queue for the next worker, exactly once.  A
+// crashed worker never strands its points.
 //
-// The table is pure bookkeeping over injected timestamps: no clock, no
-// I/O, no threads.  Exactly-once dispatch is the invariant the
-// propcheck harness checks against this code under random crash
-// schedules (exactly-once-dispatch).
+// The table is pure bookkeeping: no clock, no I/O, no threads.
+// Exactly-once dispatch is the invariant the propcheck harness checks
+// against this code under random crash schedules
+// (exactly-once-dispatch).
 //
 // Lifecycle of one point:
 //
 //   Queued ──grant──► Leased ──complete──► Complete   (terminal)
 //     ▲                  │
-//     └────reclaim───────┘   (TTL expired, or holder declared dead)
+//     └────reclaim───────┘   (holder declared dead, or said BYE)
 //
 // Completion is by point, never by lease: the coordinator accepts a
 // completion from a *stale* lease holder as long as the point is still
@@ -47,18 +48,14 @@ enum class PointState { kQueued, kLeased, kComplete };
 
 struct Lease {
   std::uint64_t id = 0;
-  std::uint64_t point = 0;        // PointInfo::hash
+  std::uint64_t point = 0;  // PointInfo::hash
   std::string worker;
-  std::int64_t expires_ms = 0;    // exclusive: expired once now >= expires
 };
 
 enum class GrantOutcome { kGranted, kTaken, kComplete, kUnknown, kIdle };
-enum class RenewOutcome { kOk, kExpired, kUnknown };
 
 class LeaseTable {
  public:
-  explicit LeaseTable(std::int64_t ttl_ms = 5000);
-
   /// Register a sweep point (idempotent by hash; first registration
   /// wins).  Returns true when the point is new.
   bool add_point(PointInfo info);
@@ -71,26 +68,17 @@ class LeaseTable {
   /// Grant the next queued point (FIFO requeue order) to `worker`.
   /// Outcome kGranted fills *lease; kIdle means nothing is queued right
   /// now (points may still be leased out and come back via reclaim).
-  GrantOutcome grant_next(const std::string& worker, std::int64_t now_ms,
-                          Lease* lease);
+  GrantOutcome grant_next(const std::string& worker, Lease* lease);
 
   /// Grant one specific point (worker-enumerated dispatch, as the
   /// JobRunner's --coord mode does).  kTaken: live lease held by
   /// someone; kComplete: already done; kUnknown: never registered.
   GrantOutcome grant(std::uint64_t hash, const std::string& worker,
-                     std::int64_t now_ms, Lease* lease);
-
-  /// Push the lease expiry to now + TTL.  kExpired covers both "the
-  /// lease timed out and was reclaimed" and "it was reclaimed when the
-  /// holder died" -- either way the renewal loses.
-  RenewOutcome renew(std::uint64_t lease_id, std::int64_t now_ms);
-
-  /// Reclaim every lease whose expiry has passed; their points go back
-  /// on the queue.  Returns the reclaimed point hashes.
-  std::vector<std::uint64_t> reclaim_expired(std::int64_t now_ms);
+                     Lease* lease);
 
   /// Reclaim every live lease held by `worker` (declared dead or said
-  /// BYE).  Returns the requeued point hashes.
+  /// BYE); their points go back on the queue.  Returns the requeued
+  /// point hashes in lease-id order.
   std::vector<std::uint64_t> reclaim_worker(const std::string& worker);
 
   // --- queries ---------------------------------------------------------
@@ -104,7 +92,6 @@ class LeaseTable {
   std::size_t leased() const { return leases_.size(); }
   std::size_t complete() const { return complete_count_; }
   bool drained() const { return complete_count_ == points_.size(); }
-  std::int64_t ttl_ms() const { return ttl_ms_; }
   /// Every registered point hash, ascending (manifest iteration order).
   std::vector<std::uint64_t> point_hashes() const;
   /// Queued point hashes in grant (FIFO) order.
@@ -116,12 +103,7 @@ class LeaseTable {
   std::string debug_dump() const;
 
  private:
-  Lease* issue(std::uint64_t hash, const std::string& worker,
-               std::int64_t now_ms);
-  /// Requeue every live lease `reclaim(lease)` selects; returns their
-  /// point hashes in lease-id order.
-  template <typename Pred>
-  std::vector<std::uint64_t> reclaim_if(Pred reclaim);
+  Lease* issue(std::uint64_t hash, const std::string& worker);
 
   struct PointRec {
     PointInfo info;
@@ -129,7 +111,6 @@ class LeaseTable {
     std::uint64_t lease_id = 0;  // valid while kLeased
   };
 
-  std::int64_t ttl_ms_;
   std::uint64_t next_lease_id_ = 1;
   std::map<std::uint64_t, PointRec> points_;
   std::map<std::uint64_t, Lease> leases_;  // by lease id, live only

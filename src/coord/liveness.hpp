@@ -36,7 +36,9 @@ struct LivenessOptions {
   /// Alive -> Suspect after this much heartbeat silence.
   std::int64_t suspect_after_ms = 3000;
   /// Suspect -> Dead after this much total silence (> suspect_after_ms).
-  std::int64_t dead_after_ms = 10000;
+  /// A dead worker's leases are reclaimed, so this is also how long a
+  /// crashed worker's points wait before they are queued again.
+  std::int64_t dead_after_ms = 5000;
 };
 
 class LivenessTracker {

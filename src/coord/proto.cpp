@@ -90,13 +90,6 @@ Request parse_request(const std::string& line) {
     r.worker = t[1];
     if (t.size() == 4) r.entry = t[3];
     r.verb = Request::Verb::kLease;
-  } else if (verb == "RENEW") {
-    if (t.size() != 3 || !valid_worker_id(t[1]) ||
-        !parse_hex16(t[2], &r.lease_id)) {
-      return invalid("usage: RENEW <worker> <lease-id>");
-    }
-    r.worker = t[1];
-    r.verb = Request::Verb::kRenew;
   } else if (verb == "DONE") {
     if (t.size() != 4 || !valid_worker_id(t[1]) ||
         !parse_hex16(t[2], &r.lease_id) || !parse_hex16(t[3], &r.hash)) {

@@ -1,4 +1,4 @@
-// The kop-sweep line protocol (v1).
+// The kop-sweep line protocol (v2).
 //
 // One request per line, space-separated ASCII tokens, '\n' terminated;
 // one response line back (GET HIT responses append a length-prefixed
@@ -6,13 +6,12 @@
 // tests.  Point hashes and lease ids travel as 16-digit lower-case hex
 // (jobs::hex16 rendering).
 //
-//   HELLO <worker>                 -> OK <incarnation> ttl=<ms> suspect=<ms> dead=<ms>
-//   NEXT <worker>                  -> GRANT <hash> <lease-id> <ttl-ms> <payload>
+//   HELLO <worker>                 -> OK <incarnation> suspect=<ms> dead=<ms>
+//   NEXT <worker>                  -> GRANT <hash> <lease-id> <payload>
 //                                   | IDLE <queued> <leased>
 //                                   | DRAINED
-//   LEASE <worker> <hash> [entry]  -> GRANT <hash> <lease-id> <ttl-ms> -
+//   LEASE <worker> <hash> [entry]  -> GRANT <hash> <lease-id> -
 //                                   | TAKEN | COMPLETE | UNKNOWN
-//   RENEW <worker> <lease-id>      -> OK <ttl-ms> | EXPIRED | UNKNOWN
 //   DONE <worker> <lease-id> <hash>-> OK | OK-STALE | DUP | UNKNOWN
 //   PING <worker>                  -> OK <state>
 //   BYE <worker>                   -> OK
@@ -26,7 +25,9 @@
 //   STATS                          -> one-line JSON
 //   SHUTDOWN                       -> OK (server exits its loop)
 //
-// Any worker-bearing request doubles as a heartbeat.  A request from a
+// Any worker-bearing request doubles as a heartbeat, and a lease lives
+// as long as its holder: it comes back only when the holder is declared
+// dead (heartbeat silence past dead=<ms>) or says BYE.  A request from a
 // worker whose incarnation was declared dead gets `DEAD` (re-HELLO to
 // continue); a worker that never said HELLO gets `NOHELLO`.  Malformed
 // lines get `ERR <reason>`.
@@ -43,7 +44,7 @@
 
 namespace kop::coord {
 
-inline constexpr int kProtoVersion = 1;
+inline constexpr int kProtoVersion = 2;
 
 /// Largest MGET batch one request line may carry.  64 hashes of 17
 /// bytes each stay comfortably inside the 4096-byte line limit.
@@ -51,13 +52,13 @@ inline constexpr std::size_t kMgetMaxHashes = 64;
 
 struct Request {
   enum class Verb {
-    kHello, kNext, kLease, kRenew, kDone, kPing, kBye,
+    kHello, kNext, kLease, kDone, kPing, kBye,
     kGet, kMget, kStats, kShutdown, kInvalid,
   };
   Verb verb = Verb::kInvalid;
-  std::string worker;        // HELLO/NEXT/LEASE/RENEW/DONE/PING/BYE
+  std::string worker;        // HELLO/NEXT/LEASE/DONE/PING/BYE
   std::uint64_t hash = 0;    // LEASE/DONE/GET
-  std::uint64_t lease_id = 0;  // RENEW/DONE
+  std::uint64_t lease_id = 0;  // DONE
   std::vector<std::uint64_t> hashes;  // MGET, request order
   std::string entry;         // LEASE: optional cache entry name
   std::string error;         // kInvalid: what was wrong with the line

@@ -239,7 +239,7 @@ void Server::run() {
       if (!broken && !flush(fd, conn, now)) broken = true;
       if (!broken && conn.wbuf.size() > opt_.max_write_buffer) {
         // Slow reader: it stopped draining replies.  Cut it loose; its
-        // leases come back via liveness/TTL reclaim.
+        // leases come back when liveness declares it dead.
         broken = true;
       }
       if (broken) close_fd(fd);

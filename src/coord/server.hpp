@@ -5,8 +5,8 @@
 // before the next is read, so the Coordinator needs no internal
 // synchronization and request interleaving is a total order (which is
 // what makes the STATS counters exact).  Between polls the loop calls
-// Coordinator::tick() with steady-clock time -- liveness and lease
-// expiry advance even when no requests arrive.
+// Coordinator::tick() with steady-clock time -- liveness (and with it
+// dead-worker reclaim) advances even when no requests arrive.
 //
 // Transports share everything above the fd: the address string decides
 // (proto.hpp parse_address).  A Unix socket is still the right default

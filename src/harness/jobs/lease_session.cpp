@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "coord/client.hpp"
 #include "harness/jobs/cache.hpp"
 
 namespace kop::harness::jobs {
@@ -23,14 +22,21 @@ std::string default_worker_id() {
          std::to_string(next_session.fetch_add(1));
 }
 
+// The coordinator no longer knows this incarnation: it was declared
+// dead (its leases are back on the queue), or never said HELLO.
+bool needs_hello(const std::string& status) {
+  return status == "DEAD" || status == "NOHELLO";
+}
+
 }  // namespace
 
 LeaseSession::LeaseSession(const std::string& socket_path, std::string worker)
     : worker_(worker.empty() ? default_worker_id() : std::move(worker)),
       client_(std::make_unique<coord::Client>(socket_path)) {
-  const auto hello = client_->hello(worker_);
-  if (hello.ttl_ms > 0) ttl_ms_ = hello.ttl_ms;
-  heartbeat_ = std::thread([this] { heartbeat_loop(); });
+  const std::int64_t interval_ms =
+      std::max<std::int64_t>(client_->hello(worker_).suspect_ms / 3, 50);
+  heartbeat_ =
+      std::thread([this, interval_ms] { heartbeat_loop(interval_ms); });
 }
 
 LeaseSession::~LeaseSession() {
@@ -66,18 +72,33 @@ std::size_t LeaseSession::prefetch(const std::vector<PointSpec>& specs) {
   return complete;
 }
 
+template <typename Send>
+coord::Client::Grant LeaseSession::ask(Send send) {
+  coord::Client::Grant grant = send();
+  if (needs_hello(grant.status)) {
+    (void)client_->hello(worker_);
+    grant = send();
+  }
+  if (grant.granted) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_[grant.point] = grant.lease_id;
+  }
+  return grant;
+}
+
 bool LeaseSession::try_acquire(const PointSpec& spec) {
   const std::uint64_t hash = spec.content_hash();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (known_complete_.count(hash) != 0) return false;
   }
-  const auto grant = client_->lease(
-      worker_, hash, "kop-" + hex16(ResultCache::key(spec)) + ".json");
-  if (!grant.granted) return false;  // TAKEN or COMPLETE: someone else's
-  std::lock_guard<std::mutex> lock(mu_);
-  held_[hash] = grant.lease_id;
-  return true;
+  const std::string entry = "kop-" + hex16(ResultCache::key(spec)) + ".json";
+  // Not granted: TAKEN or COMPLETE, someone else's point.
+  return ask([&] { return client_->lease(worker_, hash, entry); }).granted;
+}
+
+coord::Client::Grant LeaseSession::next() {
+  return ask([this] { return client_->next(worker_); });
 }
 
 void LeaseSession::complete(const PointSpec& spec) {
@@ -96,30 +117,17 @@ void LeaseSession::complete(const PointSpec& spec) {
   (void)client_->done(worker_, lease_id, hash);
 }
 
-void LeaseSession::heartbeat_loop() {
+void LeaseSession::heartbeat_loop(std::int64_t interval_ms) {
   std::unique_lock<std::mutex> lock(mu_);
-  const auto interval =
-      std::chrono::milliseconds(std::max<std::int64_t>(ttl_ms_ / 3, 50));
-  while (!stop_cv_.wait_for(lock, interval, [this] { return stop_; })) {
-    const std::vector<std::uint64_t> ids = [&] {
-      std::vector<std::uint64_t> v;
-      v.reserve(held_.size());
-      for (const auto& [hash, id] : held_) v.push_back(id);
-      return v;
-    }();
+  while (!stop_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                            [this] { return stop_; })) {
     lock.unlock();
     try {
-      if (ids.empty()) {
-        (void)client_->request("PING " + worker_);
-      } else {
-        // A failed renewal means the lease was reclaimed; the eventual
-        // DONE is still accepted (OK-STALE) while the point is open.
-        for (const auto id : ids) (void)client_->renew(worker_, id);
+      if (needs_hello(client_->request("PING " + worker_))) {
+        (void)client_->hello(worker_);
       }
     } catch (...) {
-      // Connection lost: stop heartbeating, let leases lapse.
-      lock.lock();
-      return;
+      return;  // Connection lost: the next lease request reports it.
     }
     lock.lock();
   }

@@ -18,7 +18,7 @@ struct JobOptions {
   /// host:port): lease each point from a kop_sweepd daemon before
   /// simulating it (lease_session.hpp).  Points leased elsewhere come
   /// back with PointResult::skipped set.  Crashed workers need no
-  /// cleanup -- their leases expire and the daemon re-queues the
+  /// cleanup -- the daemon declares them dead and re-queues their
   /// points.
   std::string coord_socket;
 

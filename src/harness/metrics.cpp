@@ -235,8 +235,8 @@ FigOptions parse_fig_options(int argc, char** argv) {
           "  --no-cache       ignore --cache-dir, force re-simulation\n"
           "  --coord <addr>   lease points from a kop_sweepd daemon at\n"
           "                   <addr> -- unix socket path or host:port\n"
-          "                   (crashed workers are reclaimed by lease\n"
-          "                   expiry; merge worker caches with kop_merge)\n",
+          "                   (a dead worker's points are re-queued;\n"
+          "                   merge worker caches with kop_merge)\n",
           argv[0]);
       opts.ok = false;
       return opts;

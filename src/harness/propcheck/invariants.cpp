@@ -352,11 +352,12 @@ void check_cache_roundtrip(const CaseParams& params, const jobs::PointSpec& spec
 
 // Exactly-once dispatch under the sweep coordinator: drive the
 // clockless Coordinator through a full synthetic sweep with a random
-// worker-crash schedule (all derived from the case token, so replaying
-// the token replays the exact schedule) and assert that the sweep
-// drains and every point is completed exactly once -- crashes and lease
-// expiries may re-*dispatch* a point, but only one completion is ever
-// accepted, and re-dispatch only happens after a reclaim.
+// worker-crash and worker-stall schedule (all derived from the case
+// token, so replaying the token replays the exact schedule) and assert
+// that the sweep drains and every point is completed exactly once --
+// crashes and stalls past the dead window may re-*dispatch* a point,
+// but only one completion is ever accepted, and re-dispatch only
+// happens after a reclaim.
 void check_exactly_once_dispatch(const CaseParams& params,
                                  std::vector<Violation>* out) {
   const std::uint64_t seed = jobs::fnv1a64(params.token());
@@ -368,10 +369,9 @@ void check_exactly_once_dispatch(const CaseParams& params,
     out->push_back({"exactly-once-dispatch", std::move(detail)});
   };
 
-  // Short synthetic timescales: leases expire mid-point, Suspect and
-  // Dead are reachable, yet one immortal worker drains any schedule.
+  // Short synthetic timescales: Suspect and Dead are reachable
+  // mid-point, yet one immortal worker drains any schedule.
   coord::CoordinatorOptions copt;
-  copt.lease_ttl_ms = 120;
   copt.liveness.suspect_after_ms = 180;
   copt.liveness.dead_after_ms = 420;
   coord::Coordinator coordinator(copt, {});
@@ -403,6 +403,7 @@ void check_exactly_once_dispatch(const CaseParams& params,
     std::uint64_t lease_id = 0;
     std::uint64_t point = 0;
     std::int64_t finish_at = 0;
+    std::int64_t stalled_until = 0;  // silent (stopped) until then
   };
   std::vector<SimWorker> workers(static_cast<std::size_t>(rand_in(2, 4)));
   for (std::size_t w = 0; w < workers.size(); ++w) {
@@ -426,6 +427,7 @@ void check_exactly_once_dispatch(const CaseParams& params,
         w.crashed = true;  // vanishes mid-lease: reclaim must cover it
         continue;
       }
+      if (now < w.stalled_until) continue;
       if (!w.helloed) {
         send("HELLO " + w.name, now);
         w.helloed = true;
@@ -439,11 +441,13 @@ void check_exactly_once_dispatch(const CaseParams& params,
                                      now);
           if (r == "OK" || r == "OK-STALE") ++accepted[w.point];
           w.holding = false;
-        } else if (rand_in(0, 9) < 7) {
-          // A missed renewal now and then: lets leases expire mid-point
+        } else if (rand_in(0, 29) == 0) {
+          // A stall now and then (a stopped or starved process), often
+          // past the dead window: its lease is reclaimed and re-granted,
           // so the stale-completion path is actually exercised.
-          (void)send("RENEW " + w.name + " " + coord::to_hex16(w.lease_id),
-                     now);
+          w.stalled_until = now + rand_in(100, 800);
+        } else {
+          (void)send("PING " + w.name, now);
         }
         continue;
       }
@@ -453,7 +457,7 @@ void check_exactly_once_dispatch(const CaseParams& params,
         coord::parse_hex16(toks[1], &w.point);
         coord::parse_hex16(toks[2], &w.lease_id);
         w.holding = true;
-        // Some points outlive the TTL several times over.
+        // Some points outlive the suspect window several times over.
         w.finish_at = now + rand_in(20, 300);
       } else if (!toks.empty() && (toks[0] == "DEAD" || toks[0] == "NOHELLO")) {
         w.helloed = false;  // come back as a new incarnation
@@ -483,7 +487,7 @@ void check_exactly_once_dispatch(const CaseParams& params,
             std::to_string(n_points) + " points");
   }
   // Every grant beyond the first per point must be justified by a
-  // reclaim (expiry, death, or BYE) -- dispatch is never duplicated
+  // reclaim (death or BYE) -- dispatch is never duplicated
   // while a live lease exists.
   if (counters.get("leases_granted") >
       static_cast<std::uint64_t>(n_points) + counters.get("points_requeued")) {
@@ -525,7 +529,6 @@ void check_journal_replay(const CaseParams& params,
   const std::string path = dir + "/queue.journal";
 
   coord::CoordinatorOptions copt;
-  copt.lease_ttl_ms = 120;
   copt.liveness.suspect_after_ms = 180;
   copt.liveness.dead_after_ms = 420;
 
@@ -556,6 +559,7 @@ void check_journal_replay(const CaseParams& params,
       std::uint64_t lease_id = 0;
       std::uint64_t point = 0;
       std::int64_t finish_at = 0;
+      std::int64_t stalled_until = 0;
     };
     std::vector<SimWorker> workers(static_cast<std::size_t>(rand_in(1, 3)));
     for (std::size_t w = 0; w < workers.size(); ++w) {
@@ -568,6 +572,7 @@ void check_journal_replay(const CaseParams& params,
       const std::int64_t now = step * kStepMs;
       live.tick(now);
       for (auto& w : workers) {
+        if (now < w.stalled_until) continue;
         if (!w.helloed) {
           (void)live.handle_line("HELLO " + w.name, now);
           w.helloed = true;
@@ -580,9 +585,10 @@ void check_journal_replay(const CaseParams& params,
                                        coord::to_hex16(w.point),
                                    now);
             w.holding = false;
-          } else if (rand_in(0, 9) < 6) {
-            (void)live.handle_line(
-                "RENEW " + w.name + " " + coord::to_hex16(w.lease_id), now);
+          } else if (rand_in(0, 29) == 0) {
+            w.stalled_until = now + rand_in(100, 800);  // may die meanwhile
+          } else {
+            (void)live.handle_line("PING " + w.name, now);
           }
           continue;
         }
@@ -593,6 +599,8 @@ void check_journal_replay(const CaseParams& params,
           coord::parse_hex16(toks[2], &w.lease_id);
           w.holding = true;
           w.finish_at = now + rand_in(20, 260);
+        } else if (!toks.empty() && (toks[0] == "DEAD" || toks[0] == "NOHELLO")) {
+          w.helloed = false;
         }
       }
     }
@@ -600,7 +608,7 @@ void check_journal_replay(const CaseParams& params,
     // anything after this commit would be re-derivable loss (not
     // exercised here -- this invariant checks exactness *of the file*).
     journal.commit();
-    coord::LeaseTable restart(copt.lease_ttl_ms);
+    coord::LeaseTable restart;
     for (const auto& info : registered) restart.add_point(info);
     for (const auto& info : registered) {
       if (live.leases().point_state(info.hash) ==

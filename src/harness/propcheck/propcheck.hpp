@@ -26,16 +26,20 @@
 //   cache-roundtrip      store -> load -> merge -> load returns the
 //                        byte-identical entry document
 //   exactly-once-dispatch  a full coordinator-arbitrated sweep under a
-//                        case-derived random worker-crash schedule
-//                        drains with exactly one accepted completion
-//                        per point (src/coord, driven clocklessly)
-//   journal-replay       a journaled coordinator killed at a random
-//                        committed moment replays its journal into the
-//                        restart table: every registered point, the
-//                        completed ones complete, the rest queued in
-//                        registration order, no leases; torn tails are
-//                        tolerated, checksum corruption is rejected
-//                        (needs scratch_dir, like cache-roundtrip)
+//                        case-derived random schedule of worker crashes
+//                        and stalls past the dead window (reclaimed
+//                        leases, re-grants, stale DONEs) drains with
+//                        exactly one accepted completion per point
+//                        (src/coord, driven clocklessly)
+//   journal-replay       a journaled coordinator whose heartbeating
+//                        workers stall and are declared dead at random,
+//                        killed at a random committed moment, replays
+//                        its journal into the restart table: every
+//                        registered point, the completed ones complete,
+//                        the rest queued in registration order, no
+//                        leases; torn tails are tolerated, checksum
+//                        corruption is rejected (needs scratch_dir,
+//                        like cache-roundtrip)
 //
 // A failing case is shrunk to a minimal failing CaseParams; its token
 // is a single space-free string that replays from the CLI

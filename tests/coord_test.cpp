@@ -1,15 +1,18 @@
 // The sweep coordinator: line-protocol parsing, the worker liveness
-// state machine, lease lifecycle edge cases (renewal at the TTL
-// boundary, the double-reclaim race, Suspect -> Alive recovery,
-// coordinator restart with in-flight leases), the cache-serving GET
-// path, and the socket front-end end-to-end (kop_sweepd's Server +
-// Client, and JobRunner --coord dispatch).
+// state machine, lease lifecycle edge cases (a lease outliving any
+// duration while its holder heartbeats, the double-reclaim race,
+// Suspect -> Alive recovery, coordinator restart with in-flight
+// leases), the cache-serving GET path, and the socket front-end
+// end-to-end (kop_sweepd's Server + Client, and JobRunner --coord
+// dispatch, including a session the coordinator declared dead).
 #include <gtest/gtest.h>
 #include <netdb.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -70,10 +73,6 @@ TEST(CoordProto, ParsesEveryVerb) {
   EXPECT_EQ(r.hash, 42u);
   EXPECT_EQ(r.entry, "kop-00000000000000ff.json");
 
-  r = coord::parse_request("RENEW w " + l);
-  EXPECT_EQ(r.verb, Verb::kRenew);
-  EXPECT_EQ(r.lease_id, 7u);
-
   r = coord::parse_request("DONE w " + l + " " + h);
   EXPECT_EQ(r.verb, Verb::kDone);
   EXPECT_EQ(r.lease_id, 7u);
@@ -96,6 +95,10 @@ TEST(CoordProto, RejectsMalformedLines) {
   EXPECT_EQ(coord::parse_request("FROB w").verb, Verb::kInvalid);
   EXPECT_EQ(coord::parse_request("GET 123").verb, Verb::kInvalid);
   EXPECT_EQ(coord::parse_request("LEASE w nothex0000000000x").verb,
+            Verb::kInvalid);
+  // Protocol v2 has no lease renewal: a lease lives as long as its
+  // holder heartbeats.
+  EXPECT_EQ(coord::parse_request("RENEW w " + coord::to_hex16(7)).verb,
             Verb::kInvalid);
   // Worker ids are charset- and length-limited.
   EXPECT_EQ(coord::parse_request("HELLO bad`name").verb, Verb::kInvalid);
@@ -208,44 +211,43 @@ coord::PointInfo synthetic_point(std::uint64_t hash) {
   return info;
 }
 
-TEST(CoordLease, RenewalAtTtlBoundary) {
-  coord::LeaseTable table(100);
-  table.add_point(synthetic_point(1));
-  coord::Lease lease;
-  ASSERT_EQ(table.grant_next("w", 0, &lease), coord::GrantOutcome::kGranted);
-  EXPECT_EQ(lease.expires_ms, 100);
+// A lease has no expiry of its own: while its holder heartbeats, the
+// point stays leased however long it simulates, and its DONE is the
+// lease's own.
+TEST(CoordLease, LeaseOutlivesAnyDurationWhileHolderHeartbeats) {
+  coord::Coordinator c({}, {});
+  c.add_point(synthetic_point(1));
+  c.handle_line("HELLO w", 0);
+  const auto g = coord::split_tokens(c.handle_line("NEXT w", 0));
+  ASSERT_EQ(g[0], "GRANT");
 
-  // One tick before expiry the renewal wins and pushes the window.
-  EXPECT_EQ(table.renew(lease.id, 99), coord::RenewOutcome::kOk);
-  // Exactly at the (new) boundary the renewal loses: expiry is
-  // exclusive, so now == expires_ms is already expired.
-  EXPECT_EQ(table.renew(lease.id, 199), coord::RenewOutcome::kExpired);
-  // A reclaim sweep at the boundary takes the point back...
-  EXPECT_EQ(table.reclaim_expired(198).size(), 0u);
-  EXPECT_EQ(table.reclaim_expired(199).size(), 1u);
-  EXPECT_EQ(table.point_state(1), coord::PointState::kQueued);
-  // ...after which the old id stays dead (kExpired, not kUnknown: the
-  // id was real once) and a never-issued id is kUnknown.
-  EXPECT_EQ(table.renew(lease.id, 200), coord::RenewOutcome::kExpired);
-  EXPECT_EQ(table.renew(9999, 200), coord::RenewOutcome::kUnknown);
+  constexpr std::int64_t kHourMs = 3600 * 1000;
+  for (std::int64_t now = 500; now <= kHourMs; now += 500) {
+    ASSERT_EQ(c.handle_line("PING w", now), "OK alive") << "at " << now;
+    c.tick(now);
+  }
+  EXPECT_EQ(c.leases().point_state(1), coord::PointState::kLeased);
+  EXPECT_EQ(c.counters().get("points_requeued"), 0u);
+  EXPECT_EQ(c.handle_line("DONE w " + g[2] + " " + g[1], kHourMs), "OK");
+  EXPECT_TRUE(c.drained());
 }
 
 TEST(CoordLease, DoubleReclaimRequeuesExactlyOnce) {
-  coord::LeaseTable table(100);
+  coord::LeaseTable table;
   table.add_point(synthetic_point(5));
   coord::Lease lease;
-  ASSERT_EQ(table.grant_next("w1", 0, &lease), coord::GrantOutcome::kGranted);
+  ASSERT_EQ(table.grant_next("w1", &lease), coord::GrantOutcome::kGranted);
 
-  // Two racing reclaim sweeps at the same instant: the second finds
-  // nothing, the point is queued exactly once.
-  EXPECT_EQ(table.reclaim_expired(100).size(), 1u);
-  EXPECT_EQ(table.reclaim_expired(100).size(), 0u);
+  // Two racing reclaims of the same dead worker (its Dead verdict and
+  // its late BYE): the second finds nothing, the point is queued
+  // exactly once.
+  EXPECT_EQ(table.reclaim_worker("w1").size(), 1u);
+  EXPECT_EQ(table.reclaim_worker("w1").size(), 0u);
   EXPECT_EQ(table.queued(), 1u);
 
   // The point re-grants to another worker with a fresh lease id.
   coord::Lease lease2;
-  ASSERT_EQ(table.grant_next("w2", 150, &lease2),
-            coord::GrantOutcome::kGranted);
+  ASSERT_EQ(table.grant_next("w2", &lease2), coord::GrantOutcome::kGranted);
   EXPECT_EQ(lease2.point, 5u);
   EXPECT_NE(lease2.id, lease.id);
 
@@ -264,9 +266,8 @@ TEST(CoordLease, DoubleReclaimRequeuesExactlyOnce) {
 // one completion, attributing the late one as OK-STALE / DUP.
 TEST(CoordLease, StaleCompletionResolvesByHashExactlyOnce) {
   coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 100;
-  opt.liveness.suspect_after_ms = 1000;
-  opt.liveness.dead_after_ms = 5000;
+  opt.liveness.suspect_after_ms = 50;
+  opt.liveness.dead_after_ms = 100;
   coord::Coordinator c(opt, {});
   c.add_point(synthetic_point(5));
   const std::string h = coord::to_hex16(5);
@@ -276,9 +277,10 @@ TEST(CoordLease, StaleCompletionResolvesByHashExactlyOnce) {
   ASSERT_EQ(g1[0], "GRANT");
   const std::string l1 = g1[2];
 
-  c.tick(100);  // lease expires, point requeued
+  c.tick(100);  // w1 silent past dead-ms: declared dead, point requeued
   c.tick(100);  // double reclaim: no-op
-  EXPECT_EQ(c.handle_line("RENEW w1 " + l1, 150), "EXPIRED");
+  EXPECT_EQ(c.counters().get("points_requeued"), 1u);
+  EXPECT_EQ(c.handle_line("PING w1", 150), "DEAD");
 
   EXPECT_EQ(c.handle_line("HELLO w2", 150).rfind("OK 1 ", 0), 0u);
   const auto g2 = coord::split_tokens(c.handle_line("NEXT w2", 150));
@@ -299,9 +301,7 @@ TEST(CoordLease, StaleCompletionResolvesByHashExactlyOnce) {
 // the DONE names; a live id sent with another point's hash resolves by
 // the named point, and the leased point stays leased.
 TEST(CoordLease, DoneWithAnotherPointsHashLeavesTheLeasedPointOpen) {
-  coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 60000;
-  coord::Coordinator c(opt, {});
+  coord::Coordinator c({}, {});
   c.add_point(synthetic_point(1));
   c.add_point(synthetic_point(2));
 
@@ -327,7 +327,6 @@ TEST(CoordLease, DoneWithAnotherPointsHashLeavesTheLeasedPointOpen) {
 
 TEST(CoordLease, DeadWorkerLeasesReclaimedAndReHelloIsNewIncarnation) {
   coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 60000;  // TTL never expires in this test; death reclaims
   opt.liveness.suspect_after_ms = 100;
   opt.liveness.dead_after_ms = 300;
   coord::Coordinator c(opt, {});
@@ -490,7 +489,6 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
   const std::string jpath = (root / "queue.journal").string();
 
   coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 60000;
   {
     coord::Coordinator live(opt, {});
     coord::Journal journal(jpath);
@@ -502,7 +500,7 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
     ASSERT_EQ(g1[0], "GRANT");
     ASSERT_EQ(g2[0], "GRANT");
     EXPECT_EQ(live.handle_line("DONE w1 " + g1[2] + " " + g1[1], 10), "OK");
-    EXPECT_EQ(live.handle_line("RENEW w1 " + g2[2], 20), "OK 60000");
+    EXPECT_EQ(live.handle_line("PING w1", 20), "OK alive");
     journal.commit();
   }
 
@@ -546,7 +544,7 @@ TEST(CoordJournal, ReplayReproducesLiveTable) {
   fs::remove_all(root);
 }
 
-// Grants, renewals, reclaims and BYEs never reach the journal: only
+// Grants, heartbeats, reclaims and BYEs never reach the journal: only
 // what survives a restart does.
 TEST(CoordJournal, HoldsOnlyRegistrationsAndCompletions) {
   const fs::path root =
@@ -557,9 +555,8 @@ TEST(CoordJournal, HoldsOnlyRegistrationsAndCompletions) {
   const std::string jpath = (root / "queue.journal").string();
 
   coord::CoordinatorOptions opt;
-  opt.lease_ttl_ms = 100;
-  opt.liveness.suspect_after_ms = 1000;
-  opt.liveness.dead_after_ms = 5000;
+  opt.liveness.suspect_after_ms = 50;
+  opt.liveness.dead_after_ms = 100;
   {
     coord::Coordinator live(opt, {});
     coord::Journal journal(jpath);
@@ -568,9 +565,10 @@ TEST(CoordJournal, HoldsOnlyRegistrationsAndCompletions) {
     live.handle_line("HELLO w", 0);
     const auto g1 = coord::split_tokens(live.handle_line("NEXT w", 0));
     ASSERT_EQ(g1[0], "GRANT");
-    EXPECT_EQ(live.handle_line("RENEW w " + g1[2], 50), "OK 100");
-    live.tick(150);  // the renewed lease expires: an expiry reclaim
-    EXPECT_EQ(live.counters().get("leases_expired"), 1u);
+    EXPECT_EQ(live.handle_line("PING w", 50), "OK alive");
+    live.tick(150);  // silent past dead-ms: a dead-worker reclaim
+    EXPECT_EQ(live.counters().get("leases_reclaimed_dead"), 1u);
+    EXPECT_EQ(live.handle_line("HELLO w", 160).rfind("OK 2 ", 0), 0u);
     const auto g2 = coord::split_tokens(live.handle_line("NEXT w", 160));
     ASSERT_EQ(g2[0], "GRANT");
     EXPECT_EQ(live.handle_line("DONE w " + g2[2] + " " + g2[1], 170), "OK");
@@ -619,9 +617,7 @@ TEST(CoordRestart, InFlightLeasesRequeueCompletedPointsStayComplete) {
     return true;
   };
   auto make = [&] {
-    coord::CoordinatorOptions opt;
-    opt.lease_ttl_ms = 60000;
-    coord::Coordinator c(opt, probe);
+    coord::Coordinator c({}, probe);
     for (const auto& [h, spec] : specs) {
       coord::PointInfo info;
       info.hash = h;
@@ -705,7 +701,8 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
     coord::Client client(sock);
     const auto hello = client.hello("tester");
     EXPECT_EQ(hello.incarnation, 1u);
-    EXPECT_GT(hello.ttl_ms, 0);
+    EXPECT_EQ(hello.suspect_ms, 3000);
+    EXPECT_EQ(hello.dead_ms, 5000);
 
     // Drain the two-point sweep over the wire.
     std::set<std::uint64_t> seen;
@@ -716,7 +713,6 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
       if (grant.point == 1) {
         EXPECT_EQ(grant.payload, "tok-one");
       }
-      EXPECT_TRUE(client.renew("tester", grant.lease_id));
       EXPECT_TRUE(client.done("tester", grant.lease_id, grant.point));
     }
     EXPECT_EQ(seen.size(), 2u);
@@ -868,6 +864,74 @@ TEST(CoordServer, RunnerReportsALostDaemonAsFailedPoints) {
   }
   EXPECT_EQ(runner.stats().failures, 4u);
   EXPECT_EQ(runner.stats().executed, 0u);
+}
+
+// A session the coordinator declared dead (stopped or starved past the
+// dead window while the daemon ran on) says HELLO again as a fresh
+// incarnation and keeps leasing: no point of its sweep is skipped.  The
+// real Coordinator sits behind a one-connection loop on a test clock
+// that ticks before each request, so the Dead verdict needs no waiting.
+TEST(CoordServer, SessionDeclaredDeadSaysHelloAgainAndKeepsLeasing) {
+  const std::string sock =
+      "/tmp/kop_coord_dead_" + std::to_string(getpid()) + ".sock";
+  ::unlink(sock.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un sun{};
+  sun.sun_family = AF_UNIX;
+  std::strncpy(sun.sun_path, sock.c_str(), sizeof(sun.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&sun),
+                   sizeof(sun)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const coord::CoordinatorOptions opt;
+  coord::Coordinator c(opt, {});
+  std::atomic<std::int64_t> now{0};
+  std::thread loop([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string rbuf;
+    for (;;) {
+      const std::size_t nl = rbuf.find('\n');
+      if (nl == std::string::npos) {
+        char chunk[4096];
+        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+        if (n <= 0) break;  // the session hung up
+        rbuf.append(chunk, static_cast<std::size_t>(n));
+        continue;
+      }
+      const std::string line = rbuf.substr(0, nl);
+      rbuf.erase(0, nl + 1);
+      c.tick(now);
+      const std::string reply = c.handle_line(line, now) + "\n";
+      if (::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(reply.size())) {
+        break;
+      }
+    }
+    ::close(fd);
+  });
+
+  const std::vector<jobs::PointSpec> points = {tiny_point(1), tiny_point(2)};
+  jobs::JobRunner::Stats stats;
+  {
+    jobs::JobOptions jopts;
+    jopts.jobs = 1;
+    jopts.coord_socket = sock;
+    jobs::JobRunner runner(jopts);  // HELLO at t = 0
+    now = opt.liveness.dead_after_ms + 1000;  // silent past the dead window
+    jobs::require_ok(points, runner.run(points));
+    stats = runner.stats();
+  }  // BYE and hang up: the loop ends
+  loop.join();
+  ::close(listener);
+  ::unlink(sock.c_str());
+
+  EXPECT_EQ(stats.executed, points.size());
+  EXPECT_EQ(stats.skipped, 0u);
+  EXPECT_EQ(c.counters().get("workers_died"), 1u);
+  EXPECT_TRUE(c.drained());
 }
 
 // A figure binary's --coord run: each worker prints a coverage note in
@@ -1022,7 +1086,6 @@ TEST(CoordServer, EndToEndOverTcpWithBatchedGet) {
     // The protocol is transport-agnostic: the worker loop runs as-is.
     const auto grant = client.next("tcp-tester");
     ASSERT_TRUE(grant.granted) << grant.status;
-    EXPECT_TRUE(client.renew("tcp-tester", grant.lease_id));
     EXPECT_TRUE(client.done("tcp-tester", grant.lease_id, grant.point));
 
     // The acceptance criterion: a batch of 64 GETs costs exactly one

@@ -70,7 +70,7 @@ for doc in "${docs[@]}"; do
           [ -n "$bin" ] || continue
           flag=${tok%%=*}
           # Word-boundary match against the usage text: "[--bench ...]"
-          # and "--timeout-ms T | --timeout S" must both resolve right.
+          # must resolve, and "--dead-ms" must not pass for "--dead".
           if ! usage_of "$bin" | grep -Eq -- "(^|[^-[:alnum:]])${flag}([^-[:alnum:]]|$)"; then
             echo "$doc: $bin does not accept $flag" >&2
             echo "    in: $line" >&2
