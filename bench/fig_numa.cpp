@@ -8,25 +8,21 @@
 // Reported per (machine, threads): timed seconds and the
 // task_steals_local / task_steals_remote split for flat, hier, and
 // hier + migration-on-next-touch; for 8XEON also the per-zone remote
-// traffic and the flat/hier remote-steal reduction ratio the CI numa
-// gate floors at 2x (bench/numa_floor.json).
+// traffic and the flat/hier remote-steal ratio.  The ratio is reported,
+// not gated: a steal count says nothing about time.
 //
 // Both schedulers run identical points (same tasks, same virtual
-// work), so the reduction compares equal total work.  This binary
-// sweeps every mode in one run, so it takes no --numa-sched or
-// --numa-migrate (abl_numa_firsttouch does).  --bench-json
-// additionally writes a kop-bench v1 document with the reduction
-// ratios for examples/kop_perfgate.
+// work), so the ratio compares equal total work.  This binary sweeps
+// every mode in one run, so it takes no --numa-sched or --numa-migrate
+// (abl_numa_firsttouch does).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "harness/figures.hpp"
 #include "harness/table.hpp"
 #include "hw/topology.hpp"
-#include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/counters.hpp"
 
 using namespace kop;
 
@@ -107,64 +103,11 @@ std::string zone_vector(const std::vector<std::uint64_t>& sums) {
   return out + "]";
 }
 
-std::string bench_json(std::uint64_t flat_remote_phi,
-                       std::uint64_t hier_remote_phi,
-                       std::uint64_t flat_remote_8xeon,
-                       std::uint64_t hier_remote_8xeon) {
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(telemetry::kBenchSchemaName);
-  w.key("version").value(telemetry::kBenchSchemaVersion);
-  w.key("generator").value("fig_numa");
-  w.key("benches").begin_array();
-  // items = flat remote steals, seconds = hier remote steals, so
-  // items_per_sec is the reduction ratio the gate floors.  A zero hier
-  // count divides as 1 (the ratio is then simply the flat count).
-  const auto emit = [&w](const char* name, std::uint64_t flat,
-                         std::uint64_t hier) {
-    w.begin_object();
-    w.key("name").value(name);
-    w.key("unit").value("x");
-    w.key("items").value(flat);
-    w.key("seconds").value(hier == 0 ? 1.0 : static_cast<double>(hier));
-    w.key("items_per_sec")
-        .value(static_cast<double>(flat) /
-               (hier == 0 ? 1.0 : static_cast<double>(hier)));
-    w.key("allocs_steady").value(std::uint64_t{0});
-    w.end_object();
-  };
-  emit("remote_steal_reduction_phi", flat_remote_phi, hier_remote_phi);
-  emit("remote_steal_reduction_8xeon", flat_remote_8xeon, hier_remote_8xeon);
-  w.end_array();
-  w.end_object();
-  return w.str() + "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
-  // --bench-json is specific to this binary: strip it before handing
-  // the rest to the shared figure-option parser.
-  std::string bench_path;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-json" && i + 1 < argc) {
-      bench_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opts =
-      harness::parse_fig_options(static_cast<int>(rest.size()), rest.data());
-  if (!opts.ok) {
-    std::fprintf(stderr,
-                 "  --bench-json <p> also write a kop-bench v1 document with\n"
-                 "                   the remote-steal reduction ratios\n"
-                 "                   (gated by kop_perfgate vs\n"
-                 "                   bench/numa_floor.json)\n");
-    return 2;
-  }
+  const auto opts = harness::parse_fig_options(argc, argv);
+  if (!opts.ok) return 2;
   std::printf("== NUMA scheduler: flat ring vs hierarchical stealing "
               "(EPCC taskbench) ==\n");
   std::printf("   task_steals split by victim zone; migrate adds "
@@ -206,10 +149,9 @@ int main(int argc, char** argv) try {
     sink.add(m);
   }
 
-  std::uint64_t flat_remote[2] = {0, 0};  // [0]=phi, [1]=8xeon
-  std::uint64_t hier_remote[2] = {0, 0};
-  for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-    const auto& [machine, scales] = machines[mi];
+  for (const auto& [machine, scales] : machines) {
+    std::uint64_t flat_remote = 0;
+    std::uint64_t hier_remote = 0;
     const hw::MachineConfig config = hw::machine_by_name(machine);
     harness::Table t(
         {"threads", "sched", "seconds", "local", "remote", "migrations"});
@@ -227,9 +169,9 @@ int main(int argc, char** argv) try {
                    std::to_string(
                        total(m, telemetry::Counter::kPageMigrations))});
         if (mode.hier && !mode.migrate) {
-          hier_remote[mi] += remote;
+          hier_remote += remote;
         } else if (!mode.hier) {
-          flat_remote[mi] += remote;
+          flat_remote += remote;
         }
       }
     }
@@ -249,9 +191,9 @@ int main(int argc, char** argv) try {
                   mode.name, zone_vector(zones).c_str());
     }
     const double denom =
-        hier_remote[mi] == 0 ? 1.0 : static_cast<double>(hier_remote[mi]);
-    std::printf("  remote-steal reduction (flat/hier): %s\n\n",
-                harness::Table::num(static_cast<double>(flat_remote[mi]) /
+        hier_remote == 0 ? 1.0 : static_cast<double>(hier_remote);
+    std::printf("  remote-steal ratio (flat/hier): %s\n\n",
+                harness::Table::num(static_cast<double>(flat_remote) /
                                     denom)
                     .c_str());
   }
@@ -274,25 +216,10 @@ int main(int argc, char** argv) try {
                 mig_point(1, false, opts.quick).nas.full_name().c_str(),
                 t.to_string().c_str());
   }
-  std::printf("Expected: hier cuts 8XEON remote steals >= 2x at equal\n"
-              "total work; next-touch re-homes the slices that immediate\n"
-              "allocation stranded in one zone.\n");
-
-  if (!bench_path.empty()) {
-    std::ofstream out(bench_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open for writing: %s\n",
-                   bench_path.c_str());
-      return 1;
-    }
-    out << bench_json(flat_remote[0], hier_remote[0], flat_remote[1],
-                      hier_remote[1]);
-    if (!out) {
-      std::fprintf(stderr, "write failed: %s\n", bench_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", bench_path.c_str());
-  }
+  std::printf("Expected: both orders complete equal total work; the\n"
+              "remote-steal ratio is reported, not claimed.  Next-touch\n"
+              "re-homes the slices that immediate allocation stranded in\n"
+              "one zone.\n");
   return harness::finish_figure(opts, sink);
 } catch (const std::exception& e) {
   return kop::harness::fail_figure(e);

@@ -1,9 +1,10 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
 // raw event dispatch through the engine queue, same-instant yields,
 // fiber switches, timed sleep/wake chains (run-ahead and queued),
-// kernel task dispatch + steals, and a full small OpenMP region.  These
-// guard the *host* performance of the reproduction (every figure is
-// built from millions of these operations).
+// kernel task dispatch + steals, a full small OpenMP region, and OpenMP
+// tasks stolen by many idle thieves.  These guard the *host*
+// performance of the reproduction (every figure is built from millions
+// of these operations).
 //
 //   simcore_gbench [--quick] [--filter SUBSTR] [--json FILE]
 //
@@ -236,6 +237,35 @@ BenchResult bench_omp_parallel(int reps, int regions, int threads) {
                    rep, [] { return 0ull; });
 }
 
+// OpenMP tasks with many idle thieves: a 64-thread komp region on
+// 8XEON.  Every thread spawns one task before the region-end barrier,
+// so each enters the barrier's task drain rather than parking, and
+// thread 0 spawns the rest: the other threads walk the steal ring over
+// mostly empty deques while one deque holds the work.
+BenchResult bench_omp_task_steals(int reps, int tasks, int threads) {
+  auto rep = [&]() -> std::uint64_t {
+    Engine eng;
+    kop::nautilus::NautilusKernel nk(eng, kop::hw::xeon8());
+    nk.set_env("OMP_NUM_THREADS", std::to_string(threads));
+    kop::pthread_compat::Pthreads pt(
+        nk, kop::pthread_compat::nautilus_native_tuning());
+    nk.spawn_thread(
+        "main",
+        [&] {
+          kop::komp::Runtime rt(pt);
+          rt.parallel([&](kop::komp::TeamThread& tt) {
+            const int mine = tt.id() == 0 ? tasks - (threads - 1) : 1;
+            for (int k = 0; k < mine; ++k)
+              tt.task([](kop::komp::TeamThread& ex) { ex.compute_ns(1000); });
+          });
+        },
+        0);
+    eng.run();
+    return static_cast<std::uint64_t>(tasks);
+  };
+  return run_bench("omp_task_steals", "tasks", reps, rep, [] { return 0ull; });
+}
+
 // --- Output ------------------------------------------------------------
 
 void print_table(const std::vector<BenchResult>& results) {
@@ -315,6 +345,9 @@ int main(int argc, char** argv) {
   if (want("nk_task")) bench_nk_tasks(quick ? 2 : 5, quick ? 500 : 2'000, &results);
   if (want("omp_parallel"))
     results.push_back(bench_omp_parallel(quick ? 2 : 5, quick ? 5 : 20, 16));
+  if (want("omp_task_steals"))
+    results.push_back(
+        bench_omp_task_steals(quick ? 2 : 5, quick ? 2'000 : 10'000, 64));
 
   if (results.empty()) {
     std::fprintf(stderr, "no benches match filter \"%s\"\n", filter.c_str());

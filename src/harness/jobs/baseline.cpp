@@ -33,6 +33,8 @@ std::string pct(double v) {
   return buf;
 }
 
+bool loses(double gain) { return gain < 1.0 - kLossMargin; }
+
 }  // namespace
 
 CacheIndex::CacheIndex(const std::string& dir) {
@@ -100,7 +102,7 @@ BaselineVerdict compare_shapes(std::vector<ShapeCell> cells,
         base_gains.push_back(c->baseline_gain);
         fresh_gains.push_back(c->fresh_gain);
       }
-      if ((c->baseline_gain >= 1.0) != (c->fresh_gain >= 1.0)) ++sv.flips;
+      if (loses(c->baseline_gain) != loses(c->fresh_gain)) ++sv.flips;
     }
     if (!base_gains.empty()) {
       sv.baseline_geomean = sim::geomean(base_gains);
@@ -110,9 +112,9 @@ BaselineVerdict compare_shapes(std::vector<ShapeCell> cells,
 
     // Crossover: within each group (one benchmark's CPU sweep, cells
     // in ascending-x order), the first cell where the series loses
-    // (gain < 1).  Moving that position changes where the figure's
-    // curves cross the baseline -- a shape change even when the
-    // geomean barely moves.
+    // (gain below 1 by more than kLossMargin).  Moving that position
+    // changes where the figure's curves cross the baseline -- a shape
+    // change even when the geomean barely moves.
     std::vector<std::pair<std::string, std::pair<int, int>>> first_loss;
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
       const ShapeCell* c = members[pos];
@@ -124,9 +126,9 @@ BaselineVerdict compare_shapes(std::vector<ShapeCell> cells,
         first_loss.push_back({c->group, {-1, -1}});
         it = first_loss.end() - 1;
       }
-      if (c->baseline_gain < 1.0 && it->second.first < 0)
+      if (loses(c->baseline_gain) && it->second.first < 0)
         it->second.first = static_cast<int>(pos);
-      if (c->fresh_gain < 1.0 && it->second.second < 0)
+      if (loses(c->fresh_gain) && it->second.second < 0)
         it->second.second = static_cast<int>(pos);
     }
     for (const auto& [group, positions] : first_loss) {

@@ -55,6 +55,14 @@ struct ShapeCell {
   double fresh_gain = 0.0;
 };
 
+/// A cell loses only when its gain is below 1 - kLossMargin, and the
+/// flip and crossover tests both use that rule.  Paths with equal
+/// overheads (PIK and Linux share most EPCC costs) produce gains of 1.0
+/// within ~1e-13 of floating-point rounding, which must not read as a
+/// win turning into a loss; 1e-9 is far above that noise and far below
+/// one simulated nanosecond on any overhead.
+inline constexpr double kLossMargin = 1e-9;
+
 struct BaselineOptions {
   /// Allowed relative drift of a series' geomean gain
   /// (|fresh/baseline - 1|); the default 5% absorbs benign

@@ -123,7 +123,7 @@ std::uint64_t fnv1a64(const std::string& bytes) {
 }
 
 std::uint64_t cost_model_fingerprint() {
-  std::string s = "kop-cost-model";
+  std::string s = "kop-cost-model;rev=" + fmt(kModelRevision);
   for (const auto& m : {hw::phi(), hw::xeon8()}) {
     append_machine(s, m);
     append_costs(s, hw::linux_costs(m));

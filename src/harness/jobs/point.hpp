@@ -33,11 +33,19 @@ std::uint64_t fnv1a64(const std::string& bytes);
 /// entry names, fingerprints, and coverage manifests.
 std::string hex16(std::uint64_t v);
 
-/// 64-bit fingerprint of the whole calibration surface: every field of
-/// hw::linux_costs()/hw::nautilus_costs() and the cost-relevant machine
-/// parameters, for both evaluation platforms.  Changing any constant in
-/// hw/cost_params.hpp (or the topology cost sheet) changes this value,
-/// which invalidates every cached result.
+/// Revision of the simulation model's behaviour.  Any change that moves
+/// a simulated result -- a new cost, a different steal walk, a reordered
+/// wake -- bumps it, so every result cached under the old model stops
+/// being found.  Cost constants need no bump: the fingerprint covers
+/// them itself.
+inline constexpr int kModelRevision = 2;
+
+/// 64-bit fingerprint of the whole calibration surface: kModelRevision,
+/// every field of hw::linux_costs()/hw::nautilus_costs() and the
+/// cost-relevant machine parameters, for both evaluation platforms.
+/// Changing any constant in hw/cost_params.hpp (or the topology cost
+/// sheet) or bumping kModelRevision changes this value, which
+/// invalidates every cached result.
 std::uint64_t cost_model_fingerprint();
 
 /// One simulation point of an experiment matrix.

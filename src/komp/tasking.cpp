@@ -124,6 +124,12 @@ void TaskPool::spawn(int tid, TaskBody body) {
   idle_gate_->notify_one();
 }
 
+bool TaskPool::looks_empty(int victim) const {
+  // __kmp_steal_task's relaxed TCR_4(td_deque_ntasks) read: no lock, no
+  // event, no simulated time, and no race annotation (see the header).
+  return deques_[static_cast<std::size_t>(victim)].empty();
+}
+
 TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   *steal = StealKind::kNone;
   sim::race::atomic_load(os_->engine(), &queued_);
@@ -150,11 +156,12 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   // Flat steal: FIFO from a victim (breadth-first, big chunks of work).
   for (int i = 1; i < n; ++i) {
     const int victim = (tid + i) % n;
+    if (looks_empty(victim)) continue;
     auto& lock = *locks_[static_cast<std::size_t>(victim)];
     if (!lock.try_lock()) continue;
     auto& dq = deques_[static_cast<std::size_t>(victim)];
     sim::race::plain_read(os_->engine(), &dq, "TaskPool task deque");
-    if (!dq.empty()) {
+    if (!dq.empty()) {  // locked re-check: it may have drained since the peek
       sim::race::plain_write(os_->engine(), &dq, "TaskPool task deque");
       const TaskHandle t = dq.front();
       dq.pop_front();
@@ -191,11 +198,12 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
       const bool remote = static_cast<int>(i) >= local_n;
       if (pass == 1 && !remote) continue;
       const int victim = order[i];
+      if (looks_empty(victim)) continue;
       auto& lock = *locks_[static_cast<std::size_t>(victim)];
       if (!lock.try_lock()) continue;
       auto& dq = deques_[static_cast<std::size_t>(victim)];
       sim::race::plain_read(os_->engine(), &dq, "TaskPool task deque");
-      if (dq.empty()) {
+      if (dq.empty()) {  // locked re-check, as in the flat ring
         lock.unlock();
         continue;
       }

@@ -10,6 +10,16 @@
 // their parent, mirroring the old parent shared_ptr chain, so
 // `pending_children` stays valid for taskwait however long the
 // subtree runs).
+//
+// Stealing follows libomp's __kmp_steal_task: a thief first peeks at
+// the victim deque's emptiness without its lock and moves on from an
+// empty one at no cost (no lock operation, no event, no simulated
+// time); only a victim that looks non-empty is try_locked, and the
+// deque is re-checked under the lock, so a victim that drains between
+// peek and lock is handled there and correctness never rests on the
+// peek.  The peek models libomp's relaxed TCR_4 read and carries no
+// race annotation: an atomic_load would add an acquire edge libomp
+// does not have and could hide a real deque race from the detector.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +86,8 @@ class TaskPool {
   void run(int tid, TaskHandle task, StealKind steal);
   TaskHandle pop_or_steal(int tid, StealKind* steal);
   TaskHandle steal_hier(int tid, StealKind* steal);
+  /// Unlocked emptiness peek at a victim's deque (see the file header).
+  bool looks_empty(int victim) const;
   TaskHandle alloc_task();
   /// Drop one pin; recycles the slot (and unpins ancestors) at zero.
   void unpin(TaskHandle h);

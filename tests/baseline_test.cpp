@@ -91,6 +91,30 @@ TEST(CompareShapes, FlagsCrossoverMove) {
   EXPECT_FALSE(v.series[0].ok);
 }
 
+TEST(CompareShapes, RoundingNoiseAtParityIsNeitherFlipNorCrossover) {
+  // fig13 --quick PIK TASK_BARRIER: PIK's and Linux's overheads are
+  // equal, so the gain is 1.0 up to rounding.  A model change that left
+  // the printed row as it was moved it from just above 1.0 to just
+  // below; that is not a win turning into a loss.
+  const std::vector<jobs::ShapeCell> cells = {
+      cell("TASK", "TASK_BARRIER", 1.0000000000000102, 0.9999999999999694)};
+  const auto v = jobs::compare_shapes(cells, {});
+  ASSERT_EQ(v.series.size(), 1u);
+  EXPECT_EQ(v.series[0].flips, 0);
+  EXPECT_EQ(v.series[0].crossover_moves, 0);
+  EXPECT_TRUE(v.series[0].ok) << v.text({});
+}
+
+TEST(CompareShapes, LossesBeyondTheMarginStillFlip) {
+  const std::vector<jobs::ShapeCell> cells = {
+      cell("BT-B", "1", 1.02, 0.98), cell("FT-B", "1", 1.0, 0.999)};
+  const auto v = jobs::compare_shapes(cells, {});
+  ASSERT_EQ(v.series.size(), 1u);
+  EXPECT_EQ(v.series[0].flips, 2);
+  EXPECT_EQ(v.series[0].crossover_moves, 2);
+  EXPECT_FALSE(v.series[0].ok);
+}
+
 TEST(CompareShapes, TextPrintsLongSeriesNamesWhole) {
   jobs::ShapeCell c = cell("BT-B", "1", 2.0, 2.0);
   c.series = std::string(200, 'S');

@@ -141,9 +141,9 @@ TEST(FigureRows, CckTablesHaveOneTablePerBenchmark) {
 
 // parse_fig_options takes the flags every figure shares and nothing
 // else.  A flag only one binary reads (abl_numa_firsttouch's
-// --numa-sched and --numa-migrate, fig_numa's --bench-json) is that
-// binary's to strip first; every other figure rejects it with usage
-// instead of silently ignoring it.
+// --numa-sched and --numa-migrate) is that binary's to strip first;
+// every other figure rejects it with usage instead of silently ignoring
+// it.  --bench-json, which no binary reads any more, is rejected too.
 TEST(FigOptions, RejectsFlagsOnlyOneBinaryReads) {
   auto parse = [](std::vector<std::string> args) {
     args.insert(args.begin(), "fig09");

@@ -213,6 +213,64 @@ TEST(Tasking, HierSchedulingCompletesAndClassifiesSteals) {
   EXPECT_GT(at(telemetry::Counter::kTaskStealsRemote), 0u);
 }
 
+// Simulated time of one try_run_one(1) on a directly built pool of n
+// threads whose only task sits on deque 0.  Under kHier, tids are
+// spread round-robin over the machine's CPU-bearing zones, so thief 1
+// and deque 0 sit in different zones.
+sim::Time one_steal_ns(int n, hw::MachineConfig machine, NumaSched sched) {
+  std::vector<int> cpu_of_tid;
+  if (sched == NumaSched::kHier) {
+    std::vector<const hw::NumaZone*> zones;
+    for (const auto& z : machine.zones)
+      if (!z.cpus.empty()) zones.push_back(&z);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i)
+      cpu_of_tid.push_back(zones[i % zones.size()]->cpus[i / zones.size()]);
+  }
+  Fixture f(n, 42, std::move(machine));
+  const RuntimeTuning tuning;
+  sim::Time elapsed = 0;
+  bool ran = false;
+  f.nk->spawn_thread(
+      "thief",
+      [&] {
+        TaskPool pool(*f.nk, n, tuning, 1000, sched, cpu_of_tid);
+        pool.spawn(0, [](int) {});
+        const sim::Time t0 = f.engine->now();
+        ran = pool.try_run_one(1);
+        elapsed = f.engine->now() - t0;
+      },
+      0);
+  f.engine->run();
+  EXPECT_TRUE(ran);
+  const auto snap = f.nk->counters().snapshot();
+  EXPECT_EQ(snap.totals[static_cast<int>(
+                sched == NumaSched::kHier
+                    ? telemetry::Counter::kTaskStealsRemote
+                    : telemetry::Counter::kTaskStealsLocal)],
+            1u);
+  return elapsed;
+}
+
+TEST(Tasking, EmptyVictimsCostNoSimulatedTime) {
+  // From tid 1 the ring reaches deque 0 last, after n - 2 empty deques.
+  // A thief peeks at a victim before taking its lock, as libomp does,
+  // so an empty victim costs nothing and the walk's time does not
+  // depend on n.
+  const sim::Time base = one_steal_ns(4, hw::phi(), NumaSched::kFlat);
+  EXPECT_GT(base, sim::Time{0});
+  EXPECT_EQ(one_steal_ns(64, hw::phi(), NumaSched::kFlat), base);
+}
+
+TEST(Tasking, EmptyVictimsCostNoSimulatedTimeInHierWalk) {
+  // 8XEON with one thread per zone, then eight: thief 1 now walks seven
+  // empty same-zone victims, and the empty victims of every zone nearer
+  // than deque 0's, before it raids deque 0 (gated in pass 0, taken in
+  // pass 1).
+  const sim::Time base = one_steal_ns(8, hw::xeon8(), NumaSched::kHier);
+  EXPECT_GT(base, sim::Time{0});
+  EXPECT_EQ(one_steal_ns(64, hw::xeon8(), NumaSched::kHier), base);
+}
+
 TEST(Tasking, HierOnSingleZoneMachineStealsOnlyLocally) {
   // PHI's only CPU-bearing zone is zone 0 (MCDRAM is CPU-less), so the
   // topology walk degenerates to the flat ring: everything classifies
