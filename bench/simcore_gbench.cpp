@@ -1,10 +1,10 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
 // raw event dispatch through the engine queue, same-instant yields,
 // fiber switches, timed sleep/wake chains (run-ahead and queued),
-// kernel task dispatch + steals, a full small OpenMP region, and OpenMP
-// tasks stolen by many idle thieves.  These guard the *host*
-// performance of the reproduction (every figure is built from millions
-// of these operations).
+// kernel task dispatch + steals, a full small OpenMP region, OpenMP
+// tasks stolen by many idle thieves, and Linux runs many timeslices
+// long.  These guard the *host* performance of the reproduction (every
+// figure is built from millions of these operations).
 //
 //   simcore_gbench [--quick] [--filter SUBSTR] [--json FILE]
 //
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "komp/runtime.hpp"
+#include "linuxmodel/linux_os.hpp"
 #include "nautilus/kernel.hpp"
 #include "pthread_compat/pthreads.hpp"
 #include "sim/engine.hpp"
@@ -266,6 +267,29 @@ BenchResult bench_omp_task_steals(int reps, int tasks, int threads) {
   return run_bench("omp_task_steals", "tasks", reps, rep, [] { return 0ull; });
 }
 
+// Linux runs many timeslices long on otherwise idle CPUs: threads on a
+// PHI Linux stack, one per CPU, each computing blocks of a hundred
+// timeslices.  No thread ever waits for a CPU, so no slice boundary can
+// preempt, and a block should cost one event rather than one per slice.
+BenchResult bench_linux_long_run(int reps, int blocks, int threads) {
+  auto rep = [&]() -> std::uint64_t {
+    Engine eng;
+    kop::linuxmodel::LinuxOs os(eng, kop::hw::phi());
+    const kop::sim::Time block_ns = 100 * os.costs().timeslice_ns;
+    for (int t = 0; t < threads; ++t) {
+      os.spawn_thread(
+          "t" + std::to_string(t),
+          [&os, blocks, block_ns] {
+            for (int b = 0; b < blocks; ++b) os.compute_ns(block_ns);
+          },
+          t);
+    }
+    eng.run();
+    return static_cast<std::uint64_t>(threads) * blocks;
+  };
+  return run_bench("linux_long_run", "blocks", reps, rep, [] { return 0ull; });
+}
+
 // --- Output ------------------------------------------------------------
 
 void print_table(const std::vector<BenchResult>& results) {
@@ -348,6 +372,9 @@ int main(int argc, char** argv) {
   if (want("omp_task_steals"))
     results.push_back(
         bench_omp_task_steals(quick ? 2 : 5, quick ? 2'000 : 10'000, 64));
+  if (want("linux_long_run"))
+    results.push_back(
+        bench_linux_long_run(reps, quick ? 2'000 : 10'000, 8));
 
   if (results.empty()) {
     std::fprintf(stderr, "no benches match filter \"%s\"\n", filter.c_str());

@@ -62,7 +62,8 @@ FigureDiff diff_figure(const std::string& fig, bool quick,
                                                sweep.scales, sweep.suite);
     jobs::JobRunner runner(jopts);
     const auto fresh = runner.run(points);
-    std::fputs(runner.summary(points.size()).c_str(), stderr);
+    std::fprintf(stderr, "[jobs] %s\n",
+                 runner.summary(points.size()).c_str());
     jobs::require_ok(points, fresh);
     std::vector<jobs::PointResult> base(points.size());
     std::vector<bool> have(points.size(), false);
@@ -77,7 +78,8 @@ FigureDiff diff_figure(const std::string& fig, bool quick,
                                             sweep.paths, sweep.config);
     jobs::JobRunner runner(jopts);
     const auto fresh = runner.run(points);
-    std::fputs(runner.summary(points.size()).c_str(), stderr);
+    std::fprintf(stderr, "[jobs] %s\n",
+                 runner.summary(points.size()).c_str());
     jobs::require_ok(points, fresh);
     std::vector<jobs::PointResult> base(points.size());
     std::vector<bool> have(points.size(), false);

@@ -50,8 +50,8 @@ class ResultCache {
   /// collision or stale file) -- never throws for bad entries.
   bool load(const PointSpec& spec, PointResult* out);
 
-  /// Store a successful result.  Writes to a temp file and renames, so
-  /// a crashed writer can only leave a *.tmp behind, never a torn entry.
+  /// Store a successful result through publish_file(), so a crashed
+  /// writer never leaves a torn entry.
   void store(const PointSpec& spec, const PointResult& result);
 
   struct Stats {
@@ -80,5 +80,12 @@ class ResultCache {
   mutable std::mutex mu_;
   Stats stats_;
 };
+
+/// Writes `bytes` to `path` so that a reader of `path` sees the old file
+/// (or none) or all of the new bytes, never a prefix.  A new name is
+/// linked to a complete unnamed file (O_TMPFILE); replacing an existing
+/// file goes through `path`.tmp and a rename, and a crash there can
+/// leave that *.tmp behind.  Returns false if the file was not written.
+bool publish_file(const std::string& path, const std::string& bytes);
 
 }  // namespace kop::harness::jobs

@@ -1,7 +1,6 @@
 #include "harness/jobs/merge.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -211,18 +210,8 @@ MergeReport merge_caches(const MergeOptions& opts) {
         }
         continue;
       }
-      const std::string tmp = dest_path + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << text;
-        if (!out) {
-          std::remove(tmp.c_str());
-          throw std::runtime_error("cannot write " + tmp);
-        }
-      }
-      if (std::rename(tmp.c_str(), dest_path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename " + tmp);
+      if (!publish_file(dest_path, text)) {
+        throw std::runtime_error("cannot write " + dest_path);
       }
       ++report.merged;
     }

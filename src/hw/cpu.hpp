@@ -6,6 +6,34 @@
 // occupations are chopped into slices and requeued behind waiters,
 // charging a context switch each preemption -- which is how
 // oversubscription and competing background load degrade Linux runs.
+//
+// The slice model.  A run's slice boundaries fall every timeslice from
+// the moment it took the CPU.  At a boundary before the run's end the
+// holder is preempted if a thread waits: it pays a context switch,
+// hands the CPU to the first waiter, queues at the back, and pays
+// another on its way back in.  A boundary with no waiter changes
+// nothing but the clock, so a run that starts with an empty wait queue
+// does not stop at them: it sleeps to its end in one event.  The first
+// thread to queue behind it computes the first boundary strictly after
+// its own arrival and, if that boundary falls before the run's end,
+// wakes the holder there through the token the holder armed; from then
+// on the holder preempts as above.  A run that starts with waiters
+// already queued is sliced one slice at a time.  Nautilus and PIK have
+// no timeslice (kTimeNever) and always run to the end in one event.
+//
+// The one-event form matches stepping slice by slice except in ties:
+//   * A waiter that arrives exactly on a boundary is noticed at the next
+//     one.  (Stepping noticed it at that boundary whenever the waiter's
+//     event had been posted before the holder's slice began.)
+//   * The run's end wake is posted when the run begins, not at its last
+//     boundary, so an unrelated event at the same nanosecond may be
+//     dispatched on the other side of it.
+// A preempted run's end wake stays queued and is dispatched later as a
+// stale wake (sim::Engine::Stats::stale_wakes).  Under a race checker
+// the preemption wake carries the waiter's clock to the holder; the
+// hand-off chain (the waiter, and whoever follows it, releasing the
+// CPU back to the holder) implies that edge before the holder runs
+// user code again, so it hides no race.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +89,12 @@ class Cpu {
   bool held_ = false;
   std::deque<sim::WakeToken> wait_queue_;
   sim::Time busy_time_ = 0;
+  // The holder's uncontended run while it sleeps to its end: its wake
+  // token (thread null otherwise, and once a waiter has posted the
+  // preemption), and when the run began and ends.
+  sim::WakeToken run_holder_;
+  sim::Time run_start_ = 0;
+  sim::Time run_end_ = 0;
 };
 
 }  // namespace kop::hw

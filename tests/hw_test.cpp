@@ -2,12 +2,16 @@
 // the execution model, and the CPU resource.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hw/cost_params.hpp"
 #include "hw/cpu.hpp"
 #include "hw/exec_model.hpp"
 #include "hw/memory.hpp"
 #include "hw/topo_tree.hpp"
 #include "hw/topology.hpp"
+#include "linuxmodel/linux_os.hpp"
 
 namespace kop::hw {
 namespace {
@@ -258,6 +262,122 @@ TEST(Cpu, TimeslicePreemptsLongRun) {
   eng.run();
   // The short task must not wait for the full long occupation.
   EXPECT_LT(done_short, done_long);
+}
+
+// The slice model at slice 100 ns and context switch 10 ns: an
+// occupy(1000) that takes an idle CPU at 0, and waiters that sleep to
+// their arrival time and then occupy the same CPU.
+struct Arrival {
+  sim::Time at;
+  sim::Time duration;
+};
+
+struct SliceRun {
+  sim::Time long_done = 0;
+  std::vector<sim::Time> waiter_done;
+  sim::Time busy = 0;
+  std::uint64_t preemptions = 0;
+  sim::Engine::Stats stats;
+};
+
+SliceRun run_behind_long(const std::vector<Arrival>& waiters) {
+  sim::Engine eng;
+  telemetry::CounterFabric counters(1);
+  Cpu cpu(eng, 0, /*timeslice=*/100, /*context_switch=*/10, &counters);
+  SliceRun r;
+  r.waiter_done.resize(waiters.size());
+  eng.wake(eng.spawn("long", [&] {
+    cpu.occupy(1000);
+    r.long_done = eng.now();
+  }));
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    eng.wake(eng.spawn("w" + std::to_string(i), [&, i] {
+      eng.sleep_for(waiters[i].at);
+      cpu.occupy(waiters[i].duration);
+      r.waiter_done[i] = eng.now();
+    }));
+  }
+  eng.run();
+  r.busy = cpu.busy_time();
+  r.preemptions = counters.total(telemetry::Counter::kCpuPreemptions);
+  r.stats = eng.stats();
+  return r;
+}
+
+TEST(Cpu, UncontendedRunIsOneEvent) {
+  const SliceRun r = run_behind_long({});
+  EXPECT_EQ(r.long_done, 1000);
+  EXPECT_EQ(r.busy, 1000);
+  // The thread's start and one wake at the run's end; stepping slice by
+  // slice dispatched 11.
+  EXPECT_EQ(r.stats.events_dispatched, 2u);
+  EXPECT_EQ(r.preemptions, 0u);
+}
+
+TEST(Cpu, FirstWaiterPreemptsAtItsNextBoundary) {
+  // Arrivals at 250 and 270: the holder stops at 300, hands over after
+  // a context switch (310), both waiters run (360, 390), and it takes
+  // the CPU back for the last 700 ns after another switch (400..1100).
+  const SliceRun r = run_behind_long({{250, 50}, {270, 30}});
+  EXPECT_EQ(r.long_done, 1100);
+  EXPECT_EQ(r.waiter_done, (std::vector<sim::Time>{360, 390}));
+  EXPECT_EQ(r.busy, 1100);
+  EXPECT_EQ(r.preemptions, 1u);
+  // The run's end wake, posted for 1000 when it began, finds the
+  // holder gone.
+  EXPECT_EQ(r.stats.stale_wakes, 1u);
+}
+
+TEST(Cpu, WaiterOnABoundaryIsNoticedAtTheNext) {
+  // The tie convention: a waiter preempts at the first boundary
+  // strictly after its arrival, so one arriving exactly at 200 is
+  // noticed at 300.  Stepping slice by slice noticed it at 200 (the
+  // waiter's wake was posted before the holder's), giving 1120/260.
+  const SliceRun r = run_behind_long({{200, 50}, {270, 30}});
+  EXPECT_EQ(r.long_done, 1100);
+  EXPECT_EQ(r.waiter_done, (std::vector<sim::Time>{360, 390}));
+  EXPECT_EQ(r.preemptions, 1u);
+}
+
+TEST(Cpu, WaiterInTheLastSliceDoesNotPreempt) {
+  // The next boundary after 950 is the run's end.
+  const SliceRun r = run_behind_long({{950, 50}});
+  EXPECT_EQ(r.long_done, 1000);
+  EXPECT_EQ(r.waiter_done, (std::vector<sim::Time>{1050}));
+  EXPECT_EQ(r.preemptions, 0u);
+  EXPECT_EQ(r.stats.stale_wakes, 0u);
+}
+
+// Failure.OversubscribedCpusStillProgress's scenario (8 threads on one
+// Linux CPU, 20 ms each) under a seeded interleaving: every finishing
+// time.
+std::vector<sim::Time> oversubscribed_finish_times(sim::SchedConfig sched) {
+  sim::Engine engine(5, sched);
+  linuxmodel::LinuxOs os(engine, phi());
+  std::vector<sim::Time> done(8, 0);
+  for (int i = 0; i < 8; ++i) {
+    os.spawn_thread(
+        "t" + std::to_string(i),
+        [&, i] {
+          os.compute_ns(20 * sim::kMillisecond);
+          done[static_cast<std::size_t>(i)] = engine.now();
+        },
+        /*cpu=*/0);
+  }
+  engine.run();
+  EXPECT_GT(os.counters().total(telemetry::Counter::kCpuPreemptions), 0u);
+  return done;
+}
+
+TEST(Cpu, OversubscribedLinuxRunsReplayUnderRandomAndPct) {
+  for (const sim::SchedPolicy policy :
+       {sim::SchedPolicy::kRandom, sim::SchedPolicy::kPct}) {
+    SCOPED_TRACE(sim::sched_policy_name(policy));
+    const sim::SchedConfig sched{policy, 7};
+    const std::vector<sim::Time> first = oversubscribed_finish_times(sched);
+    EXPECT_EQ(oversubscribed_finish_times(sched), first);
+    for (const sim::Time t : first) EXPECT_GT(t, 20 * sim::kMillisecond);
+  }
 }
 
 }  // namespace

@@ -348,6 +348,35 @@ TEST(ResultCache, FingerprintMismatchRecoversAsMiss) {
   fs::remove_all(dir);
 }
 
+TEST(ResultCache, PublishLeavesOnlyWholeFiles) {
+  // A new name is linked to a complete unnamed file; an existing one is
+  // replaced through a renamed temporary.  Neither leaves a *.tmp.
+  using kop::harness::jobs::publish_file;
+  const std::string dir = scratch_dir("publish");
+  fs::create_directories(dir);
+  const std::string path = dir + "/kop-0123456789abcdef.json";
+  auto slurp = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  auto names = [&] {
+    std::vector<std::string> out;
+    for (const auto& e : fs::directory_iterator(dir))
+      out.push_back(e.path().filename().string());
+    return out;
+  };
+  ASSERT_TRUE(publish_file(path, "first, longer document\n"));
+  EXPECT_EQ(slurp(path), "first, longer document\n");
+  ASSERT_TRUE(publish_file(path, "second\n"));
+  EXPECT_EQ(slurp(path), "second\n");
+  EXPECT_EQ(names(), std::vector<std::string>{"kop-0123456789abcdef.json"});
+  // No directory to write into: nothing is published.
+  EXPECT_FALSE(publish_file(dir + "/absent/kop-x.json", "x\n"));
+  EXPECT_EQ(names(), std::vector<std::string>{"kop-0123456789abcdef.json"});
+  fs::remove_all(dir);
+}
+
 // --- per-point cost scales --------------------------------------------
 
 // A scale binds right after boot, so the untimed NAS init phase (the
