@@ -14,7 +14,9 @@
 // fingerprint-agnostically -- a hw/cost_params.hpp edit moves every
 // cache key, and drift *across* such an edit is exactly what this tool
 // judges: per-series geomean gain drift beyond --tolerance, win/loss
-// flips, and crossover moves all fail the verdict.
+// flips, and crossover moves all fail the verdict.  A point the
+// baseline records twice (two calibrations in one directory) is not
+// compared: it is listed as incomparable, like a missing one.
 //
 // Exit code: 0 clean, 1 shape regression (or baseline points missing,
 // unless --allow-missing), 2 usage.  --json writes the machine-readable
@@ -144,8 +146,13 @@ int main(int argc, char** argv) {
   if (wanted.empty()) return usage(argv[0]);
 
   const jobs::CacheIndex baseline_index(baseline_dir);
-  std::fprintf(stderr, "[kop_baseline] %zu baseline entries in %s\n",
+  std::fprintf(stderr, "[kop_baseline] %zu baseline entries in %s",
                baseline_index.size(), baseline_dir.c_str());
+  if (baseline_index.recorded_twice() > 0) {
+    std::fprintf(stderr, ", %zu point(s) recorded twice (not compared)",
+                 baseline_index.recorded_twice());
+  }
+  std::fputc('\n', stderr);
 
   jobs::BaselineVerdict verdict;
   try {

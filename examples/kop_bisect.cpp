@@ -175,8 +175,13 @@ int main(int argc, char** argv) {
 
   const jobs::CacheIndex baseline_index(baseline_dir);
   drv.baseline = &baseline_index;
-  std::fprintf(stderr, "[kop_bisect] %s over [%g, %g], %zu baseline entries\n",
+  std::fprintf(stderr, "[kop_bisect] %s over [%g, %g], %zu baseline entries",
                drv.param.c_str(), lo, hi, baseline_index.size());
+  if (baseline_index.recorded_twice() > 0) {
+    std::fprintf(stderr, ", %zu point(s) recorded twice (not compared)",
+                 baseline_index.recorded_twice());
+  }
+  std::fputc('\n', stderr);
 
   std::vector<Eval> evals;
   std::vector<double> boundaries;

@@ -20,11 +20,10 @@
 // 2 = usage/schema error.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
+#include "harness/jobs/cache.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -39,14 +38,12 @@ struct BenchRow {
 // a message on stderr) on any problem.
 bool load_bench_file(const std::string& path,
                      std::map<std::string, BenchRow>* out) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!kop::harness::jobs::read_file(path, &text)) {
     std::fprintf(stderr, "%s: cannot open\n", path.c_str());
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const auto violations = kop::telemetry::validate_bench_json(ss.str());
+  const auto violations = kop::telemetry::validate_bench_json(text);
   if (!violations.empty()) {
     std::fprintf(stderr, "%s: %zu schema violation(s)\n", path.c_str(),
                  violations.size());
@@ -54,7 +51,7 @@ bool load_bench_file(const std::string& path,
       std::fprintf(stderr, "  %s\n", v.c_str());
     return false;
   }
-  const auto root = kop::telemetry::parse_json(ss.str());
+  const auto root = kop::telemetry::parse_json(text);
   for (const auto& b : root.find("benches")->array) {
     BenchRow row;
     row.items_per_sec = b.find("items_per_sec")->number;

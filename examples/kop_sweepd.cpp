@@ -40,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,13 +90,11 @@ int usage(const char* argv0) {
 }
 
 int dump_journal(const std::string& path, bool verify_only) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string data;
+  if (!harness::jobs::read_file(path, &data)) {
     std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 1;
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   std::size_t start = 0, line_no = 0, records = 0;
   while (start < data.size()) {
     const std::size_t nl = data.find('\n', start);
@@ -220,9 +217,8 @@ int main(int argc, char** argv) {
     const auto spec = params.point();
     coord::PointInfo info;
     info.hash = spec.content_hash();
-    info.entry =
-        "kop-" + harness::jobs::hex16(harness::jobs::ResultCache::key(spec)) +
-        ".json";
+    info.entry = harness::jobs::ResultCache::entry_name(
+        harness::jobs::ResultCache::key(spec));
     info.payload = token;
     info.label = spec.label();
     if (specs.emplace(info.hash, spec).second) {

@@ -8,22 +8,23 @@
 //
 //   metrics_lint <file.json> [<file.json> ...]
 //
-// Cache entries (files carrying the x_kop_cache sidecar) are
-// additionally checked for duplicate points: two entries in the same
-// directory recording the same canonical point means the cache holds
-// two answers for one question -- readers would pick whichever key
-// they compute first, so the lint fails.
+// Cache entries (documents recording a point, ResultCache::identity)
+// are additionally checked for duplicate points: two entries in the
+// same directory recording the same canonical point means the cache
+// holds two answers for one question (kop_baseline compares neither),
+// so the lint fails.
 //
 // Exit code: 0 if every file validates, 1 otherwise.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
+#include "harness/jobs/cache.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
+
+namespace jobs = kop::harness::jobs;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -34,20 +35,18 @@ int main(int argc, char** argv) {
   // (directory, canonical point) -> first file that recorded it.
   std::map<std::pair<std::string, std::string>, std::string> points_seen;
   for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i]);
-    if (!in) {
+    std::string text;
+    if (!jobs::read_file(argv[i], &text)) {
       std::fprintf(stderr, "%s: cannot open\n", argv[i]);
       ++bad;
       continue;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
     // Dispatch on the root "schema" field; unknown/missing schemas fall
     // through to the kop-metrics validator, whose error message names
     // the expected schema.
     bool is_bench = false;
     try {
-      const auto peek = kop::telemetry::parse_json(ss.str());
+      const auto peek = kop::telemetry::parse_json(text);
       const auto* schema = peek.find("schema");
       is_bench = schema != nullptr && schema->is_string() &&
                  schema->string == kop::telemetry::kBenchSchemaName;
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
       // Malformed JSON: let the validator report it.
     }
     const auto violations =
-        is_bench ? kop::telemetry::validate_bench_json(ss.str())
-                 : kop::telemetry::validate_metrics_json(ss.str());
+        is_bench ? kop::telemetry::validate_bench_json(text)
+                 : kop::telemetry::validate_metrics_json(text);
     if (!violations.empty()) {
       ++bad;
       std::printf("%s: %zu violation(s)\n", argv[i], violations.size());
@@ -69,14 +68,11 @@ int main(int argc, char** argv) {
     }
     // Duplicate-point check for cache entries (validate passed, so the
     // text parses).
-    const auto root = kop::telemetry::parse_json(ss.str());
-    const auto* side = root.find("x_kop_cache");
-    const auto* point =
-        side != nullptr && side->is_object() ? side->find("point") : nullptr;
-    if (point != nullptr && point->is_string()) {
+    const auto root = kop::telemetry::parse_json(text);
+    if (const std::string* point = jobs::ResultCache::identity(root).point) {
       const std::string dir =
           std::filesystem::path(argv[i]).parent_path().string();
-      const auto key = std::make_pair(dir, point->string);
+      const auto key = std::make_pair(dir, *point);
       const auto it = points_seen.find(key);
       if (it != points_seen.end()) {
         ++bad;

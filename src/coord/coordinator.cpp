@@ -226,7 +226,7 @@ std::string Coordinator::serve_one(std::uint64_t hash) {
   const PointState state = table_.point_state(hash);
   // Complete but not servable from here (no cache attached, or the
   // entry lives in a worker cache this daemon cannot see): distinct from
-  // PENDING so a prefetching client does not wait on it.
+  // PENDING so a fetching client does not wait on it.
   if (state == PointState::kComplete) return "COMPLETE";
   return std::string("PENDING ") +
          (state == PointState::kLeased ? "leased" : "queued");

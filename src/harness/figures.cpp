@@ -9,8 +9,6 @@
 
 namespace kop::harness {
 
-namespace {
-
 jobs::PointSpec nas_point(const std::string& machine, core::PathKind path,
                           int threads, const nas::BenchmarkSpec& spec) {
   jobs::PointSpec p;
@@ -34,9 +32,6 @@ jobs::PointSpec epcc_point(const std::string& machine, core::PathKind path,
   return p;
 }
 
-// The enumerate stage shared by enumerate_*() and print_*(): both walk
-// the same deterministic loop nest, so PointMatrix::add() doubles as
-// the result-index lookup during printing.
 void build_nas_normalized(jobs::PointMatrix& mx, const std::string& machine,
                           const std::vector<core::PathKind>& paths,
                           const std::vector<int>& scales,
@@ -50,6 +45,14 @@ void build_nas_normalized(jobs::PointMatrix& mx, const std::string& machine,
   }
 }
 
+void build_epcc_figure(jobs::PointMatrix& mx, const std::string& machine,
+                       int threads, const std::vector<core::PathKind>& paths,
+                       const epcc::EpccConfig& config) {
+  for (auto p : paths) mx.add(epcc_point(machine, p, threads, config));
+}
+
+namespace {
+
 void build_cck_matrix(jobs::PointMatrix& mx, const std::string& machine,
                       const std::vector<int>& scales,
                       const std::vector<nas::BenchmarkSpec>& suite) {
@@ -61,12 +64,6 @@ void build_cck_matrix(jobs::PointMatrix& mx, const std::string& machine,
       mx.add(nas_point(machine, core::PathKind::kAutoMpNautilus, n, spec));
     }
   }
-}
-
-void build_epcc_figure(jobs::PointMatrix& mx, const std::string& machine,
-                       int threads, const std::vector<core::PathKind>& paths,
-                       const epcc::EpccConfig& config) {
-  for (auto p : paths) mx.add(epcc_point(machine, p, threads, config));
 }
 
 // The execute stage shared by every print_*() and run_coord_mode: run

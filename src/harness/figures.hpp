@@ -38,6 +38,25 @@ namespace kop::harness {
 bool run_coord_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out);
 
+/// One point of a NAS figure: `spec` on `path` with `threads` threads.
+jobs::PointSpec nas_point(const std::string& machine, core::PathKind path,
+                          int threads, const nas::BenchmarkSpec& spec);
+/// One point of an EPCC figure: the whole suite (EpccPart::kAll).
+jobs::PointSpec epcc_point(const std::string& machine, core::PathKind path,
+                           int threads, const epcc::EpccConfig& config);
+
+// The loop nests of the Figs. 9/10/14 and Figs. 7/8/13 matrices.  The
+// enumerate_*(), print_*() and shape extractors (jobs/baseline.hpp)
+// all walk them, so PointMatrix::add() doubles as the result-index
+// lookup wherever a figure's results are read.
+void build_nas_normalized(jobs::PointMatrix& mx, const std::string& machine,
+                          const std::vector<core::PathKind>& paths,
+                          const std::vector<int>& scales,
+                          const std::vector<nas::BenchmarkSpec>& suite);
+void build_epcc_figure(jobs::PointMatrix& mx, const std::string& machine,
+                       int threads, const std::vector<core::PathKind>& paths,
+                       const epcc::EpccConfig& config);
+
 // Every builder takes an optional MetricsSink; when non-null each
 // underlying experiment point is recorded (kop-metrics v1, in
 // enumeration order) in addition to the rendered tables.

@@ -3,10 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
+#include <set>
 #include <sstream>
 
+#include "harness/figures.hpp"
 #include "harness/jobs/cache.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/json.hpp"
@@ -17,15 +18,6 @@ namespace kop::harness::jobs {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 std::string pct(double v) {
   char buf[32];
@@ -40,10 +32,10 @@ bool loses(double gain) { return gain < 1.0 - kLossMargin; }
 CacheIndex::CacheIndex(const std::string& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) return;
+  std::set<std::string> twice;
   for (const auto& e : fs::directory_iterator(dir, ec)) {
-    const std::string name = e.path().filename().string();
-    if (!e.is_regular_file() || name.rfind("kop-", 0) != 0 ||
-        name.size() < 6 || name.compare(name.size() - 5, 5, ".json") != 0) {
+    if (!e.is_regular_file() ||
+        !ResultCache::may_hold_entry(e.path().filename().string())) {
       continue;
     }
     std::string text;
@@ -54,12 +46,17 @@ CacheIndex::CacheIndex(const std::string& dir) {
     } catch (const telemetry::JsonParseError&) {
       continue;  // corrupt entries are simply not indexed
     }
-    const telemetry::JsonValue* side = root.find("x_kop_cache");
-    const telemetry::JsonValue* point =
-        side != nullptr && side->is_object() ? side->find("point") : nullptr;
-    if (point == nullptr || !point->is_string()) continue;
-    by_canonical_.emplace(point->string, std::move(text));
+    const ResultCache::Identity id = ResultCache::identity(root);
+    if (id.point == nullptr) continue;
+    ++entries_;
+    if (!by_canonical_.emplace(*id.point, std::move(text)).second) {
+      twice.insert(*id.point);
+    }
   }
+  // Which of two answers for one point the scan kept depends on the
+  // directory order; neither is compared.
+  for (const auto& point : twice) by_canonical_.erase(point);
+  recorded_twice_ = twice.size();
 }
 
 bool CacheIndex::load(const PointSpec& spec, PointResult* out) const {
@@ -165,8 +162,8 @@ std::string BaselineVerdict::text(const BaselineOptions& opts) const {
     out += row.str();
   }
   if (!incomparable.empty()) {
-    out += "  missing from baseline: " + std::to_string(incomparable.size()) +
-           " point(s)\n";
+    out += "  missing from baseline (or recorded there twice): " +
+           std::to_string(incomparable.size()) + " point(s)\n";
     for (const auto& m : incomparable) out += "    " + m + "\n";
   }
   out += std::string("verdict: ") + (ok() ? "OK" : "REGRESSION") + "\n";
@@ -213,50 +210,17 @@ std::string BaselineVerdict::json(const BaselineOptions& opts) const {
   return w.str() + "\n";
 }
 
-namespace {
-
-// Mirrors of figures.cpp's point builders: the shape extractors must
-// walk the exact loop nest build_nas_normalized/build_epcc_figure walk
-// so PointMatrix::add doubles as the result-index lookup here too.
-PointSpec nas_point(const std::string& machine, core::PathKind path,
-                    int threads, const nas::BenchmarkSpec& spec) {
-  PointSpec p;
-  p.kind = PointSpec::Kind::kNas;
-  p.machine = machine;
-  p.path = path;
-  p.threads = threads;
-  p.nas = spec;
-  return p;
-}
-
-PointSpec epcc_point(const std::string& machine, core::PathKind path,
-                     int threads, const epcc::EpccConfig& config) {
-  PointSpec p;
-  p.kind = PointSpec::Kind::kEpcc;
-  p.machine = machine;
-  p.path = path;
-  p.threads = threads;
-  p.epcc_part = EpccPart::kAll;
-  p.epcc = config;
-  return p;
-}
-
-}  // namespace
-
+// The shape extractors index results with the figure's own matrix, so
+// PointMatrix::add doubles as the result-index lookup here too.
 std::vector<ShapeCell> nas_shape_cells(
     const std::string& figure, const std::string& machine,
     const std::vector<core::PathKind>& paths, const std::vector<int>& scales,
     const std::vector<nas::BenchmarkSpec>& suite,
     const std::vector<PointResult>& baseline, const std::vector<bool>& have,
     const std::vector<PointResult>& fresh, std::vector<std::string>* missing) {
+  using harness::nas_point;
   PointMatrix mx;
-  for (const auto& spec : suite) {
-    mx.add(nas_point(machine, core::PathKind::kLinuxOmp, 1, spec));
-    for (int n : scales) {
-      mx.add(nas_point(machine, core::PathKind::kLinuxOmp, n, spec));
-      for (auto p : paths) mx.add(nas_point(machine, p, n, spec));
-    }
-  }
+  harness::build_nas_normalized(mx, machine, paths, scales, suite);
 
   std::vector<ShapeCell> cells;
   for (const auto& spec : suite) {
@@ -297,8 +261,9 @@ std::vector<ShapeCell> epcc_shape_cells(
     const std::vector<core::PathKind>& paths, const epcc::EpccConfig& config,
     const std::vector<PointResult>& baseline, const std::vector<bool>& have,
     const std::vector<PointResult>& fresh, std::vector<std::string>* missing) {
+  using harness::epcc_point;
   PointMatrix mx;
-  for (auto p : paths) mx.add(epcc_point(machine, p, threads, config));
+  harness::build_epcc_figure(mx, machine, threads, paths, config);
 
   std::vector<ShapeCell> cells;
   if (paths.empty()) return cells;

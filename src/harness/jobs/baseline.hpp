@@ -28,19 +28,27 @@ namespace kop::harness::jobs {
 /// Read-only, fingerprint-agnostic view of a cache directory: every
 /// well-formed entry indexed by the canonical point form recorded in
 /// its x_kop_cache sidecar.  A missing directory is an empty index.
+/// A point recorded by more than one entry (say, under two
+/// calibrations) has no single answer, so it is not indexed at all.
 class CacheIndex {
  public:
   explicit CacheIndex(const std::string& dir);
 
   /// Load the entry for `spec` if one was recorded under *any*
   /// cost-model fingerprint.  Same corruption semantics as
-  /// ResultCache::load: false on missing or undecodable.
+  /// ResultCache::load: false on missing or undecodable, and false for
+  /// a point recorded twice.
   bool load(const PointSpec& spec, PointResult* out) const;
 
-  std::size_t size() const { return by_canonical_.size(); }
+  /// Entries read, counting every entry of a point recorded twice.
+  std::size_t size() const { return entries_; }
+  /// Points recorded by more than one entry (none of them loads).
+  std::size_t recorded_twice() const { return recorded_twice_; }
 
  private:
   std::map<std::string, std::string> by_canonical_;  // canonical -> bytes
+  std::size_t entries_ = 0;
+  std::size_t recorded_twice_ = 0;
 };
 
 /// One figure cell reduced to its shape: the normalized gain
@@ -85,9 +93,9 @@ struct SeriesVerdict {
 struct BaselineVerdict {
   std::vector<ShapeCell> cells;
   std::vector<SeriesVerdict> series;
-  /// Points absent from the baseline cache (labels); these make the
-  /// comparison partial, not failed -- the caller decides (CI passes
-  /// --allow-missing on cold caches).
+  /// Points absent from the baseline cache, or recorded there twice
+  /// (labels); these make the comparison partial, not failed -- the
+  /// caller decides (CI passes --allow-missing on cold caches).
   std::vector<std::string> incomparable;
 
   bool shapes_ok() const;                       // every series ok

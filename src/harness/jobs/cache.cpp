@@ -17,15 +17,6 @@ namespace kop::harness::jobs {
 
 namespace {
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
 bool write_all(int fd, const std::string& bytes) {
   std::size_t done = 0;
   while (done < bytes.size()) {
@@ -55,6 +46,15 @@ bool link_unnamed(const std::string& dir, const std::string& path,
 }
 
 }  // namespace
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = ss.str();
+  return true;
+}
 
 bool publish_file(const std::string& path, const std::string& bytes) {
   // One new directory entry per file, where a named temporary plus a
@@ -101,8 +101,21 @@ std::uint64_t ResultCache::key_for(const std::string& canonical,
   return fnv1a64(s);
 }
 
+std::string ResultCache::entry_name(std::uint64_t key) {
+  return "kop-" + hex16(key) + ".json";
+}
+
+bool ResultCache::is_entry_name(const std::string& name) {
+  return name.size() == 4 + 16 + 5 && may_hold_entry(name);
+}
+
+bool ResultCache::may_hold_entry(const std::string& name) {
+  return name.size() >= 4 + 5 && name.rfind("kop-", 0) == 0 &&
+         name.compare(name.size() - 5, 5, ".json") == 0;
+}
+
 std::string ResultCache::entry_path(const PointSpec& spec) const {
-  return dir_ + "/kop-" + hex16(key(spec)) + ".json";
+  return dir_ + "/" + entry_name(key(spec));
 }
 
 std::string ResultCache::encode(const PointSpec& spec,
@@ -150,26 +163,21 @@ bool ResultCache::decode(const std::string& text, const PointSpec& spec,
   } catch (const telemetry::JsonParseError&) {
     return false;
   }
-  const telemetry::JsonValue* side = root.find("x_kop_cache");
-  if (side == nullptr || !side->is_object()) return false;
-  const telemetry::JsonValue* point = side->find("point");
-  if (point == nullptr || !point->is_string() ||
-      point->string != spec.canonical()) {
+  const Identity id = identity(root);
+  if (id.point == nullptr || *id.point != spec.canonical()) {
     return false;  // hash collision or stale file: treat as a miss
   }
-  if (require_fingerprint) {
-    const telemetry::JsonValue* fp = side->find("fingerprint");
-    if (fp == nullptr || !fp->is_string() ||
-        fp->string != hex16(cost_model_fingerprint())) {
-      return false;  // recorded under different calibration: stale
-    }
+  if (require_fingerprint &&
+      (id.fingerprint == nullptr ||
+       *id.fingerprint != hex16(cost_model_fingerprint()))) {
+    return false;  // recorded under different calibration: stale
   }
   const telemetry::JsonValue* runs = root.find("runs");
   if (runs == nullptr || runs->array.size() != 1) return false;
 
   PointResult result;
   if (!parse_run_json(runs->array[0], &result.metrics)) return false;
-  if (const telemetry::JsonValue* epcc = side->find("epcc")) {
+  if (const telemetry::JsonValue* epcc = id.sidecar->find("epcc")) {
     if (!epcc->is_array()) return false;
     for (const auto& e : epcc->array) {
       const auto* group = e.find("group");
@@ -194,6 +202,23 @@ bool ResultCache::decode(const std::string& text, const PointSpec& spec,
   result.from_cache = true;
   *out = std::move(result);
   return true;
+}
+
+ResultCache::Identity ResultCache::identity(const telemetry::JsonValue& root) {
+  Identity id;
+  const telemetry::JsonValue* side = root.find("x_kop_cache");
+  if (side != nullptr && side->is_object()) {
+    id.sidecar = side;
+    const telemetry::JsonValue* point = side->find("point");
+    if (point != nullptr && point->is_string()) id.point = &point->string;
+    const telemetry::JsonValue* fp = side->find("fingerprint");
+    if (fp != nullptr && fp->is_string()) id.fingerprint = &fp->string;
+  }
+  const telemetry::JsonValue* version = root.find("version");
+  if (version != nullptr && version->is_number()) {
+    id.schema_version = static_cast<int>(version->number);
+  }
+  return id;
 }
 
 bool ResultCache::load(const PointSpec& spec, PointResult* out) {

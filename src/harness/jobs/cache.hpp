@@ -13,6 +13,11 @@
 // so a rerun hits only while the workload, every cost-model constant,
 // and the artifact schema are all unchanged.  Corrupted or stale
 // entries count as misses (the point is simply re-simulated).
+//
+// This file is the one owner of the entry format: the entry name, the
+// identity an entry records about itself, and how an entry file is
+// read.  kop_merge, kop_baseline's CacheIndex and metrics_lint go
+// through it rather than knowing the format themselves.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 #include <string>
 
 #include "harness/jobs/point.hpp"
+#include "telemetry/json.hpp"
 
 namespace kop::harness::jobs {
 
@@ -41,6 +47,16 @@ class ResultCache {
   /// identity recorded in its x_kop_cache sidecar.
   static std::uint64_t key_for(const std::string& canonical,
                                std::uint64_t fingerprint, int schema_version);
+
+  /// The file name of the entry under `key`: kop-<16 hex digits>.json.
+  static std::string entry_name(std::uint64_t key);
+  /// Whether `name` has entry_name()'s shape (kop-, 16 characters,
+  /// .json) -- the files kop_merge merges and digests.
+  static bool is_entry_name(const std::string& name);
+  /// Whether a file named `name` may hold an entry document: any
+  /// kop-*.json, which also takes the kop-point-<hash>.json copies that
+  /// `kop_client --get-file --out-dir` writes.
+  static bool may_hold_entry(const std::string& name);
 
   /// Path of the entry file a spec maps to.
   std::string entry_path(const PointSpec& spec) const;
@@ -75,6 +91,18 @@ class ResultCache {
   static bool decode(const std::string& text, const PointSpec& spec,
                      PointResult* out, bool require_fingerprint = true);
 
+  /// What an entry document records about itself: the x_kop_cache
+  /// sidecar's canonical point and cost-model fingerprint, and the
+  /// document's schema version.  The pointers refer into the parsed
+  /// document and are null where a field is absent or not a string.
+  struct Identity {
+    const telemetry::JsonValue* sidecar = nullptr;  // the x_kop_cache object
+    const std::string* point = nullptr;             // canonical form
+    const std::string* fingerprint = nullptr;       // 16 hex digits
+    int schema_version = -1;                        // root "version"
+  };
+  static Identity identity(const telemetry::JsonValue& root);
+
  private:
   std::string dir_;
   mutable std::mutex mu_;
@@ -87,5 +115,8 @@ class ResultCache {
 /// file goes through `path`.tmp and a rename, and a crash there can
 /// leave that *.tmp behind.  Returns false if the file was not written.
 bool publish_file(const std::string& path, const std::string& bytes);
+
+/// Reads the whole of `path` into *out.  False if it cannot be opened.
+bool read_file(const std::string& path, std::string* out);
 
 }  // namespace kop::harness::jobs

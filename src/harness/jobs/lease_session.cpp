@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "harness/jobs/cache.hpp"
 
@@ -53,25 +52,6 @@ LeaseSession::~LeaseSession() {
   }
 }
 
-std::size_t LeaseSession::prefetch(const std::vector<PointSpec>& specs) {
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(specs.size());
-  for (const auto& spec : specs) hashes.push_back(spec.content_hash());
-  const auto replies = client_->mget(hashes);
-  std::size_t complete = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < replies.size() && i < hashes.size(); ++i) {
-    // HIT and COMPLETE are both terminal; PENDING/UNKNOWN points still
-    // go through the normal LEASE path (their state can change under
-    // us, completion cannot un-happen).
-    if (replies[i].status == "HIT" || replies[i].status == "COMPLETE") {
-      known_complete_.insert(hashes[i]);
-      ++complete;
-    }
-  }
-  return complete;
-}
-
 template <typename Send>
 coord::Client::Grant LeaseSession::ask(Send send) {
   coord::Client::Grant grant = send();
@@ -88,11 +68,7 @@ coord::Client::Grant LeaseSession::ask(Send send) {
 
 bool LeaseSession::try_acquire(const PointSpec& spec) {
   const std::uint64_t hash = spec.content_hash();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (known_complete_.count(hash) != 0) return false;
-  }
-  const std::string entry = "kop-" + hex16(ResultCache::key(spec)) + ".json";
+  const std::string entry = ResultCache::entry_name(ResultCache::key(spec));
   // Not granted: TAKEN or COMPLETE, someone else's point.
   return ask([&] { return client_->lease(worker_, hash, entry); }).granted;
 }

@@ -16,10 +16,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "coord/client.hpp"
 #include "harness/jobs/point.hpp"
@@ -41,15 +39,6 @@ class LeaseSession {
 
   LeaseSession(const LeaseSession&) = delete;
   LeaseSession& operator=(const LeaseSession&) = delete;
-
-  /// Batched cache probe (MGET): ask the coordinator about every point
-  /// in one round trip per 64 instead of one LEASE per point.  Hashes
-  /// the daemon reports served or complete are remembered, and
-  /// try_acquire on them returns false without touching the socket.
-  /// Sound because completion is terminal: a point HIT/COMPLETE at
-  /// prefetch time can never need re-running.  Returns how many points
-  /// were already complete.
-  std::size_t prefetch(const std::vector<PointSpec>& specs);
 
   /// Lease `spec` from the coordinator.  False when another worker
   /// holds it or it is already complete -- the caller skips the point.
@@ -78,7 +67,6 @@ class LeaseSession {
 
   std::mutex mu_;
   std::map<std::uint64_t, std::uint64_t> held_;  // point hash -> lease id
-  std::set<std::uint64_t> known_complete_;       // from prefetch()
   bool stop_ = false;
   std::condition_variable stop_cv_;
   std::thread heartbeat_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,18 +16,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-bool is_entry_name(const std::string& name) {
-  return name.size() == 4 + 16 + 5 && name.rfind("kop-", 0) == 0 &&
-         name.compare(name.size() - 5, 5, ".json") == 0;
+/// The entry files in `dir`, in sorted-name order so that reports and
+/// digests do not depend on the host's directory order.
+std::vector<std::string> entry_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    std::string name = e.path().filename().string();
+    if (e.is_regular_file() && ResultCache::is_entry_name(name)) {
+      names.push_back(std::move(name));
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 /// Validate one candidate entry and derive the filename its recorded
@@ -47,40 +46,30 @@ bool check_entry(const std::string& name, const std::string& text,
     *reason = std::string("parse: ") + e.what();
     return false;
   }
-  const telemetry::JsonValue* side = root.find("x_kop_cache");
-  if (side == nullptr || !side->is_object()) {
+  const ResultCache::Identity id = ResultCache::identity(root);
+  if (id.sidecar == nullptr) {
     *reason = "not a cache entry (no x_kop_cache sidecar)";
     return false;
   }
-  const telemetry::JsonValue* point = side->find("point");
-  const telemetry::JsonValue* fp = side->find("fingerprint");
-  if (point == nullptr || !point->is_string() || fp == nullptr ||
-      !fp->is_string()) {
+  if (id.point == nullptr || id.fingerprint == nullptr) {
     *reason = "x_kop_cache sidecar missing point/fingerprint";
     return false;
   }
   const std::uint64_t entry_fp =
-      std::strtoull(fp->string.c_str(), nullptr, 16);
+      std::strtoull(id.fingerprint->c_str(), nullptr, 16);
   if (entry_fp != build_fp) {
-    *reason = "cost-model fingerprint mismatch (entry " + fp->string +
+    *reason = "cost-model fingerprint mismatch (entry " + *id.fingerprint +
               ", build " + hex16(build_fp) + ")";
     return false;
   }
-  const telemetry::JsonValue* version = root.find("version");
-  const int entry_schema =
-      version != nullptr && version->is_number()
-          ? static_cast<int>(version->number)
-          : -1;
-  if (entry_schema != telemetry::kMetricsSchemaVersion) {
+  if (id.schema_version != telemetry::kMetricsSchemaVersion) {
     *reason = "schema version mismatch (entry " +
-              std::to_string(entry_schema) + ", build " +
+              std::to_string(id.schema_version) + ", build " +
               std::to_string(telemetry::kMetricsSchemaVersion) + ")";
     return false;
   }
-  const std::string want =
-      "kop-" + hex16(ResultCache::key_for(point->string, entry_fp,
-                                          entry_schema)) +
-      ".json";
+  const std::string want = ResultCache::entry_name(
+      ResultCache::key_for(*id.point, entry_fp, id.schema_version));
   if (want != name) {
     *reason = "entry name does not match its recorded identity (expected " +
               want + "; stale or renamed file)";
@@ -99,7 +88,7 @@ std::string manifest_text(const std::vector<PointSpec>& points) {
                     "\n";
   for (const auto& p : points) {
     out += "1/1 point=" + hex16(p.content_hash());
-    out += " entry=kop-" + hex16(ResultCache::key(p)) + ".json";
+    out += " entry=" + ResultCache::entry_name(ResultCache::key(p));
     out += " " + p.label() + "\n";
   }
   return out;
@@ -178,15 +167,7 @@ MergeReport merge_caches(const MergeOptions& opts) {
     if (!fs::is_directory(src)) {
       throw std::runtime_error("source is not a directory: " + src);
     }
-    std::vector<std::string> names;
-    for (const auto& e : fs::directory_iterator(src)) {
-      if (e.is_regular_file() && is_entry_name(e.path().filename().string()))
-        names.push_back(e.path().filename().string());
-    }
-    // Deterministic scan order so reports are stable across hosts.
-    std::sort(names.begin(), names.end());
-
-    for (const auto& name : names) {
+    for (const auto& name : entry_names(src)) {
       const std::string path = src + "/" + name;
       ++report.scanned;
       std::string text;
@@ -231,8 +212,10 @@ MergeReport merge_caches(const MergeOptions& opts) {
       std::istringstream tokens(line);
       std::string tok;
       while (tokens >> tok) {
-        if (tok.rfind("entry=", 0) == 0 && is_entry_name(tok.substr(6)))
+        if (tok.rfind("entry=", 0) == 0 &&
+            ResultCache::is_entry_name(tok.substr(6))) {
           expected.push_back(tok.substr(6));
+        }
       }
     }
     std::sort(expected.begin(), expected.end());
@@ -250,14 +233,8 @@ std::uint64_t cache_digest(const std::string& dir) {
   if (!fs::is_directory(dir)) {
     throw std::runtime_error("cache dir is not a directory: " + dir);
   }
-  std::vector<std::string> names;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.is_regular_file() && is_entry_name(e.path().filename().string()))
-      names.push_back(e.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
   std::string fold;
-  for (const auto& name : names) {
+  for (const auto& name : entry_names(dir)) {
     std::string text;
     if (!read_file(dir + "/" + name, &text)) {
       throw std::runtime_error("cannot read " + dir + "/" + name);

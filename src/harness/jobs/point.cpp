@@ -123,13 +123,17 @@ std::uint64_t fnv1a64(const std::string& bytes) {
 }
 
 std::uint64_t cost_model_fingerprint() {
-  std::string s = "kop-cost-model;rev=" + fmt(kModelRevision);
-  for (const auto& m : {hw::phi(), hw::xeon8()}) {
-    append_machine(s, m);
-    append_costs(s, hw::linux_costs(m));
-    append_costs(s, hw::nautilus_costs(m));
-  }
-  return fnv1a64(s);
+  // Every input is compiled in, so the value is a process constant.
+  static const std::uint64_t fingerprint = [] {
+    std::string s = "kop-cost-model;rev=" + fmt(kModelRevision);
+    for (const auto& m : {hw::phi(), hw::xeon8()}) {
+      append_machine(s, m);
+      append_costs(s, hw::linux_costs(m));
+      append_costs(s, hw::nautilus_costs(m));
+    }
+    return fnv1a64(s);
+  }();
+  return fingerprint;
 }
 
 std::string PointSpec::canonical() const {

@@ -11,8 +11,8 @@
 //
 //   point.hpp   enumerate -- PointSpec + canonical form + content hash,
 //               PointResult, run_point() (one spec -> one engine run)
-//   runner.hpp  execute   -- JobRunner host-thread pool, bounded queue,
-//               retry, deterministic result ordering
+//   runner.hpp  execute   -- JobRunner host-thread pool, retry,
+//               deterministic result ordering
 //   cache.hpp   cache     -- on-disk ResultCache keyed by
 //               content hash (+) cost-model fingerprint (+) schema version
 #pragma once
@@ -50,7 +50,7 @@ inline constexpr int kModelRevision = 3;
 /// cost-relevant machine parameters, for both evaluation platforms.
 /// Changing any constant in hw/cost_params.hpp (or the topology cost
 /// sheet) or bumping kModelRevision changes this value, which
-/// invalidates every cached result.
+/// invalidates every cached result.  Computed once per process.
 std::uint64_t cost_model_fingerprint();
 
 /// One simulation point of an experiment matrix.

@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -29,34 +30,6 @@ int effective_jobs(const JobOptions& opts, std::size_t n_points) {
     jobs = std::min<std::size_t>(static_cast<std::size_t>(jobs), n_points);
   }
   return std::max(jobs, 1);
-}
-
-BoundedQueue::BoundedQueue(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-void BoundedQueue::push(std::size_t v) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-  if (closed_) return;
-  items_.push_back(v);
-  not_empty_.notify_one();
-}
-
-bool BoundedQueue::pop(std::size_t* v) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-  if (items_.empty()) return false;
-  *v = items_.front();
-  items_.pop_front();
-  not_full_.notify_one();
-  return true;
-}
-
-void BoundedQueue::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  not_empty_.notify_all();
-  not_full_.notify_all();
 }
 
 JobRunner::JobRunner(JobOptions opts) : opts_(std::move(opts)) {
@@ -155,19 +128,6 @@ std::vector<PointResult> JobRunner::run(const std::vector<PointSpec>& points) {
   std::vector<PointResult> results(points.size());
   if (points.empty()) return results;
 
-  // Batched cache probe: one MGET round trip per 64 points tells us
-  // which points the coordinator already considers complete, so their
-  // try_acquire calls skip locally instead of issuing a LEASE each.
-  // The answer can only under-report (completion is terminal), so a
-  // stale probe costs one redundant LEASE, never a missed point.
-  if (lease_ != nullptr) {
-    try {
-      (void)lease_->prefetch(points);
-    } catch (const std::exception&) {
-      // Probe failure is non-fatal; the per-point LEASE path decides.
-    }
-  }
-
   // Dedup: simulate each distinct point once, fan results back out.
   std::map<std::string, std::size_t> first_of;
   std::vector<std::size_t> unique_idx;        // indices into `points`
@@ -210,17 +170,14 @@ void JobRunner::run_tasks(const std::vector<std::function<void()>>& tasks) {
     for (const auto& task : tasks) task();
     return;
   }
-  BoundedQueue queue(static_cast<std::size_t>(jobs) * 2);
+  std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(jobs));
   for (int w = 0; w < jobs; ++w) {
     workers.emplace_back([&] {
-      std::size_t i;
-      while (queue.pop(&i)) tasks[i]();
+      for (std::size_t i = next++; i < tasks.size(); i = next++) tasks[i]();
     });
   }
-  for (std::size_t i = 0; i < tasks.size(); ++i) queue.push(i);
-  queue.close();
   for (auto& t : workers) t.join();
 }
 

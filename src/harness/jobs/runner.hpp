@@ -8,15 +8,11 @@
 //     form) and fanned back out to every requesting slot
 //   * a failing point is captured (not thrown from the worker), retried
 //     once, and reported in PointResult::{failed,error}
-//   * dispatch flows through a bounded queue, so enumerating a huge
-//     matrix never builds unbounded in-flight state
 //   * distinct points dispatch longest-expected-first (cost_estimate)
 //     so the biggest simulations never anchor the parallel tail
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,24 +25,6 @@
 
 namespace kop::harness::jobs {
 
-/// Fixed-capacity MPMC queue: push blocks while full, pop blocks while
-/// empty until close() is called (pop then drains and returns false).
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity);
-  void push(std::size_t v);
-  bool pop(std::size_t* v);
-  void close();
-
- private:
-  std::size_t capacity_;
-  std::deque<std::size_t> items_;
-  bool closed_ = false;
-  std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-};
-
 class JobRunner {
  public:
   explicit JobRunner(JobOptions opts = {});
@@ -57,8 +35,9 @@ class JobRunner {
   std::vector<PointResult> run(const std::vector<PointSpec>& points);
 
   /// Parallel map for ablation matrices whose jobs are not declarative
-  /// points (custom engine setups); same pool + bounded queue, no
-  /// caching.  Each task must only write state owned by its index.
+  /// points (custom engine setups); same pool, no caching.  Workers
+  /// take tasks in vector order.  Each task must only write state owned
+  /// by its index.
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
   struct Stats {

@@ -545,7 +545,7 @@ void check_journal_replay(const CaseParams& params,
       if (h == 0) ++h;
       coord::PointInfo info;
       info.hash = h;
-      info.entry = "kop-" + jobs::hex16(h) + ".json";
+      info.entry = jobs::ResultCache::entry_name(h);
       info.label = "journal-" + std::to_string(i);
       info.payload = "tok" + std::to_string(i);
       registered.push_back(info);

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "harness/figures.hpp"
 #include "harness/jobs/baseline.hpp"
+#include "harness/jobs/cache.hpp"
 #include "harness/jobs/runner.hpp"
 
 namespace {
@@ -200,6 +202,44 @@ TEST_F(BaselineEndToEndTest, CacheIndexLoadsEveryRecordedPoint) {
   other.threads = 100;
   jobs::PointResult r;
   EXPECT_FALSE(index.load(other, &r));
+}
+
+TEST_F(BaselineEndToEndTest, PointRecordedTwiceIsNotCompared) {
+  // A second, different entry for the RTK t4 point -- what a directory
+  // holding two calibrations looks like.  Whichever of the two entries
+  // the directory lists first, the point is listed as incomparable and
+  // the verdict does not change with the order.
+  std::size_t dup = 0;
+  while (points_[dup].path != PathKind::kRtk || points_[dup].threads != 4) {
+    ++dup;
+  }
+  jobs::PointResult other = results_[dup];
+  other.metrics.timed_seconds *= 10;
+  const std::string doc = jobs::ResultCache::encode(points_[dup], other);
+
+  std::vector<std::string> texts;
+  for (const char* name :
+       {"kop-0000000000000000.json", "kop-ffffffffffffffff.json"}) {
+    const std::string path = dir_ + "/" + name;
+    ASSERT_TRUE(jobs::publish_file(path, doc));
+    const jobs::CacheIndex index(dir_);
+    EXPECT_EQ(index.size(), points_.size() + 1) << name;
+    EXPECT_EQ(index.recorded_twice(), 1u) << name;
+    jobs::PointResult r;
+    EXPECT_FALSE(index.load(points_[dup], &r)) << name;
+    EXPECT_TRUE(index.load(points_[0], &r)) << name;
+
+    const auto v = verdict(results_);
+    EXPECT_TRUE(v.shapes_ok()) << v.text({});
+    EXPECT_FALSE(v.ok());
+    EXPECT_NE(std::find(v.incomparable.begin(), v.incomparable.end(),
+                        points_[dup].label()),
+              v.incomparable.end())
+        << v.text({});
+    texts.push_back(v.text({}));
+    fs::remove(path);
+  }
+  EXPECT_EQ(texts[0], texts[1]);
 }
 
 TEST_F(BaselineEndToEndTest, CacheIndexToleratesMissingDirectory) {

@@ -831,6 +831,10 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
   EXPECT_TRUE(c.drained());
   EXPECT_EQ(c.counters().get("completions"),
             static_cast<std::uint64_t>(points.size()));
+  // One LEASE per point decides who runs it; no worker probes first.
+  EXPECT_EQ(c.counters().get("leases_granted"),
+            static_cast<std::uint64_t>(points.size()));
+  EXPECT_EQ(c.counters().get("serve_mget_batches"), 0u);
 
   fs::remove_all(root);
 }

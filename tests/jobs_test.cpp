@@ -7,8 +7,6 @@
 // -DKOP_SANITIZE=thread in CI).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -33,7 +31,6 @@ using kop::core::PathKind;
 using kop::harness::EpccPart;
 using kop::harness::MetricsSink;
 using kop::harness::RunMetrics;
-using kop::harness::jobs::BoundedQueue;
 using kop::harness::jobs::JobOptions;
 using kop::harness::jobs::JobRunner;
 using kop::harness::jobs::PointMatrix;
@@ -470,28 +467,6 @@ TEST(JobRunner, ParallelResultsMatchSerialInInputOrder) {
   EXPECT_EQ(a.back().metrics.timed_seconds, a.front().metrics.timed_seconds);
   // The duplicate was not simulated twice.
   EXPECT_EQ(r4.stats().executed, points.size() - 1);
-}
-
-TEST(BoundedQueue, FullQueueBlocksPushUntilPop) {
-  BoundedQueue queue(1);
-  queue.push(1);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    queue.push(2);
-    pushed = true;
-  });
-  // Capacity 1 and one item queued: the second push must wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(pushed.load());
-  std::size_t v = 0;
-  ASSERT_TRUE(queue.pop(&v));
-  EXPECT_EQ(v, 1u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ASSERT_TRUE(queue.pop(&v));
-  EXPECT_EQ(v, 2u);
-  queue.close();
-  EXPECT_FALSE(queue.pop(&v));  // closed and drained
 }
 
 TEST(JobRunner, WarmCacheSkipsSimulation) {
