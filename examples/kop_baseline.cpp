@@ -98,7 +98,7 @@ FigureDiff diff_figure(const std::string& fig, bool quick,
 
 int main(int argc, char** argv) {
   std::string baseline_dir, figs = "fig09,fig13", json_path;
-  bool quick = false, allow_missing = false;
+  bool quick = false;
   jobs::BaselineOptions bopts;
   jobs::JobOptions jopts;
   for (int i = 1; i < argc; ++i) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--tolerance" && i + 1 < argc) {
       bopts.geomean_tolerance = std::strtod(argv[++i], nullptr);
     } else if (arg == "--allow-missing") {
-      allow_missing = true;
+      bopts.allow_missing = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
@@ -185,7 +185,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!verdict.shapes_ok()) return 1;
-  if (!verdict.incomparable.empty() && !allow_missing) return 1;
-  return 0;
+  return verdict.ok(bopts) ? 0 : 1;
 }

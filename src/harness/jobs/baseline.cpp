@@ -166,7 +166,7 @@ std::string BaselineVerdict::text(const BaselineOptions& opts) const {
            std::to_string(incomparable.size()) + " point(s)\n";
     for (const auto& m : incomparable) out += "    " + m + "\n";
   }
-  out += std::string("verdict: ") + (ok() ? "OK" : "REGRESSION") + "\n";
+  out += std::string("verdict: ") + (ok(opts) ? "OK" : "REGRESSION") + "\n";
   return out;
 }
 
@@ -174,7 +174,7 @@ std::string BaselineVerdict::json(const BaselineOptions& opts) const {
   telemetry::JsonWriter w;
   w.begin_object();
   w.key("tool").value("kop_baseline");
-  w.key("ok").value(ok());
+  w.key("ok").value(ok(opts));
   w.key("shapes_ok").value(shapes_ok());
   w.key("geomean_tolerance").value(opts.geomean_tolerance);
   w.key("series").begin_array();

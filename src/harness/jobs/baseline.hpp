@@ -76,6 +76,10 @@ struct BaselineOptions {
   /// (|fresh/baseline - 1|); the default 5% absorbs benign
   /// recalibration while catching shape-level movement.
   double geomean_tolerance = 0.05;
+  /// Pass a partial comparison: points the baseline cannot compare
+  /// are listed but do not fail the verdict (kop_baseline
+  /// --allow-missing, for cold caches).
+  bool allow_missing = false;
 };
 
 /// Judgement for one (figure, series) gain curve.
@@ -94,12 +98,15 @@ struct BaselineVerdict {
   std::vector<ShapeCell> cells;
   std::vector<SeriesVerdict> series;
   /// Points absent from the baseline cache, or recorded there twice
-  /// (labels); these make the comparison partial, not failed -- the
-  /// caller decides (CI passes --allow-missing on cold caches).
+  /// (labels); these make the comparison partial, and fail it unless
+  /// BaselineOptions::allow_missing.
   std::vector<std::string> incomparable;
 
   bool shapes_ok() const;                       // every series ok
-  bool ok() const { return shapes_ok() && incomparable.empty(); }
+  /// The verdict text(), json() and kop_baseline's exit code report.
+  bool ok(const BaselineOptions& opts = {}) const {
+    return shapes_ok() && (opts.allow_missing || incomparable.empty());
+  }
   std::string text(const BaselineOptions& opts) const;
   std::string json(const BaselineOptions& opts) const;
 };

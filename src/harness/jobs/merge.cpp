@@ -62,12 +62,6 @@ bool check_entry(const std::string& name, const std::string& text,
               ", build " + hex16(build_fp) + ")";
     return false;
   }
-  if (id.schema_version != telemetry::kMetricsSchemaVersion) {
-    *reason = "schema version mismatch (entry " +
-              std::to_string(id.schema_version) + ", build " +
-              std::to_string(telemetry::kMetricsSchemaVersion) + ")";
-    return false;
-  }
   const std::string want = ResultCache::entry_name(
       ResultCache::key_for(*id.point, entry_fp, id.schema_version));
   if (want != name) {

@@ -77,30 +77,35 @@ void Engine::enqueue(Event&& ev) {
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_.size());
 }
 
+void Engine::enqueue_wake(SimThread* t, Time when, std::uint64_t generation) {
+  if (when < now_) when = now_;
+  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t key = sched_key(t);
+  if (racecheck_) [[unlikely]] {
+    // The poster's clock rides along, so the wake takes the slab.
+    Event ev;
+    ev.at = when;
+    ev.seq = seq;
+    ev.key = key;
+    ev.thread = t;
+    ev.generation = generation;
+    enqueue(std::move(ev));
+    return;
+  }
+  queue_.push_wake({when, key, seq, t, generation});
+  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_.size());
+}
+
 bool Engine::wake_at(SimThread* t, Time when) {
   if (t == nullptr) throw std::logic_error("engine: wake of null thread");
   if (t->finished()) return false;
-  if (when < now_) when = now_;
-  Event ev;
-  ev.at = when;
-  ev.seq = next_seq_++;
-  ev.key = sched_key(t);
-  ev.thread = t;
-  ev.generation = t->wake_generation_;
-  enqueue(std::move(ev));
+  enqueue_wake(t, when, t->wake_generation_);
   return true;
 }
 
 void Engine::wake_token_at(WakeToken tok, Time when) {
   if (tok.thread == nullptr) return;
-  if (when < now_) when = now_;
-  Event ev;
-  ev.at = when;
-  ev.seq = next_seq_++;
-  ev.key = sched_key(tok.thread);
-  ev.thread = tok.thread;
-  ev.generation = tok.generation;
-  enqueue(std::move(ev));
+  enqueue_wake(tok.thread, when, tok.generation);
 }
 
 void Engine::post_at(Time when, std::function<void()> fn) {
@@ -123,8 +128,19 @@ void Engine::block() {
   SimThread* self = current_;
   if (self == nullptr) throw std::logic_error("engine: block outside a sim thread");
   self->blocked_ = true;
-  Fiber::yield();
-  // Resumed by dispatch(); generation was bumped there.
+  // Hand off: when the queue is led by a plain wake, dispatch it here and
+  // switch straight to the thread it resumes, which takes over this
+  // fiber's resumer (run()).  Otherwise yield back to run().
+  SimThread* next = settle_wakes();
+  if (next == self) return;  // this thread's own wake was next
+  if (next != nullptr) {
+    ++stats_.handoffs;
+    current_ = next;
+    Fiber::switch_to(*next->fiber_);
+  } else {
+    Fiber::yield();
+  }
+  // Resumed by run() or by a handoff; settle() bumped the generation.
 }
 
 void Engine::sleep_for(Time ns) {
@@ -183,27 +199,36 @@ SimThread* Engine::settle(Time at, SimThread* t, std::uint64_t generation,
   return t;
 }
 
-void Engine::dispatch(Event& ev) {
-  SimThread* t = settle(ev.at, ev.thread, ev.generation, ev.seq);
-  if (ev.fn) {
-    if (racecheck_) [[unlikely]]
-      racecheck_->on_callback(ev.hb);
-    ev.fn();
-    return;
+SimThread* Engine::settle_wakes() {
+  while (queue_.wake_next()) {
+    const EventQueue::Wake w = queue_.pop_wake();
+    if (SimThread* t = settle(w.at, w.thread, w.generation, w.seq)) return t;
   }
-  if (t == nullptr) return;
-  if (racecheck_) [[unlikely]]
-    racecheck_->on_resume(t->id(), ev.hb);
-  SimThread* prev = current_;
-  current_ = t;
-  t->fiber_->resume();
-  current_ = prev;
+  return nullptr;
 }
 
 void Engine::run() {
   while (!queue_.empty()) {
-    Event ev = queue_.pop();
-    dispatch(ev);
+    SimThread* t = settle_wakes();
+    if (t == nullptr) {
+      if (queue_.empty()) break;
+      // A callback, or a wake carrying the race checker's clock.
+      Event ev = queue_.pop();
+      t = settle(ev.at, ev.thread, ev.generation, ev.seq);
+      if (ev.fn) {
+        if (racecheck_) [[unlikely]]
+          racecheck_->on_callback(ev.hb);
+        ev.fn();
+        continue;
+      }
+      if (t == nullptr) continue;
+      if (racecheck_) [[unlikely]]
+        racecheck_->on_resume(t->id(), ev.hb);
+    }
+    SimThread* prev = current_;
+    current_ = t;
+    t->fiber_->resume();
+    current_ = prev;
   }
   stats_.queue_allocs = queue_.allocs();
   if (live_thread_count() > 0) report_deadlock();

@@ -28,6 +28,20 @@
 // one has the smaller seq).  With a race checker every wake takes the
 // queue, since enqueue's release snapshot advances the poster's clock.
 //
+// Handoff: a thread that blocks runs the dispatch loop itself.  While
+// the queue is led by a plain wake, block() pops and settles it on the
+// blocking fiber's stack; a stale wake is counted and skipped, its own
+// wake returns at once, and any other thread it resumes gets control by
+// Fiber::switch_to(), taking over the blocker's resumer -- one fiber
+// switch instead of two.  Control goes back to run() only when the
+// next event is a callback (callbacks run on the main context, with
+// current() == nullptr), a thread finishes, or the queue drains.  Both
+// sites pop in the same order and dispatch through settle(), so every
+// simulated number and digest is the same as with run() dispatching
+// every wake; Stats::handoffs counts the direct switches.  A race
+// checker turns handoff off: its wakes carry the poster's clock in the
+// queue's slab, so run() dispatches them and joins the clock on resume.
+//
 // Determinism: events at equal times fire in posting order *under the
 // default FIFO ready-queue policy*, and all randomness flows through
 // the engine-owned Rng.  The ready-queue policy is pluggable: a
@@ -152,7 +166,9 @@ class Engine {
   /// Pattern: tok = arm_wake_token(); <publish tok>; block();
   WakeToken arm_wake_token();
 
-  /// Suspend the current thread until a matching wake arrives.
+  /// Suspend the current thread until a matching wake arrives.  Hands
+  /// off to the next woken thread when a plain wake leads the queue
+  /// (see the header comment).
   void block();
 
   /// Suspend for `ns` of virtual time.  Runs ahead (see the header
@@ -194,6 +210,10 @@ class Engine {
     /// subset of events_dispatched).  Deterministic, but it describes
     /// engine mechanics, not the simulated run.
     std::uint64_t run_ahead = 0;
+    /// Switches from a blocking thread straight to the thread its
+    /// dispatched wake resumes, without a trip through run().  Engine
+    /// mechanics too, like run_ahead.
+    std::uint64_t handoffs = 0;
     /// FNV-1a fold of every dispatched event's (at, thread id, seq).
     /// Two runs of the same workload under the same (policy, seed) must
     /// end with identical digests -- the machine-checkable form of the
@@ -213,6 +233,9 @@ class Engine {
   /// the depth grows nowhere else; sleep_for's run-ahead raises it to
   /// what the push it skips would have reached).
   void enqueue(Event&& ev);
+  /// Queue a wake of `t` for the block() that `generation` names:
+  /// inline, or in the slab when a race checker adds its clock.
+  void enqueue_wake(SimThread* t, Time when, std::uint64_t generation);
 
   /// What dispatching an event means, wherever it is dispatched: count
   /// it, move the clock to `at` and fold (at, thread id, seq) into the
@@ -220,10 +243,14 @@ class Engine {
   /// `generation` names, unblock it, invalidate its other pending wakes
   /// and apply pct's priority change point.  Returns the thread to
   /// resume, or nullptr (callback, finished thread, stale or duplicate
-  /// wake).  dispatch() and sleep_for()'s run-ahead both call it.
+  /// wake).  run(), settle_wakes() and sleep_for()'s run-ahead call it.
   SimThread* settle(Time at, SimThread* t, std::uint64_t generation,
                     std::uint64_t seq);
-  void dispatch(Event& ev);
+  /// The dispatch step run() and block() share: pop and settle the
+  /// plain wakes that lead the queue until one resumes a thread, and
+  /// return that thread; nullptr once the queue is empty or led by a
+  /// slab event (a callback or a race-checked wake).
+  SimThread* settle_wakes();
   [[noreturn]] void report_deadlock() const;
 
   Time now_ = 0;

@@ -5,13 +5,15 @@
 // priority queue dispatches the identical sequence under every
 // SchedPolicy (fifo leaves key at 0; random and pct draw it).
 //
-// The heap holds 32-byte sort keys; the Event payloads (a
-// std::function and a shared_ptr) sit in a slab whose vacated slots are
-// recycled through a free list, so a payload is moved exactly twice,
-// into the slab on push and out of it on pop, however far its key
-// sifts.  All three vectors keep their capacity, so a warm queue
-// allocates nothing; allocs() counts capacity growths so benchmarks
-// can assert that.
+// A heap entry holds the sort key and either a plain wake inline (the
+// thread and the generation it targets) or the slab slot of an Event.
+// Plain wakes -- most of the traffic -- never touch the slab.  The
+// Event payloads of callbacks and race-checked wakes (a std::function
+// and a shared_ptr) sit in a slab whose vacated slots are recycled
+// through a free list, so a payload is moved exactly twice, into the
+// slab on push and out of it on pop, however far its key sifts.  All
+// three vectors keep their capacity, so a warm queue allocates nothing;
+// allocs() counts capacity growths so benchmarks can assert that.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,16 @@ struct Event {
 
 class EventQueue {
  public:
+  /// A plain wake: no callback and no vector clock, so it lives inline
+  /// in its heap entry.
+  struct Wake {
+    Time at;
+    std::uint64_t key;
+    std::uint64_t seq;
+    SimThread* thread;  // non-null
+    std::uint64_t generation;
+  };
+
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
@@ -48,9 +60,23 @@ class EventQueue {
   /// between two points in time == storage fully recycled.
   std::uint64_t allocs() const { return allocs_; }
 
+  /// Queue an event; its payload goes to the slab.
   void push(Event ev);
 
-  /// Remove and return the earliest event in (at, key, seq) order.
+  /// Queue a plain wake inline.
+  void push_wake(const Wake& w);
+
+  /// Whether the earliest entry is an inline wake (false when empty).
+  bool wake_next() const {
+    return !heap_.empty() && heap_.front().thread != nullptr;
+  }
+
+  /// Remove and return the earliest entry, which must be an inline wake
+  /// (wake_next()).
+  Wake pop_wake();
+
+  /// Remove and return the earliest event in (at, key, seq) order; an
+  /// inline wake comes back as an Event with only its wake fields set.
   /// Queue must be nonempty.
   Event pop();
 
@@ -58,11 +84,12 @@ class EventQueue {
   Time next_time() const { return heap_.front().at; }
 
  private:
-  struct Key {
+  struct Entry {
     Time at;
     std::uint64_t key;
     std::uint64_t seq;
-    std::uint32_t slot;  // slab index of the payload
+    SimThread* thread;   // an inline wake's target; null: a slab payload
+    std::uint64_t data;  // the wake's generation, or the payload's slot
   };
 
   template <typename V, typename X>
@@ -71,7 +98,9 @@ class EventQueue {
     v.push_back(std::forward<X>(x));
   }
 
-  std::vector<Key> heap_;
+  Entry take_top();
+
+  std::vector<Entry> heap_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_;  // vacated slab slots
   std::uint64_t allocs_ = 0;

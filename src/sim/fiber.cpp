@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <exception>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -126,6 +127,21 @@ static_assert(sizeof(FirstFrame) % 16 == 8);
 // The fiber whose stack the host thread is currently executing on.
 thread_local Fiber* g_current_fiber = nullptr;
 
+// An exception that escaped a fiber's entry function, on its way to the
+// resume() the finished fiber returns to.  One slot per host thread, not
+// per fiber: after a switch_to() the fiber that finishes is not the one
+// that resume() entered.  The resumer takes it before anything else can
+// switch, so nested fibers never find it occupied.
+thread_local std::exception_ptr g_escaped;
+
+#ifdef KOP_ASAN_FIBERS
+// Set by switch_to() for the switch it makes.  The fiber that switch
+// lands on already holds the resumer's stack it took over from the
+// blocker; ASan reports the blocker's stack as the one the switch came
+// from, and that must not replace it.
+thread_local bool g_asan_inherited = false;
+#endif
+
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return ps;
@@ -223,18 +239,31 @@ Fiber::~Fiber() {
   }
 }
 
+void Fiber::landed(void* fake_stack) {
+  // The first code on this fiber's stack after a switch into it: tell
+  // ASan the switch landed and, after a resume(), remember the resumer's
+  // stack for the trip back.
+#ifdef KOP_ASAN_FIBERS
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (!g_asan_inherited) {
+    asan_return_bottom_ = bottom;
+    asan_return_size_ = size;
+  }
+  g_asan_inherited = false;
+#else
+  (void)fake_stack;
+#endif
+}
+
 void Fiber::trampoline() {
   Fiber* self = g_current_fiber;
-  // First arrival on this fiber's stack: tell ASan the switch landed
-  // and remember the resumer's stack for the trip back.
-#ifdef KOP_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(nullptr, &self->asan_return_bottom_,
-                                  &self->asan_return_size_);
-#endif
+  self->landed(nullptr);
   try {
     self->entry_();
   } catch (...) {
-    self->pending_exception_ = std::current_exception();
+    g_escaped = std::current_exception();
   }
   self->finished_ = true;
   self->running_ = false;
@@ -274,9 +303,9 @@ void Fiber::resume() {
   __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
   g_current_fiber = prev;
-  if (pending_exception_) {
-    auto ex = pending_exception_;
-    pending_exception_ = nullptr;
+  if (g_escaped) {
+    auto ex = g_escaped;
+    g_escaped = nullptr;
     std::rethrow_exception(ex);
   }
 }
@@ -286,8 +315,8 @@ void Fiber::yield() {
   if (self == nullptr) throw std::logic_error("fiber: yield outside a fiber");
   self->running_ = false;
   g_current_fiber = nullptr;
-#ifdef KOP_ASAN_FIBERS
   void* fake = nullptr;
+#ifdef KOP_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&fake, self->asan_return_bottom_,
                                  self->asan_return_size_);
 #endif
@@ -295,13 +324,38 @@ void Fiber::yield() {
   __tsan_switch_to_fiber(self->tsan_return_, 0);
 #endif
   kop_sim_fiber_switch(&self->sp_, self->return_sp_);
-  // Resumed again, possibly from a different stack.
+  // Resumed or switched to again, possibly from a different stack; the
+  // switcher already made this fiber current and running.
+  self->landed(fake);
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Fiber* self = g_current_fiber;
+  if (self == nullptr) throw std::logic_error("fiber: switch_to outside a fiber");
+  if (next.finished_) throw std::logic_error("fiber: switch_to a finished fiber");
+  if (next.running_) throw std::logic_error("fiber: switch_to a running fiber");
+  self->running_ = false;
+  g_current_fiber = &next;
+  next.running_ = true;
+  next.started_ = true;
+  // `next` takes over this fiber's resumer.
+  next.return_sp_ = self->return_sp_;
+  void* fake = nullptr;
 #ifdef KOP_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(fake, &self->asan_return_bottom_,
-                                  &self->asan_return_size_);
+  next.asan_return_bottom_ = self->asan_return_bottom_;
+  next.asan_return_size_ = self->asan_return_size_;
+  g_asan_inherited = true;
+  const std::size_t guard = page_size();
+  __sanitizer_start_switch_fiber(
+      &fake, static_cast<char*>(next.stack_base_) + guard,
+      next.map_bytes_ - guard);
 #endif
-  g_current_fiber = self;
-  self->running_ = true;
+#ifdef KOP_TSAN_FIBERS
+  next.tsan_return_ = self->tsan_return_;
+  __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+  kop_sim_fiber_switch(&self->sp_, next.sp_);
+  self->landed(fake);
 }
 
 Fiber* Fiber::current() { return g_current_fiber; }

@@ -141,6 +141,39 @@ TEST(CompareShapes, SeriesJudgedIndependently) {
   EXPECT_FALSE(v.shapes_ok());
 }
 
+// kop_baseline --allow-missing: the text verdict, the JSON "ok" and the
+// exit code all read ok(opts), so a partial comparison passes in all
+// three, and the points it could not compare are still listed.
+TEST(CompareShapes, AllowMissingPassesAPartialComparisonEverywhere) {
+  const std::vector<jobs::ShapeCell> cells = {cell("BT-B", "1", 1.9, 1.9),
+                                              cell("BT-B", "8", 1.2, 1.2)};
+  auto v = jobs::compare_shapes(cells, {});
+  v.incomparable = {"nas/phi/rtk/FT-B/t8"};
+  jobs::BaselineOptions strict;
+  jobs::BaselineOptions lenient;
+  lenient.allow_missing = true;
+  const std::string head = "{\"tool\":\"kop_baseline\",\"ok\":";
+
+  EXPECT_FALSE(v.ok(strict));
+  EXPECT_NE(v.text(strict).find("verdict: REGRESSION\n"), std::string::npos);
+  EXPECT_EQ(v.json(strict).rfind(head + "false", 0), 0u) << v.json(strict);
+
+  EXPECT_TRUE(v.ok(lenient));
+  const std::string text = v.text(lenient);
+  EXPECT_NE(text.find("verdict: OK\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("    nas/phi/rtk/FT-B/t8\n"), std::string::npos) << text;
+  EXPECT_EQ(v.json(lenient).rfind(head + "true", 0), 0u) << v.json(lenient);
+
+  // A shape regression still fails a partial comparison.
+  auto drifted = jobs::compare_shapes(
+      {cell("BT-B", "1", 1.9, 1.9 * 1.3), cell("BT-B", "8", 1.2, 1.2 * 1.3)},
+      lenient);
+  drifted.incomparable = v.incomparable;
+  EXPECT_FALSE(drifted.ok(lenient));
+  EXPECT_NE(drifted.text(lenient).find("verdict: REGRESSION\n"),
+            std::string::npos);
+}
+
 class BaselineEndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {

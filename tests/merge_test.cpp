@@ -218,6 +218,39 @@ TEST_F(ShardWorkflowTest, MergeRejectsCorruptAndForeignEntries) {
   EXPECT_EQ(report.merged, points.size());
 }
 
+// Validation is the one check of an entry's schema version: an entry of
+// another version is rejected for it before its identity is read.
+TEST_F(ShardWorkflowTest, MergeRejectsAnEntryOfAnotherSchemaVersion) {
+  auto suite = kop::harness::scale_suite(kop::nas::paper_suite(), 0.25, 2);
+  suite.resize(1);
+  const auto points = kop::harness::enumerate_nas_normalized(
+      "phi", {PathKind::kRtk}, {1}, suite);
+  jobs::JobOptions jopts;
+  jopts.cache_dir = dir("good");
+  jobs::JobRunner runner(jopts);
+  jobs::require_ok(points, runner.run(points));
+
+  fs::create_directories(dir("v2"));
+  const fs::path entry = fs::directory_iterator(dir("good"))->path();
+  std::ifstream in(entry);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const std::string v1 = "\"schema\":\"kop-metrics\",\"version\":1,";
+  const auto pos = text.find(v1);
+  ASSERT_EQ(pos, 1u) << text.substr(0, 80);
+  text.replace(pos, v1.size(), "\"schema\":\"kop-metrics\",\"version\":2,");
+  std::ofstream(fs::path(dir("v2")) / entry.filename()) << text;
+
+  jobs::MergeOptions mopts;
+  mopts.dest = dir("merged");
+  mopts.sources = {dir("v2")};
+  const auto report = jobs::merge_caches(mopts);
+  EXPECT_FALSE(report.ok());
+  ASSERT_EQ(report.rejected.size(), 1u) << report.text();
+  EXPECT_EQ(report.rejected[0].reason, "schema: \"version\" must be 1");
+  EXPECT_EQ(report.merged, 0u);
+}
+
 TEST_F(ShardWorkflowTest, MergeDetectsDivergentDuplicates) {
   auto suite = kop::harness::scale_suite(kop::nas::paper_suite(), 0.25, 2);
   suite.resize(1);

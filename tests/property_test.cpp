@@ -428,8 +428,9 @@ TEST_P(SchedPolicyProperty, SameSeedSameDispatchDigest) {
   EXPECT_EQ(a.stats.dispatch_digest, b.stats.dispatch_digest);
 }
 
-// An attached race checker sends every wake through the queue, so the
-// race-checked run is the reference for sleep_for's run-ahead.
+// An attached race checker sends every wake through the queue and
+// run(), so the race-checked run is the reference for sleep_for's
+// run-ahead and for block()'s handoff.
 TEST_P(SchedPolicyProperty, RunAheadMatchesTheQueuePath) {
   const auto plain = run_once();
   const auto queued = run_once(/*racecheck=*/true);
@@ -440,6 +441,8 @@ TEST_P(SchedPolicyProperty, RunAheadMatchesTheQueuePath) {
   EXPECT_EQ(plain.stats.stale_wakes, queued.stats.stale_wakes);
   EXPECT_GT(plain.stats.run_ahead, 0u);
   EXPECT_EQ(queued.stats.run_ahead, 0u);
+  EXPECT_GT(plain.stats.handoffs, 0u);
+  EXPECT_EQ(queued.stats.handoffs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -124,60 +124,96 @@ TEST(QueueOrder, FifoSameInstantIsPostingOrder) {
 // Model check: EventQueue against a reference min-heap on (at, key,
 // seq) under adversarial interleavings of pushes and pops, with
 // same-instant repeats, near posts and posts up to 50 ms out, for
-// all-zero keys (fifo) and random keys (random/pct).
+// all-zero keys (fifo) and random keys (random/pct).  Plain wakes
+// (stored inline in the heap) and callbacks (stored in the slab) are
+// mixed, so both storage paths keep one order and their payloads.
 TEST(QueueOrder, MatchesReferenceHeapModel) {
   struct Ref {
     Time at;
     std::uint64_t key;
     std::uint64_t seq;
+    bool wake;
   };
   auto ref_later = [](const Ref& a, const Ref& b) {
     if (a.at != b.at) return a.at > b.at;
     if (a.key != b.key) return a.key > b.key;
     return a.seq > b.seq;
   };
+  // Each entry's generation tags it, so a payload that came back with
+  // the wrong key would show.
+  auto tag = [](std::uint64_t seq) { return seq * 3 + 1; };
+  Engine eng;
+  SimThread* const target = eng.spawn("target", [] {});
   for (const bool keyed : {false, true}) {
     EventQueue q;
     std::priority_queue<Ref, std::vector<Ref>, decltype(ref_later)> model(
         ref_later);
     Rng rng(keyed ? 1234 : 4321);
+    Rng kind_rng(keyed ? 55 : 66);
     std::uint64_t seq = 0;
     Time now = 0;
     for (int step = 0; step < 20000; ++step) {
       const bool do_push = model.empty() || rng.next_u64() % 100 < 55;
       if (do_push) {
-        Event ev;
+        Time at;
         // Mix: same-instant repeats, near ring, and far overflow.
         const std::uint64_t r = rng.next_u64() % 100;
         if (r < 30) {
-          ev.at = now;
+          at = now;
         } else if (r < 90) {
-          ev.at = now + static_cast<Time>(rng.next_u64() % 100000);
+          at = now + static_cast<Time>(rng.next_u64() % 100000);
         } else {
-          ev.at = now + static_cast<Time>(rng.next_u64() % 50'000'000);
+          at = now + static_cast<Time>(rng.next_u64() % 50'000'000);
         }
-        ev.seq = seq++;
-        ev.key = keyed ? rng.next_u64() : 0;
-        q.push(ev);
-        model.push(Ref{ev.at, ev.key, ev.seq});
+        const std::uint64_t s = seq++;
+        const std::uint64_t key = keyed ? rng.next_u64() : 0;
+        const bool wake = kind_rng.next_u64() % 2 == 0;
+        if (wake) {
+          q.push_wake({at, key, s, target, tag(s)});
+        } else {
+          Event ev;
+          ev.at = at;
+          ev.seq = s;
+          ev.key = key;
+          ev.generation = tag(s);
+          ev.fn = [] {};
+          q.push(std::move(ev));
+        }
+        model.push(Ref{at, key, s, wake});
       } else {
         ASSERT_EQ(q.next_time(), model.top().at) << "step " << step;
-        const Event got = q.pop();
         const Ref want = model.top();
         model.pop();
-        ASSERT_EQ(got.at, want.at) << "step " << step;
-        ASSERT_EQ(got.key, want.key) << "step " << step;
-        ASSERT_EQ(got.seq, want.seq) << "step " << step;
-        now = got.at;  // engine invariant: pushes never precede now
+        ASSERT_EQ(q.wake_next(), want.wake) << "step " << step;
+        if (want.wake) {
+          const EventQueue::Wake got = q.pop_wake();
+          ASSERT_EQ(got.at, want.at) << "step " << step;
+          ASSERT_EQ(got.key, want.key) << "step " << step;
+          ASSERT_EQ(got.seq, want.seq) << "step " << step;
+          ASSERT_EQ(got.thread, target) << "step " << step;
+          ASSERT_EQ(got.generation, tag(want.seq)) << "step " << step;
+        } else {
+          const Event got = q.pop();
+          ASSERT_EQ(got.at, want.at) << "step " << step;
+          ASSERT_EQ(got.key, want.key) << "step " << step;
+          ASSERT_EQ(got.seq, want.seq) << "step " << step;
+          ASSERT_TRUE(got.fn) << "step " << step;
+          ASSERT_EQ(got.generation, tag(want.seq)) << "step " << step;
+        }
+        now = want.at;  // engine invariant: pushes never precede now
       }
       ASSERT_EQ(q.size(), model.size());
     }
+    // Drain with pop() alone: an inline wake comes back as an Event.
     while (!model.empty()) {
       const Event got = q.pop();
       const Ref want = model.top();
       model.pop();
       ASSERT_EQ(got.at, want.at);
       ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.thread, want.wake ? target : nullptr);
+      ASSERT_EQ(static_cast<bool>(got.fn), !want.wake);
+      ASSERT_EQ(got.generation, tag(want.seq));
     }
     EXPECT_TRUE(q.empty());
   }

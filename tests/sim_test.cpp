@@ -147,6 +147,76 @@ TEST(Fiber, StackIsCleanAfterAnExceptionUnwinds) {
   EXPECT_TRUE(ran);
 }
 
+// switch_to() passes the running fiber's resumer on: the target's yield
+// returns from the resume() that entered the switching fiber, which
+// carries on only when it is resumed again.
+TEST(Fiber, SwitchToHandsOverTheResumer) {
+  std::vector<int> trace;
+  Fiber b([&] {
+    trace.push_back(2);
+    Fiber::yield();
+    trace.push_back(4);
+  });
+  Fiber a([&] {
+    trace.push_back(1);
+    Fiber::switch_to(b);
+    EXPECT_EQ(Fiber::current(), &a);
+    trace.push_back(6);
+  });
+  a.resume();  // a switches to b, and b's yield lands here
+  trace.push_back(3);
+  EXPECT_FALSE(a.running());
+  EXPECT_FALSE(b.running());
+  b.resume();  // b finishes
+  trace.push_back(5);
+  a.resume();
+  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+// Resumes `f` from `depth` nested frames, each with a live local array,
+// so an exception the resume rethrows unwinds redzoned frames on the
+// resumer's stack.
+[[gnu::noinline]] void resume_from_depth(Fiber& f, int depth) {
+  char frame[64];
+  escape(frame);
+  if (depth == 0) {
+    f.resume();
+  } else {
+    resume_from_depth(f, depth - 1);
+  }
+  escape(frame);
+}
+
+// As above, with the thrower entered by switch_to(): it inherits its
+// blocker's resumer, and with it the resumer's stack bounds, so the
+// resumer's stack is clean after the rethrow unwinds frames on it.
+TEST(Fiber, StackIsCleanAfterAHandedOffFiberThrows) {
+  struct ScribbleOnUnwind {
+    ~ScribbleOnUnwind() { scribble_stack(); }
+  };
+  {
+    Fiber thrower([] {
+      ScribbleOnUnwind guard;
+      throw_from_depth(16);
+    });
+    Fiber blocker([&] { Fiber::switch_to(thrower); });
+    EXPECT_THROW(resume_from_depth(blocker, 16), std::runtime_error);
+    EXPECT_TRUE(thrower.finished());
+    EXPECT_FALSE(blocker.finished());
+  }
+  scribble_stack();
+  bool ran = false;
+  Fiber reuser([&] {
+    scribble_stack();
+    ran = true;
+  });
+  reuser.resume();
+  EXPECT_TRUE(ran);
+}
+
 TEST(Engine, SleepAdvancesVirtualTime) {
   Engine eng;
   Time seen = -1;
@@ -216,6 +286,28 @@ TEST(Engine, DeadlockDetectionNamesThread) {
   } catch (const SimDeadlock& e) {
     EXPECT_NE(std::string(e.what()).find("stuck-thread"), std::string::npos);
   }
+}
+
+// A thread whose only entry is a handoff throws: the exception reaches
+// run()'s caller, though run() resumed a different thread.
+TEST(Engine, ExceptionFromAHandedOffThreadReachesRun) {
+  Engine eng;
+  SimThread* thrower =
+      eng.spawn("thrower", [] { throw std::runtime_error("handed off"); });
+  SimThread* waker = eng.spawn("waker", [&] {
+    eng.wake(thrower);
+    eng.block();  // the thrower's wake leads the queue: hand off
+  });
+  eng.wake(waker);
+  try {
+    eng.run();
+    FAIL() << "run() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "handed off");
+  }
+  EXPECT_TRUE(thrower->finished());
+  EXPECT_FALSE(waker->finished());
+  EXPECT_EQ(eng.stats().handoffs, 1u);
 }
 
 TEST(Engine, ManyThreadsInterleaveDeterministically) {
@@ -377,12 +469,15 @@ TEST(Engine, RunAheadKeepsOrderAndStats) {
     std::size_t peak;
     std::uint64_t stale;
     Time end;
-    std::uint64_t run_ahead;  // the only field the queue-only engine lacked
+    // The fields the queue-only engine lacked: sleeps dispatched in
+    // place, and blocks that switched straight to the next woken thread.
+    std::uint64_t run_ahead;
+    std::uint64_t handoffs;
   };
   const Expected cases[] = {
-      {SchedPolicy::kFifo, 0xb1fdb2f6f4f3b53cULL, 129, 6, 1, 2200, 19},
-      {SchedPolicy::kRandom, 0x36c765a810f4cc1aULL, 129, 6, 1, 2200, 18},
-      {SchedPolicy::kPct, 0x12054148757ef334ULL, 129, 6, 1, 2200, 19},
+      {SchedPolicy::kFifo, 0xb1fdb2f6f4f3b53cULL, 129, 6, 1, 2200, 19, 100},
+      {SchedPolicy::kRandom, 0x36c765a810f4cc1aULL, 129, 6, 1, 2200, 18, 74},
+      {SchedPolicy::kPct, 0x12054148757ef334ULL, 129, 6, 1, 2200, 19, 99},
   };
   for (const Expected& want : cases) {
     SCOPED_TRACE(sched_policy_name(want.policy));
@@ -393,6 +488,7 @@ TEST(Engine, RunAheadKeepsOrderAndStats) {
     EXPECT_EQ(got.stats.stale_wakes, want.stale);
     EXPECT_EQ(got.end, want.end);
     EXPECT_EQ(got.stats.run_ahead, want.run_ahead);
+    EXPECT_EQ(got.stats.handoffs, want.handoffs);
   }
 }
 
