@@ -8,7 +8,6 @@
 #include "cck/codegen.hpp"
 #include "cck/program.hpp"
 #include "nautilus/kernel.hpp"
-#include "virgil/virgil.hpp"
 
 using namespace kop;
 
@@ -125,8 +124,7 @@ int main() {
                     blind.report.to_string().c_str());
 
         kernel.task_system().start(16);
-        virgil::KernelVirgil vg(kernel, 16);
-        cck::ProgramRunner runner(kernel, vg);
+        cck::ProgramRunner runner(kernel, kernel.task_system());
         const sim::Time with_t = runner.run(prog);
         const sim::Time blind_t = runner.run(blind);
         kernel.task_system().stop();

@@ -165,7 +165,7 @@ class AutoMpLinuxStack final : public Stack {
     os_.spawn_thread(
         "main",
         [this, width, app = std::move(app), &code]() {
-          virgil::UserVirgil vg(os_, width);
+          osal::TaskQueues vg(os_, osal::TaskQueues::kUser, width);
           vg.start();
           code = app(os_, vg);
           vg.stop();
@@ -216,8 +216,7 @@ class AutoMpNautilusStack final : public Stack {
         "main",
         [this, width, app = std::move(app), &code]() {
           kernel_->task_system().start(width);
-          virgil::KernelVirgil vg(*kernel_, width);
-          code = app(*kernel_, vg);
+          code = app(*kernel_, kernel_->task_system());
           kernel_->task_system().stop();
         },
         /*cpu=*/0);

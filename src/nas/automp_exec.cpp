@@ -43,7 +43,7 @@ RunResult run_automp(osal::Os& os, virgil::Virgil& vg,
   const cck::Module module = to_cck_module(spec, regions);
   cck::CompilerOptions copts;
   copts.width = vg.width();
-  copts.kernel_target = std::string(vg.flavor()) == "virgil-kernel";
+  copts.kernel_target = vg.kernel();
   const cck::Compiler compiler(copts);
   const cck::CompiledProgram program = compiler.compile(module);
   out.compile_report = program.report;

@@ -30,7 +30,8 @@ NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
     zone_allocators_.push_back(std::make_unique<BuddyAllocator>(
         zone_base(z.id, machine_), z.bytes, /*min_block=*/4096));
   }
-  task_system_ = std::make_unique<TaskSystem>(*this);
+  task_system_ = std::make_unique<osal::TaskQueues>(
+      *this, osal::TaskQueues::kKernel, machine_.num_cpus);
   loader_ = std::make_unique<Loader>(*zone_allocators_.front());
   irq_ = std::make_unique<IrqController>(*this, fpu_);
   tls_ = std::make_unique<TlsSupport>(*zone_allocators_.front());

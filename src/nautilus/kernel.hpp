@@ -15,9 +15,9 @@
 #include "nautilus/buddy.hpp"
 #include "nautilus/irq.hpp"
 #include "nautilus/loader.hpp"
-#include "nautilus/task_system.hpp"
 #include "nautilus/tls.hpp"
 #include "osal/base_os.hpp"
+#include "osal/task_queues.hpp"
 
 namespace kop::nautilus {
 
@@ -45,7 +45,9 @@ class NautilusKernel final : public osal::BaseOs {
   const NautilusConfig& config() const { return config_; }
 
   // --- subsystems ---
-  TaskSystem& task_system() { return *task_system_; }
+  /// The SoftIRQ-like per-CPU task queues (one lane per CPU); kernel
+  /// VIRGIL is this object.
+  osal::TaskQueues& task_system() { return *task_system_; }
   BuddyAllocator& zone_allocator(int zone);
   Loader& loader() { return *loader_; }
   IrqController& irq() { return *irq_; }
@@ -66,7 +68,7 @@ class NautilusKernel final : public osal::BaseOs {
  private:
   NautilusConfig config_;
   std::vector<std::unique_ptr<BuddyAllocator>> zone_allocators_;
-  std::unique_ptr<TaskSystem> task_system_;
+  std::unique_ptr<osal::TaskQueues> task_system_;
   std::unique_ptr<Loader> loader_;
   FpuManager fpu_;
   std::unique_ptr<IrqController> irq_;

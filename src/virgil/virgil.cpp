@@ -6,12 +6,6 @@
 
 namespace kop::virgil {
 
-// Shared-access annotations follow the same discipline as komp's task
-// pool: deque contents are guarded by the per-queue spinlocks (plain
-// accesses -- the detector verifies the lock discipline), while
-// stopping_, executed_ and the latch counter model the runtime's
-// atomics (happens-before edges).
-
 CountdownLatch::CountdownLatch(osal::Os& os, int count)
     : os_(&os), count_(count), gate_(os.make_wait_queue()) {
   if (count < 0) throw std::invalid_argument("CountdownLatch: count < 0");
@@ -31,140 +25,6 @@ void CountdownLatch::wait() {
   while (count_ > 0) {
     gate_->wait(/*spin_ns=*/20 * sim::kMicrosecond);
     sim::race::atomic_load(os_->engine(), &count_);
-  }
-}
-
-KernelVirgil::KernelVirgil(nautilus::NautilusKernel& kernel, int width)
-    : kernel_(&kernel),
-      width_(width > 0 ? std::min(width, kernel.machine().num_cpus)
-                       : kernel.machine().num_cpus) {}
-
-void KernelVirgil::submit(TaskFn task) {
-  // Round-robin across the kernel's per-CPU task queues; the task
-  // system's stealing handles imbalance.  The task system itself emits
-  // the rt_task events (so raw enqueue() users are covered too).
-  const int cpu = next_cpu_;
-  next_cpu_ = (next_cpu_ + 1) % width_;
-  kernel_->task_system().enqueue(std::move(task), cpu);
-}
-
-std::uint64_t KernelVirgil::executed() const {
-  return kernel_->task_system().executed();
-}
-
-UserVirgil::UserVirgil(osal::Os& os, int workers, sim::Time dispatch_cost_ns)
-    : os_(&os), dispatch_cost_ns_(dispatch_cost_ns) {
-  if (workers <= 0) throw std::invalid_argument("UserVirgil: workers <= 0");
-  queues_.resize(static_cast<std::size_t>(workers));
-  for (auto& q : queues_) {
-    q.lock = std::make_unique<osal::Spinlock>(os);
-    q.idle = os.make_wait_queue();
-  }
-}
-
-UserVirgil::~UserVirgil() = default;
-
-void UserVirgil::start() {
-  if (started_) throw std::logic_error("UserVirgil: started twice");
-  started_ = true;
-  sim::race::atomic_store(os_->engine(), &stopping_, "UserVirgil::stopping_");
-  stopping_ = false;
-  const int n = static_cast<int>(queues_.size());
-  threads_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads_.push_back(os_->spawn_thread(
-        "virgil-user-" + std::to_string(i),
-        [this, i]() { worker_loop(i); }, i % os_->machine().num_cpus));
-  }
-}
-
-void UserVirgil::stop() {
-  if (!started_) return;
-  sim::race::atomic_store(os_->engine(), &stopping_, "UserVirgil::stopping_");
-  stopping_ = true;
-  for (auto& q : queues_) q.idle->notify_all();
-  for (auto* t : threads_) os_->join_thread(t);
-  threads_.clear();
-  started_ = false;
-}
-
-void UserVirgil::submit(TaskFn task) {
-  const int w = next_rr_;
-  next_rr_ = (next_rr_ + 1) % static_cast<int>(queues_.size());
-  auto& q = queues_[static_cast<std::size_t>(w)];
-  q.lock->lock();
-  sim::race::plain_write(os_->engine(), &q.tasks, "UserVirgil task deque");
-  q.tasks.push_back(std::move(task));
-  q.lock->unlock();
-  os_->tools().emit([&](ompt::Tool& t) {
-    t.on_rt_task_submit(ompt::TaskRuntimeKind::kUser, os_->engine().now(), w);
-  });
-  q.idle->notify_one();
-}
-
-bool UserVirgil::try_get(int index, TaskFn& out, bool* stolen) {
-  const int n = static_cast<int>(queues_.size());
-  for (int i = 0; i < n; ++i) {
-    const int victim = (index + i) % n;
-    auto& q = queues_[static_cast<std::size_t>(victim)];
-    if (i == 0) {
-      q.lock->lock();
-    } else if (!q.lock->try_lock()) {
-      continue;
-    }
-    sim::race::plain_read(os_->engine(), &q.tasks, "UserVirgil task deque");
-    if (!q.tasks.empty()) {
-      sim::race::plain_write(os_->engine(), &q.tasks, "UserVirgil task deque");
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      q.lock->unlock();
-      *stolen = i != 0;
-      return true;
-    }
-    q.lock->unlock();
-  }
-  return false;
-}
-
-void UserVirgil::worker_loop(int index) {
-  for (;;) {
-    TaskFn task;
-    bool stolen = false;
-    if (try_get(index, task, &stolen)) {
-      if (stolen) {
-        os_->counters().add_on(os_->current_cpu(),
-                               telemetry::Counter::kTaskSteals);
-      }
-      os_->tools().emit([&](ompt::Tool& t) {
-        t.on_rt_task_execute(ompt::TaskRuntimeKind::kUser,
-                             ompt::Endpoint::kBegin, os_->engine().now(),
-                             index, stolen);
-      });
-      os_->compute_ns(dispatch_cost_ns_);
-      task();
-      sim::race::atomic_rmw(os_->engine(), &executed_,
-                            "UserVirgil::executed_");
-      ++executed_;
-      os_->tools().emit([&](ompt::Tool& t) {
-        t.on_rt_task_execute(ompt::TaskRuntimeKind::kUser,
-                             ompt::Endpoint::kEnd, os_->engine().now(),
-                             index, stolen);
-      });
-      continue;
-    }
-    sim::race::atomic_load(os_->engine(), &stopping_);
-    if (stopping_) return;
-    // Same lost-wakeup hazard as the kernel workers: try_get yields
-    // inside its locks, so recheck before parking.  The unlocked
-    // emptiness peek models an atomic size probe, not a deque access.
-    sim::race::atomic_load(os_->engine(),
-                           &queues_[static_cast<std::size_t>(index)].tasks);
-    if (!queues_[static_cast<std::size_t>(index)].tasks.empty()) continue;
-    // User-level workers spin a little, then futex-sleep: waking them
-    // costs the full Linux wake path -- one of the structural costs
-    // kernel VIRGIL avoids.
-    queues_[static_cast<std::size_t>(index)].idle->wait(
-        /*spin_ns=*/5 * sim::kMicrosecond);
   }
 }
 

@@ -1,13 +1,16 @@
 // VIRGIL: the custom task-based runtime CCK-compiled code targets
 // instead of libomp (paper §2.1, §5).
 //
-// Two variants, as in the paper:
-//  * KernelVirgil -- "a thin veneer over the kernel's task framework":
-//    submit() forwards to nautilus::TaskSystem (the SoftIRQ-like
-//    per-CPU queues).  ~550 lines of C in the paper.
-//  * UserVirgil   -- the user-level version "that uses C++17
+// Two variants, as in the paper, over one per-lane work-stealing pool
+// (osal::TaskQueues) that differ only in its Flavor:
+//  * kernel VIRGIL -- "a thin veneer over the kernel's task framework":
+//    the Nautilus kernel's own task queues (NautilusKernel::task_system,
+//    TaskQueues::kKernel, one lane per CPU).  ~550 lines of C in the
+//    paper.
+//  * user VIRGIL -- the user-level version "that uses C++17
 //    abstractions to build on top of C++ threads and C++
-//    synchronization (including futex) on Linux".  ~620 lines of C++.
+//    synchronization (including futex) on Linux": a TaskQueues::kUser
+//    pool of `width` lanes on the Linux model.  ~620 lines of C++.
 //
 // VIRGIL is deliberately tiny: it only executes *ready* independent
 // tasks.  Dependence checking, joins, and landing tasks are generated
@@ -16,31 +19,13 @@
 // code uses.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <vector>
 
-#include "nautilus/kernel.hpp"
-#include "osal/sync.hpp"
+#include "osal/task_queues.hpp"
 
 namespace kop::virgil {
 
-using TaskFn = std::function<void()>;
-
-class Virgil {
- public:
-  virtual ~Virgil() = default;
-  /// Hand a ready task to the runtime.  May be called from any sim
-  /// thread, including from inside a running task.
-  virtual void submit(TaskFn task) = 0;
-  /// Tasks executed so far.
-  virtual std::uint64_t executed() const = 0;
-  /// Number of execution lanes (CPUs / workers).
-  virtual int width() const = 0;
-  virtual const char* flavor() const = 0;
-};
+using Virgil = osal::TaskQueues;
 
 /// Completion counter used by compiler-generated landing/join code.
 class CountdownLatch {
@@ -55,61 +40,6 @@ class CountdownLatch {
   osal::Os* os_;
   int count_;
   std::unique_ptr<osal::WaitQueue> gate_;
-};
-
-/// Kernel-level VIRGIL: forwards to the Nautilus task system.
-class KernelVirgil final : public Virgil {
- public:
-  /// The kernel's task system must be started by the caller (it is
-  /// part of the kernel, not of VIRGIL).  `width` restricts submission
-  /// to the first `width` CPUs (<= 0: all CPUs).
-  explicit KernelVirgil(nautilus::NautilusKernel& kernel, int width = 0);
-
-  void submit(TaskFn task) override;
-  std::uint64_t executed() const override;
-  int width() const override { return width_; }
-  const char* flavor() const override { return "virgil-kernel"; }
-
- private:
-  nautilus::NautilusKernel* kernel_;
-  int width_;
-  int next_cpu_ = 0;
-};
-
-/// User-level VIRGIL: its own worker pool over OS threads + futex-like
-/// sleeping (the Os passed in should be the Linux model).
-class UserVirgil final : public Virgil {
- public:
-  UserVirgil(osal::Os& os, int workers,
-             sim::Time dispatch_cost_ns = 600);
-  ~UserVirgil() override;
-
-  void start();
-  void stop();
-
-  void submit(TaskFn task) override;
-  std::uint64_t executed() const override { return executed_; }
-  int width() const override { return static_cast<int>(queues_.size()); }
-  const char* flavor() const override { return "virgil-user"; }
-
- private:
-  struct WorkerQueue {
-    std::deque<TaskFn> tasks;
-    std::unique_ptr<osal::Spinlock> lock;
-    std::unique_ptr<osal::WaitQueue> idle;
-  };
-
-  void worker_loop(int index);
-  bool try_get(int index, TaskFn& out, bool* stolen);
-
-  osal::Os* os_;
-  sim::Time dispatch_cost_ns_;
-  std::vector<WorkerQueue> queues_;
-  std::vector<osal::Thread*> threads_;
-  bool started_ = false;
-  bool stopping_ = false;
-  std::uint64_t executed_ = 0;
-  int next_rr_ = 0;
 };
 
 }  // namespace kop::virgil

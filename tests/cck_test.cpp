@@ -8,7 +8,6 @@
 #include "cck/program.hpp"
 #include "cck/transforms.hpp"
 #include "nautilus/kernel.hpp"
-#include "virgil/virgil.hpp"
 
 namespace kop::cck {
 namespace {
@@ -289,8 +288,7 @@ TEST(Program, RunsDoallOnKernelVirgil) {
       "main",
       [&] {
         nk.task_system().start(8);
-        virgil::KernelVirgil vg(nk, 8);
-        ProgramRunner runner(nk, vg);
+        ProgramRunner runner(nk, nk.task_system());
         elapsed = runner.run(prog);
         nk.task_system().stop();
       },

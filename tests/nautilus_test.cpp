@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nautilus/kernel.hpp"
+#include "virgil/virgil.hpp"
 
 namespace kop::nautilus {
 namespace {
@@ -74,30 +75,53 @@ TEST(TaskSystem, ExecutesEnqueuedTasks) {
   EXPECT_EQ(nk.task_system().executed(), 100u);
 }
 
-TEST(TaskSystem, StealsFromLoadedQueues) {
-  sim::Engine eng(2);
+TEST(TaskSystem, SubmitSkipsLanesWithoutAWorker) {
+  // Two rounds of round-robin submits over 8 of PHI's 64 lanes, 1 ms
+  // apart so the workers park in between: the second round must land
+  // on the 8 lanes that have a worker, not on lanes 8-15.
+  sim::Engine eng(3);
   NautilusKernel nk(eng, hw::phi());
   int executed = 0;
   nk.spawn_thread(
       "main",
       [&] {
         nk.task_system().start(8);
-        // Everything lands on CPU 0's queue; idle workers must steal.
-        for (int i = 0; i < 64; ++i)
-          nk.task_system().enqueue(
-              [&] {
-                nk.compute_ns(50'000);
-                ++executed;
-              },
-              0);
-        while (nk.task_system().pending() > 0 || executed < 64)
-          eng.sleep_for(50'000);
+        for (int round = 0; round < 2; ++round) {
+          virgil::CountdownLatch latch(nk, 8);
+          for (int i = 0; i < 8; ++i) {
+            nk.task_system().submit([&] {
+              ++executed;
+              latch.count_down();
+            });
+          }
+          latch.wait();
+          eng.sleep_for(sim::kMillisecond);
+        }
         nk.task_system().stop();
       },
       0);
+  EXPECT_NO_THROW(eng.run());
+  EXPECT_EQ(executed, 16);
+}
+
+TEST(TaskSystem, EnqueueOnALaneWithoutAWorkerThrows) {
+  sim::Engine eng(4);
+  NautilusKernel nk(eng, hw::phi());
+  nk.spawn_thread(
+      "main",
+      [&] {
+        auto& ts = nk.task_system();
+        EXPECT_THROW(ts.enqueue([] {}, 0), std::out_of_range);
+        EXPECT_THROW(ts.submit([] {}), std::out_of_range);
+        ts.start(8);
+        EXPECT_THROW(ts.enqueue([] {}, 8), std::out_of_range);
+        EXPECT_THROW(ts.enqueue([] {}, -1), std::out_of_range);
+        ts.stop();
+      },
+      0);
   eng.run();
-  EXPECT_EQ(executed, 64);
-  EXPECT_GT(nk.task_system().steals(), 0u);
+  EXPECT_EQ(nk.task_system().pending(), 0u);
+  EXPECT_EQ(nk.task_system().executed(), 0u);
 }
 
 // ------------------------------------------------------------ loader
