@@ -68,6 +68,8 @@ class MemRegion {
   /// Striped placement: slice i of n covers bytes [i*B/n,(i+1)*B/n).
   void set_slice_zones(std::vector<int> zones) { slice_zones_ = std::move(zones); home_zone_ = -1; }
   const std::vector<int>& slice_zones() const { return slice_zones_; }
+  /// Re-place slice `i` of a sliced region.
+  void set_slice_zone(std::size_t i, int zone) { slice_zones_[i] = zone; home_zone_ = -1; }
   bool is_sliced() const { return !slice_zones_.empty(); }
 
   /// Zone holding the slice a CPU working on partition `part` of

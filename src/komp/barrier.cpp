@@ -10,11 +10,10 @@ TeamBarrier::TeamBarrier(osal::Os& os, int parties,
                          RuntimeTuning::BarrierAlgo algo, sim::Time spin_ns,
                          sim::Time step_extra_ns)
     : os_(&os), parties_(parties), algo_(algo), spin_ns_(spin_ns),
-      step_extra_ns_(step_extra_ns) {
+      step_extra_ns_(step_extra_ns), central_gate_(os) {
   if (parties <= 0) throw std::invalid_argument("TeamBarrier: parties <= 0");
-  slots_.resize(static_cast<std::size_t>(parties));
-  for (auto& s : slots_) s.gate = os.make_wait_queue();
-  central_gate_ = os.make_wait_queue();
+  slots_.reserve(static_cast<std::size_t>(parties));
+  for (int i = 0; i < parties; ++i) slots_.emplace_back(os);
 }
 
 void TeamBarrier::charge_step() {
@@ -23,8 +22,8 @@ void TeamBarrier::charge_step() {
   if (cost > 0) os_->engine().sleep_for(cost);
 }
 
-void TeamBarrier::park_until(int tid, osal::WaitQueue& gate,
-                             const std::function<bool()>& ready) {
+template <typename Ready>
+void TeamBarrier::park_until(int tid, osal::WaitQueue& gate, Ready ready) {
   while (!ready()) {
     // Execute pending explicit tasks instead of idling (and re-check:
     // running a task yields, during which the release may arrive).
@@ -62,7 +61,7 @@ void TeamBarrier::wait_centralized(int tid) {
   Slot& me = slots_[static_cast<std::size_t>(tid)];
   const std::uint64_t gen = ++me.local_gen;
   // Arrival: one contended RMW on the shared counter.
-  os_->atomic_op(static_cast<int>(central_gate_->waiters()));
+  os_->atomic_op(static_cast<int>(central_gate_.waiters()));
   sim::race::atomic_rmw(os_->engine(), &arrived_, "TeamBarrier::arrived_");
   ++arrived_;
   if (arrived_ == parties_) {
@@ -71,10 +70,10 @@ void TeamBarrier::wait_centralized(int tid) {
     sim::race::atomic_store(os_->engine(), &central_release_gen_,
                             "TeamBarrier::central_release_gen_");
     central_release_gen_ = gen;
-    central_gate_->notify_all();
+    central_gate_.notify_all();
     return;
   }
-  park_until(tid, *central_gate_, [&] {
+  park_until(tid, central_gate_, [&] {
     sim::race::atomic_load(os_->engine(), &central_release_gen_);
     return central_release_gen_ >= gen;
   });
@@ -94,7 +93,7 @@ void TeamBarrier::wait_tree(int tid) {
     const int child = tid + s;
     if (child >= parties_) continue;
     Slot& ch = slots_[static_cast<std::size_t>(child)];
-    park_until(tid, *ch.gate, [&] {
+    park_until(tid, ch.gate, [&] {
       sim::race::atomic_load(os_->engine(), &ch.arrive_gen);
       return ch.arrive_gen >= gen;
     });
@@ -105,9 +104,9 @@ void TeamBarrier::wait_tree(int tid) {
                             "TeamBarrier::Slot::arrive_gen");
     me.arrive_gen = gen;
     charge_step();
-    me.gate->notify_one();  // wake the parent if it sleeps on our slot
+    me.gate.notify_one();  // wake the parent if it sleeps on our slot
     // --- wait for our release ---
-    park_until(tid, *me.gate, [&] {
+    park_until(tid, me.gate, [&] {
       sim::race::atomic_load(os_->engine(), &me.release_gen);
       return me.release_gen >= gen;
     });
@@ -128,7 +127,7 @@ void TeamBarrier::wait_tree(int tid) {
                             "TeamBarrier::Slot::release_gen");
     ch.release_gen = gen;
     charge_step();
-    ch.gate->notify_one();
+    ch.gate.notify_one();
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "komp/tuning.hpp"
@@ -37,15 +36,16 @@ class TeamBarrier {
   void wait_tree(int tid);
   /// Busy bookkeeping charged per tree hop.
   void charge_step();
-  /// Park on `gate` until `ready` holds, polling the while-waiting
-  /// hook between sleeps.
-  void park_until(int tid, osal::WaitQueue& gate,
-                  const std::function<bool()>& ready);
+  /// Park on `gate` until `ready()` holds, polling the while-waiting
+  /// hook between sleeps.  A template, so a park builds no closure.
+  template <typename Ready>
+  void park_until(int tid, osal::WaitQueue& gate, Ready ready);
 
   struct Slot {
+    explicit Slot(osal::Os& os) : gate(os) {}
     std::uint64_t arrive_gen = 0;
     std::uint64_t release_gen = 0;
-    std::unique_ptr<osal::WaitQueue> gate;
+    osal::WaitQueue gate;
     std::uint64_t local_gen = 0;  // this thread's barrier count
   };
 
@@ -58,7 +58,7 @@ class TeamBarrier {
   // centralized state
   int arrived_ = 0;
   std::uint64_t central_release_gen_ = 0;
-  std::unique_ptr<osal::WaitQueue> central_gate_;
+  osal::WaitQueue central_gate_;
   std::uint64_t completed_ = 0;
   WhileWaiting while_waiting_;
 };

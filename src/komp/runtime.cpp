@@ -23,7 +23,7 @@ Runtime::~Runtime() {
   if (workers_.empty()) return;
   sim::race::atomic_store(os_->engine(), &shutdown_, "Runtime::shutdown_");
   shutdown_ = true;
-  for (auto& w : workers_) w->gate->notify_all();
+  for (auto& w : workers_) w->gate.notify_all();
   for (auto& w : workers_) pthreads_->join(w->thread);
 }
 
@@ -67,9 +67,7 @@ void Runtime::ensure_pool(int nthreads) {
   const int needed = nthreads - 1;
   while (pool_size() < needed) {
     const int index = pool_size();
-    auto w = std::make_unique<Worker>();
-    w->gate = os_->make_wait_queue();
-    workers_.push_back(std::move(w));
+    workers_.push_back(std::make_unique<Worker>(*os_));
     // Worker i serves team thread id i+1; placement follows
     // OMP_PROC_BIND.
     pthread_compat::PthreadAttr attr;
@@ -105,7 +103,7 @@ void Runtime::worker_main(int worker_index) {
     sim::race::atomic_load(os_->engine(), &shutdown_);
     sim::race::atomic_load(os_->engine(), &epoch_);
     while (!shutdown_ && me.seen_epoch == epoch_) {
-      me.gate->wait(icv_.blocktime_ns);
+      me.gate.wait(icv_.blocktime_ns);
       sim::race::atomic_load(os_->engine(), &shutdown_);
       sim::race::atomic_load(os_->engine(), &epoch_);
     }
@@ -125,7 +123,7 @@ void Runtime::worker_main(int worker_index) {
       sim::race::atomic_rmw(os_->engine(), &team->departed_,
                             "Team::departed_");
       ++team->departed_;
-      team->exit_gate_->notify_one();
+      team->exit_gate_.notify_one();
     }
   }
 }
@@ -170,7 +168,7 @@ void Runtime::parallel(int nthreads, const RegionBody& body) {
   sim::race::atomic_store(os_->engine(), &epoch_, "Runtime::epoch_");
   ++epoch_;
   for (int i = 0; i < n - 1; ++i)
-    workers_[static_cast<std::size_t>(i)]->gate->notify_one();
+    workers_[static_cast<std::size_t>(i)]->gate.notify_one();
 
   // The master is team thread 0.
   run_region_body(team, 0, body);
@@ -180,7 +178,7 @@ void Runtime::parallel(int nthreads, const RegionBody& body) {
   // in flight.
   sim::race::atomic_load(os_->engine(), &team.departed_);
   while (team.departed_ < n - 1) {
-    team.exit_gate_->wait(icv_.blocktime_ns);
+    team.exit_gate_.wait(icv_.blocktime_ns);
     sim::race::atomic_load(os_->engine(), &team.departed_);
   }
 

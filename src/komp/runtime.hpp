@@ -64,9 +64,10 @@ class Runtime {
   friend class TeamThread;
 
   struct Worker {
+    explicit Worker(osal::Os& os) : gate(os) {}
     pthread_compat::Pthread* thread = nullptr;
     std::uint64_t seen_epoch = 0;
-    std::unique_ptr<osal::WaitQueue> gate;
+    osal::WaitQueue gate;
   };
 
   void ensure_pool(int nthreads);

@@ -17,18 +17,18 @@ namespace kop::komp {
 TaskPool::TaskPool(osal::Os& os, int nthreads, const RuntimeTuning& tuning,
                    sim::Time spin_ns, NumaSched numa_sched,
                    std::vector<int> cpu_of_tid)
-    : os_(&os), tuning_(&tuning), spin_ns_(spin_ns), numa_sched_(numa_sched) {
+    : os_(&os), tuning_(&tuning), spin_ns_(spin_ns), numa_sched_(numa_sched),
+      idle_gate_(os) {
   deques_.resize(static_cast<std::size_t>(nthreads));
   locks_.reserve(static_cast<std::size_t>(nthreads));
   implicit_.reserve(static_cast<std::size_t>(nthreads));
   current_.reserve(static_cast<std::size_t>(nthreads));
   for (int i = 0; i < nthreads; ++i) {
-    locks_.push_back(std::make_unique<osal::Spinlock>(os));
+    locks_.emplace_back(os);
     const TaskHandle imp = alloc_task();
     implicit_.push_back(imp);
     current_.push_back(imp);
   }
-  idle_gate_ = os.make_wait_queue();
 
   // Topology mapping: zone per tid for steal classification, plus the
   // hierarchical victim orders.  Pools without a CPU map (direct
@@ -114,14 +114,14 @@ void TaskPool::spawn(int tid, TaskBody body) {
   ++incomplete_;
   sim::race::atomic_rmw(os_->engine(), &queued_, "TaskPool::queued_");
   ++queued_;
-  auto& lock = *locks_[static_cast<std::size_t>(tid)];
+  auto& lock = locks_[static_cast<std::size_t>(tid)];
   lock.lock();
   sim::race::plain_write(os_->engine(), &deques_[static_cast<std::size_t>(tid)],
                          "TaskPool task deque");
   deques_[static_cast<std::size_t>(tid)].push_back(h);
   lock.unlock();
   // Poke one idle helper (threads waiting at a scheduling point).
-  idle_gate_->notify_one();
+  idle_gate_.notify_one();
 }
 
 bool TaskPool::looks_empty(int victim) const {
@@ -137,7 +137,7 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   const auto n = static_cast<int>(deques_.size());
   // Own deque: LIFO (depth-first, cache-friendly).
   {
-    auto& lock = *locks_[static_cast<std::size_t>(tid)];
+    auto& lock = locks_[static_cast<std::size_t>(tid)];
     lock.lock();
     auto& dq = deques_[static_cast<std::size_t>(tid)];
     sim::race::plain_read(os_->engine(), &dq, "TaskPool task deque");
@@ -157,7 +157,7 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   for (int i = 1; i < n; ++i) {
     const int victim = (tid + i) % n;
     if (looks_empty(victim)) continue;
-    auto& lock = *locks_[static_cast<std::size_t>(victim)];
+    auto& lock = locks_[static_cast<std::size_t>(victim)];
     if (!lock.try_lock()) continue;
     auto& dq = deques_[static_cast<std::size_t>(victim)];
     sim::race::plain_read(os_->engine(), &dq, "TaskPool task deque");
@@ -199,7 +199,7 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
       if (pass == 1 && !remote) continue;
       const int victim = order[i];
       if (looks_empty(victim)) continue;
-      auto& lock = *locks_[static_cast<std::size_t>(victim)];
+      auto& lock = locks_[static_cast<std::size_t>(victim)];
       if (!lock.try_lock()) continue;
       auto& dq = deques_[static_cast<std::size_t>(victim)];
       sim::race::plain_read(os_->engine(), &dq, "TaskPool task deque");
@@ -232,13 +232,13 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
         // in queued_: still unstarted, just parked elsewhere).  The
         // victim's lock is released first -- blocking on the own lock
         // while holding a victim's could cross-deadlock two thieves.
-        auto& own = *locks_[static_cast<std::size_t>(tid)];
+        auto& own = locks_[static_cast<std::size_t>(tid)];
         own.lock();
         auto& mine = deques_[static_cast<std::size_t>(tid)];
         sim::race::plain_write(os_->engine(), &mine, "TaskPool task deque");
         for (TaskHandle h : batch) mine.push_back(h);
         own.unlock();
-        idle_gate_->notify_one();
+        idle_gate_.notify_one();
       }
       ++steals_;
       *steal = remote ? StealKind::kRemote : StealKind::kLocal;
@@ -289,7 +289,7 @@ void TaskPool::run(int tid, TaskHandle task, StealKind steal) {
   // (Broadcasting on every completion makes task-heavy regions
   // quadratic in wakeups.)
   if (parent_drained || incomplete_ == 0)
-    idle_gate_->notify_all();
+    idle_gate_.notify_all();
 }
 
 bool TaskPool::try_run_one(int tid) {
@@ -311,7 +311,7 @@ void TaskPool::taskwait(int tid) {
     // can occur between this check and the wait registration).
     sim::race::atomic_load(os_->engine(), &slab_[cur].pending_children);
     if (slab_[cur].pending_children == 0) return;
-    idle_gate_->wait(spin_ns_);
+    idle_gate_.wait(spin_ns_);
   }
 }
 
@@ -322,7 +322,7 @@ void TaskPool::drain_all(int tid) {
     if (try_run_one(tid)) continue;
     sim::race::atomic_load(os_->engine(), &incomplete_);
     if (incomplete_ == 0) return;
-    idle_gate_->wait(spin_ns_);
+    idle_gate_.wait(spin_ns_);
   }
 }
 

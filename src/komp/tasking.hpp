@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "komp/icv.hpp"
@@ -107,7 +106,7 @@ class TaskPool {
   std::deque<Task> slab_;
   std::vector<TaskHandle> free_;
   std::vector<sim::RingDeque<TaskHandle>> deques_;
-  std::vector<std::unique_ptr<osal::Spinlock>> locks_;
+  std::vector<osal::Spinlock> locks_;
   /// The implicit task of each team thread (children bookkeeping for
   /// top-level taskwait); slots 0..nthreads-1, pinned for the pool's
   /// lifetime.
@@ -115,7 +114,7 @@ class TaskPool {
   /// Task currently executing on each thread (the implicit task when
   /// no explicit task is running).
   std::vector<TaskHandle> current_;
-  std::unique_ptr<osal::WaitQueue> idle_gate_;
+  osal::WaitQueue idle_gate_;
   std::size_t incomplete_ = 0;
   /// Tasks sitting in deques (not yet started).  Lets scheduling-point
   /// polls bail out in O(1) instead of scanning every deque.

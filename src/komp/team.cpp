@@ -30,7 +30,7 @@ Team::Team(Runtime& rt, int size)
       pool_(rt.os(), size, rt.tuning(), rt.icv().blocktime_ns,
             rt.icv().numa_sched, cpu_map(rt, size)),
       members_(static_cast<std::size_t>(size), nullptr),
-      exit_gate_(rt.os().make_wait_queue()) {
+      exit_gate_(rt.os()) {
   // Threads waiting at a barrier execute pending explicit tasks.
   barrier_.set_while_waiting([this](int tid) { return pool_.try_run_one(tid); });
 }
@@ -43,7 +43,7 @@ TeamThread& Team::member(int tid) {
 
 std::shared_ptr<Team::LoopState> Team::loop_state(std::uint64_t gen) {
   auto& slot = loops_[gen];
-  if (slot == nullptr) slot = std::make_shared<LoopState>();
+  if (slot == nullptr) slot = std::make_shared<LoopState>(rt_->os());
   return slot;
 }
 
@@ -242,7 +242,6 @@ void TeamThread::for_ordered(std::int64_t lo, std::int64_t hi,
   if (!st->init) {
     st->init = true;
     st->ordered_next = lo;
-    st->ordered_gate = os().make_wait_queue();
     sim::race::atomic_store(os().engine(), &st->init, "LoopState::init");
   }
   // schedule(static,1): iteration i on thread i % n; each iteration
@@ -250,14 +249,14 @@ void TeamThread::for_ordered(std::int64_t lo, std::int64_t hi,
   for (std::int64_t i = lo + tid_; i < hi; i += n) {
     sim::race::atomic_load(os().engine(), &st->ordered_next);
     while (st->ordered_next < i) {
-      st->ordered_gate->wait(runtime().icv().blocktime_ns);
+      st->ordered_gate.wait(runtime().icv().blocktime_ns);
       sim::race::atomic_load(os().engine(), &st->ordered_next);
     }
     body(i);
     sim::race::atomic_store(os().engine(), &st->ordered_next,
                             "LoopState::ordered_next");
     st->ordered_next = i + 1;
-    st->ordered_gate->notify_all();
+    st->ordered_gate.notify_all();
   }
   team_->finish_loop(gen, *st);
   tools.emit([&](ompt::Tool& t) {

@@ -129,6 +129,7 @@ class Team {
   friend class TeamThread;
 
   struct LoopState {
+    explicit LoopState(osal::Os& os) : ordered_gate(os) {}
     bool init = false;
     std::int64_t next = 0;
     std::int64_t hi = 0;
@@ -137,7 +138,7 @@ class Team {
     int done_count = 0;  // threads finished with this loop
     // ordered support
     std::int64_t ordered_next = 0;
-    std::unique_ptr<osal::WaitQueue> ordered_gate;
+    osal::WaitQueue ordered_gate;
   };
   struct ReduceState {
     bool init = false;
@@ -165,7 +166,7 @@ class Team {
   // wakes still reference the team's gates).
   friend class Runtime;
   int departed_ = 0;
-  std::unique_ptr<osal::WaitQueue> exit_gate_;
+  osal::WaitQueue exit_gate_;
 };
 
 }  // namespace kop::komp

@@ -5,11 +5,7 @@
 namespace kop::linuxmodel {
 
 osal::WaitQueue& FutexTable::queue_for(std::uint64_t addr) {
-  auto it = queues_.find(addr);
-  if (it == queues_.end()) {
-    it = queues_.emplace(addr, os_->make_wait_queue()).first;
-  }
-  return *it->second;
+  return queues_.try_emplace(addr, *os_).first->second;
 }
 
 void FutexTable::wait(std::uint64_t addr, sim::Time spin_ns) {
@@ -27,8 +23,8 @@ int FutexTable::wake(std::uint64_t addr, int count) {
   auto it = queues_.find(addr);
   if (it == queues_.end()) return 0;
   int woken = 0;
-  while (count-- > 0 && it->second->waiters() > 0) {
-    it->second->notify_one();
+  while (count-- > 0 && it->second.waiters() > 0) {
+    it->second.notify_one();
     ++woken;
   }
   if (woken > 0) {
@@ -41,7 +37,7 @@ int FutexTable::wake(std::uint64_t addr, int count) {
 
 std::size_t FutexTable::waiters(std::uint64_t addr) const {
   auto it = queues_.find(addr);
-  return it == queues_.end() ? 0 : it->second->waiters();
+  return it == queues_.end() ? 0 : it->second.waiters();
 }
 
 }  // namespace kop::linuxmodel

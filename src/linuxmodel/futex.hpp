@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "osal/osal.hpp"
@@ -30,7 +29,7 @@ class FutexTable {
   osal::WaitQueue& queue_for(std::uint64_t addr);
 
   osal::Os* os_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<osal::WaitQueue>> queues_;
+  std::unordered_map<std::uint64_t, osal::WaitQueue> queues_;
 };
 
 }  // namespace kop::linuxmodel

@@ -140,11 +140,6 @@ void BaseOs::atomic_op(int contenders) {
   engine_->sleep_for(cost);
 }
 
-std::unique_ptr<WaitQueue> BaseOs::make_wait_queue() {
-  return std::make_unique<GenericWaitQueue>(*engine_, machine_, costs_,
-                                            &counters_);
-}
-
 hw::MemRegion* BaseOs::alloc_region(std::string name, std::uint64_t bytes,
                                     AllocPolicy policy) {
   if (engine_->current() != nullptr) engine_->sleep_for(costs_.alloc_base_ns);
@@ -183,40 +178,51 @@ int BaseOs::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
   }
   // First-touch: assign any still-unassigned slices in this partition's
   // range to the toucher's zone.
-  std::vector<int> zones = region->slice_zones();
+  const std::vector<int>& zones = region->slice_zones();
   const auto n = static_cast<int>(zones.size());
   const int lo = part * n / nparts;
-  int hi = (part + 1) * n / nparts;
-  hi = std::max(hi, lo + 1);
-  bool changed = false;
-  std::uint64_t migrated = 0;
-  for (int i = lo; i < hi && i < n; ++i) {
-    auto& z = zones[static_cast<std::size_t>(i)];
-    if (region->next_touch_claim(i, n)) {
-      // Next touch after arming: the slice is re-homed (or, if still
-      // unplaced, placed) exactly on the toucher's preferred DRAM zone
-      // -- migration is precise where scattered first touch is not.
-      if (z >= 0 && z != preferred) ++migrated;
-      if (z != preferred) changed = true;
-      z = preferred;
-    } else if (z < 0) {
-      z = first_touch_zone(my_zone);
-      changed = true;
+  const int hi = std::min(std::max((part + 1) * n / nparts, lo + 1), n);
+  if (!region->next_touch_armed()) {
+    // Nothing migrates, so nothing sleeps: place slices in the map itself.
+    for (int i = lo; i < hi; ++i) {
+      if (zones[static_cast<std::size_t>(i)] < 0)
+        region->set_slice_zone(static_cast<std::size_t>(i),
+                               first_touch_zone(my_zone));
     }
-  }
-  if (migrated > 0) {
-    counters_.add_on(current_cpu(), telemetry::Counter::kPageMigrations,
-                     migrated);
-    // Moving a slice costs a copy at the machine's memcpy bandwidth.
-    const std::uint64_t slice_bytes =
-        region->bytes() / static_cast<std::uint64_t>(n);
-    if (engine_->current() != nullptr) {
-      engine_->sleep_for(static_cast<sim::Time>(
-          static_cast<double>(migrated * slice_bytes) /
-          machine_.copy_bytes_per_ns));
+  } else {
+    // A migration sleeps for its copy, then stores the whole map as this
+    // touch read it with its own slices re-placed: build that map aside.
+    std::vector<int> next = zones;
+    bool changed = false;
+    std::uint64_t migrated = 0;
+    for (int i = lo; i < hi; ++i) {
+      auto& z = next[static_cast<std::size_t>(i)];
+      if (region->next_touch_claim(i, n)) {
+        // Next touch after arming: the slice is re-homed (or, if still
+        // unplaced, placed) exactly on the toucher's preferred DRAM zone
+        // -- migration is precise where scattered first touch is not.
+        if (z >= 0 && z != preferred) ++migrated;
+        if (z != preferred) changed = true;
+        z = preferred;
+      } else if (z < 0) {
+        z = first_touch_zone(my_zone);
+        changed = true;
+      }
     }
+    if (migrated > 0) {
+      counters_.add_on(current_cpu(), telemetry::Counter::kPageMigrations,
+                       migrated);
+      // Moving a slice costs a copy at the machine's memcpy bandwidth.
+      const std::uint64_t slice_bytes =
+          region->bytes() / static_cast<std::uint64_t>(n);
+      if (engine_->current() != nullptr) {
+        engine_->sleep_for(static_cast<sim::Time>(
+            static_cast<double>(migrated * slice_bytes) /
+            machine_.copy_bytes_per_ns));
+      }
+    }
+    if (changed) region->set_slice_zones(std::move(next));
   }
-  if (changed) region->set_slice_zones(std::move(zones));
   const int z = region->zone_for_partition(part, nparts);
   region->record_touch(z < 0 ? my_zone : z, preferred);
   return z < 0 ? my_zone : z;

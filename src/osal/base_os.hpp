@@ -14,7 +14,6 @@
 #include "hw/exec_model.hpp"
 #include "osal/osal.hpp"
 #include "osal/tracer.hpp"
-#include "osal/wait_queue.hpp"
 
 namespace kop::osal {
 
@@ -41,8 +40,6 @@ class BaseOs : public Os {
 
   void compute(const hw::WorkBlock& block, int data_zone) override;
   void atomic_op(int contenders) override;
-
-  std::unique_ptr<WaitQueue> make_wait_queue() override;
 
   hw::MemRegion* alloc_region(std::string name, std::uint64_t bytes,
                               AllocPolicy policy) override;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "hw/memory.hpp"
 #include "hw/topology.hpp"
 #include "ompt/ompt.hpp"
+#include "osal/wait_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "telemetry/counters.hpp"
@@ -54,28 +54,6 @@ enum class SysConfKey {
   kNumProcessors,       // _SC_NPROCESSORS_ONLN
   kNumProcessorsConf,   // _SC_NPROCESSORS_CONF
   kPageSize,            // _SC_PAGESIZE
-};
-
-/// Blocking wait queue with spin-then-block wake semantics.
-///
-/// A waiter declares how long it is willing to spin (`spin_ns`, the
-/// KMP_BLOCKTIME idea).  A notify that arrives while the waiter is
-/// still inside its spin window wakes it at cacheline-transfer cost;
-/// after the window the waiter has "gone to sleep" and the wake pays
-/// the OS blocking-wake path (futex syscall + scheduler latency on
-/// Linux; a direct scheduler poke in the kernel).  This one asymmetry
-/// is responsible for most of the EPCC-visible differences between the
-/// user-level and in-kernel runtimes.
-class WaitQueue {
- public:
-  virtual ~WaitQueue() = default;
-  /// Block until notified.
-  virtual void wait(sim::Time spin_ns) = 0;
-  /// Block until notified or `deadline`; false on timeout.
-  virtual bool wait_until(sim::Time deadline, sim::Time spin_ns) = 0;
-  virtual void notify_one() = 0;
-  virtual void notify_all() = 0;
-  virtual std::size_t waiters() const = 0;
 };
 
 /// The kernel-primitive surface.
@@ -129,9 +107,6 @@ class Os {
   /// Charge an atomic RMW on a cacheline contended by ~`contenders`
   /// other CPUs.
   virtual void atomic_op(int contenders = 0) = 0;
-
-  // --- blocking ---
-  virtual std::unique_ptr<WaitQueue> make_wait_queue() = 0;
 
   // --- memory ---
   virtual hw::MemRegion* alloc_region(std::string name, std::uint64_t bytes,

@@ -1,11 +1,9 @@
-// Kernel-level synchronization primitives built on Os::make_wait_queue
+// Kernel-level synchronization primitives built on osal::WaitQueue
 // and the atomic-op cost model.  One implementation serves every
 // substrate: the OsCosts wired into the owning Os determine whether a
 // blocked waiter pays a futex wake (Linux) or a direct scheduler poke
 // (Nautilus).
 #pragma once
-
-#include <memory>
 
 #include "osal/osal.hpp"
 
@@ -27,7 +25,7 @@ class Mutex {
   Os* os_;
   sim::Time spin_ns_;
   bool held_ = false;
-  std::unique_ptr<WaitQueue> queue_;
+  WaitQueue queue_;
 };
 
 /// Pure spinlock: waiters never sleep; the wake is always a cacheline
@@ -53,12 +51,12 @@ class CondVar {
   bool wait_until(Mutex& m, sim::Time deadline);
   void signal();
   void broadcast();
-  std::size_t waiters() const { return queue_->waiters(); }
+  std::size_t waiters() const { return queue_.waiters(); }
 
  private:
   Os* os_;
   sim::Time spin_ns_;
-  std::unique_ptr<WaitQueue> queue_;
+  WaitQueue queue_;
 };
 
 /// Centralized sense-reversing barrier.  Arrival is one contended RMW;
@@ -75,7 +73,7 @@ class Barrier {
   int parties_;
   sim::Time spin_ns_;
   int arrived_ = 0;
-  std::unique_ptr<WaitQueue> queue_;
+  WaitQueue queue_;
 };
 
 class Semaphore {
@@ -90,7 +88,7 @@ class Semaphore {
   Os* os_;
   sim::Time spin_ns_;
   int count_;
-  std::unique_ptr<WaitQueue> queue_;
+  WaitQueue queue_;
 };
 
 }  // namespace kop::osal

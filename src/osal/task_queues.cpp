@@ -34,11 +34,8 @@ const TaskQueues::Flavor TaskQueues::kUser{
 TaskQueues::TaskQueues(Os& os, const Flavor& flavor, int lanes)
     : os_(&os), flavor_(flavor) {
   if (lanes <= 0) throw std::invalid_argument("TaskQueues: lanes <= 0");
-  lanes_.resize(static_cast<std::size_t>(lanes));
-  for (auto& q : lanes_) {
-    q.lock = std::make_unique<Spinlock>(os);
-    q.idle = os.make_wait_queue();
-  }
+  lanes_.reserve(static_cast<std::size_t>(lanes));
+  for (int i = 0; i < lanes; ++i) lanes_.emplace_back(os);
 }
 
 void TaskQueues::start(int workers) {
@@ -61,7 +58,7 @@ void TaskQueues::stop() {
   if (workers_.empty()) return;
   sim::race::atomic_store(os_->engine(), &stopping_, "TaskQueues::stopping_");
   stopping_ = true;
-  for (auto& q : lanes_) q.idle->notify_all();
+  for (auto& q : lanes_) q.idle.notify_all();
   for (auto* w : workers_) os_->join_thread(w);
   workers_.clear();
 }
@@ -78,14 +75,14 @@ void TaskQueues::enqueue(TaskFn task, int lane) {
                             " has no worker");
   }
   auto& q = lanes_[static_cast<std::size_t>(lane)];
-  q.lock->lock();
+  q.lock.lock();
   sim::race::plain_write(os_->engine(), &q.tasks, "TaskQueues task deque");
   q.tasks.push_back(std::move(task));
-  q.lock->unlock();
+  q.lock.unlock();
   os_->tools().emit([&](ompt::Tool& t) {
     t.on_rt_task_submit(flavor_.kind, os_->engine().now(), lane);
   });
-  q.idle->notify_one();
+  q.idle.notify_one();
 }
 
 bool TaskQueues::try_get(int lane, TaskFn& out, bool* stolen) {
@@ -93,8 +90,8 @@ bool TaskQueues::try_get(int lane, TaskFn& out, bool* stolen) {
   for (int i = 0; i < n; ++i) {
     auto& q = lanes_[static_cast<std::size_t>((lane + i) % n)];
     if (i == 0) {
-      q.lock->lock();
-    } else if (!q.lock->try_lock()) {
+      q.lock.lock();
+    } else if (!q.lock.try_lock()) {
       continue;
     }
     sim::race::plain_read(os_->engine(), &q.tasks, "TaskQueues task deque");
@@ -107,11 +104,11 @@ bool TaskQueues::try_get(int lane, TaskFn& out, bool* stolen) {
         out = std::move(q.tasks.front());
         q.tasks.pop_front();
       }
-      q.lock->unlock();
+      q.lock.unlock();
       *stolen = i != 0;
       return true;
     }
-    q.lock->unlock();
+    q.lock.unlock();
   }
   return false;
 }
@@ -151,7 +148,7 @@ void TaskQueues::worker_loop(int lane) {
     // unlocked emptiness peek models an atomic size probe.)
     sim::race::atomic_load(os_->engine(), &own.tasks);
     if (!own.tasks.empty()) continue;
-    own.idle->wait(flavor_.idle_spin_ns);
+    own.idle.wait(flavor_.idle_spin_ns);
   }
 }
 

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "osal/sync.hpp"
@@ -78,11 +77,12 @@ class TaskQueues {
 
  private:
   struct Lane {
+    explicit Lane(Os& os) : lock(os), idle(os) {}
     /// Flat ring instead of std::deque: retained capacity, so a warm
     /// lane queues and steals without touching the allocator.
     sim::RingDeque<TaskFn> tasks;
-    std::unique_ptr<Spinlock> lock;
-    std::unique_ptr<WaitQueue> idle;
+    Spinlock lock;
+    WaitQueue idle;
   };
 
   void worker_loop(int lane);

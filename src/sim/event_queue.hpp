@@ -14,6 +14,14 @@
 // slab on push and out of it on pop, however far its key sifts.  All
 // three vectors keep their capacity, so a warm queue allocates nothing;
 // allocs() counts capacity growths so benchmarks can assert that.
+//
+// The sifts are written out rather than left to std::push_heap and
+// std::pop_heap.  Two keys compare by one x86-64 borrow chain (sub, sbb,
+// sbb) over seq, key and at with its sign bit flipped, and the pop is
+// Floyd's: the hole walks to a leaf choosing each child by adding the
+// borrow to the index, with no branch per level, and the last entry
+// sifts up from there.  The heap's layout, and so every pop, is the one
+// the std algorithms give.  A 4-ary heap was slower in a prototype.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +106,8 @@ class EventQueue {
     v.push_back(std::forward<X>(x));
   }
 
+  /// Put `e` at `hole` or above it, moving the later parents down.
+  void sift_up(std::size_t hole, Entry e);
   Entry take_top();
 
   std::vector<Entry> heap_;

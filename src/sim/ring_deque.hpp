@@ -24,6 +24,8 @@ class RingDeque {
   const T& front() const { return buf_[head_]; }
   T& back() { return buf_[wrap(head_ + count_ - 1)]; }
   const T& back() const { return buf_[wrap(head_ + count_ - 1)]; }
+  /// Element `i` counted from the front.
+  T& operator[](std::size_t i) { return buf_[wrap(head_ + i)]; }
 
   void push_back(T v) {
     if (count_ == buf_.size()) grow();
@@ -40,6 +42,13 @@ class RingDeque {
   void pop_back() {
     buf_[wrap(head_ + count_ - 1)] = T();
     --count_;
+  }
+
+  /// Remove element `i`, keeping the others in order.
+  void erase(std::size_t i) {
+    for (; i + 1 < count_; ++i)
+      buf_[wrap(head_ + i)] = std::move(buf_[wrap(head_ + i + 1)]);
+    pop_back();
   }
 
   void clear() {

@@ -19,8 +19,6 @@
 // code uses.
 #pragma once
 
-#include <memory>
-
 #include "osal/task_queues.hpp"
 
 namespace kop::virgil {
@@ -39,7 +37,7 @@ class CountdownLatch {
  private:
   osal::Os* os_;
   int count_;
-  std::unique_ptr<osal::WaitQueue> gate_;
+  osal::WaitQueue gate_;
 };
 
 }  // namespace kop::virgil

@@ -132,8 +132,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, FailureUnderPolicy,
 TEST(Failure, LostCondvarSignalDeadlocksLoudly) {
   sim::Engine engine;
   nautilus::NautilusKernel nk(engine, hw::phi());
-  auto gate = nk.make_wait_queue();
-  nk.spawn_thread("forever", [&] { gate->wait(0); }, 0);
+  osal::WaitQueue gate(nk);
+  nk.spawn_thread("forever", [&] { gate.wait(0); }, 0);
   EXPECT_THROW(engine.run(), sim::SimDeadlock);
 }
 

@@ -1,5 +1,5 @@
 // Tests for the OS abstraction layer: BaseOs thread plumbing, the
-// generic wait queue (spin-vs-sleep wake costs), and the shared
+// wait queue (spin-vs-sleep wake costs, stack waiters), and the shared
 // synchronization primitives.
 #include <gtest/gtest.h>
 
@@ -69,7 +69,7 @@ TEST(WaitQueue, SpinningWakeIsFastSleepingWakeIsSlow) {
   // wake path (microseconds).
   sim::Engine engine(7);
   linuxmodel::LinuxOs os(engine, hw::xeon8());
-  auto q = os.make_wait_queue();
+  WaitQueue q(os);
 
   sim::Time spin_wake_delay = -1, sleep_wake_delay = -1;
 
@@ -78,12 +78,12 @@ TEST(WaitQueue, SpinningWakeIsFastSleepingWakeIsSlow) {
       [&] {
         // Case 1: notified at t=+1us, within a 10us spin window.
         sim::Time t0 = engine.now();
-        q->wait(/*spin_ns=*/10 * sim::kMicrosecond);
+        q.wait(/*spin_ns=*/10 * sim::kMicrosecond);
         spin_wake_delay = engine.now() - t0;
 
         // Case 2: notified at +1ms, long after the window.
         t0 = engine.now();
-        q->wait(/*spin_ns=*/10 * sim::kMicrosecond);
+        q.wait(/*spin_ns=*/10 * sim::kMicrosecond);
         sleep_wake_delay = engine.now() - t0 - sim::kMillisecond;
       },
       0);
@@ -91,9 +91,9 @@ TEST(WaitQueue, SpinningWakeIsFastSleepingWakeIsSlow) {
       "waker",
       [&] {
         engine.sleep_for(sim::kMicrosecond);
-        q->notify_one();
+        q.notify_one();
         engine.sleep_for(sim::kMillisecond);
-        q->notify_one();
+        q.notify_one();
       },
       1);
   engine.run();
@@ -105,22 +105,22 @@ TEST(WaitQueue, SpinningWakeIsFastSleepingWakeIsSlow) {
 
 TEST(WaitQueue, TimeoutReturnsFalseAndStaleNotifyIsSafe) {
   NkFixture f;
-  auto q = f.os.make_wait_queue();
+  WaitQueue q(f.os);
   bool timed_out = false;
   bool second_ok = false;
   f.os.spawn_thread(
       "t",
       [&] {
-        timed_out = !q->wait_until(f.engine.now() + 1000, 0);
+        timed_out = !q.wait_until(f.engine.now() + 1000, 0);
         // A subsequent wait must still work (queue not corrupted).
-        second_ok = q->wait_until(f.engine.now() + sim::kSecond, 0);
+        second_ok = q.wait_until(f.engine.now() + sim::kSecond, 0);
       },
       0);
   f.os.spawn_thread(
       "waker",
       [&] {
         f.engine.sleep_for(5000);
-        q->notify_one();
+        q.notify_one();
       },
       1);
   f.engine.run();
@@ -130,13 +130,13 @@ TEST(WaitQueue, TimeoutReturnsFalseAndStaleNotifyIsSafe) {
 
 TEST(WaitQueue, NotifyAllWakesEveryWaiter) {
   NkFixture f;
-  auto q = f.os.make_wait_queue();
+  WaitQueue q(f.os);
   int woken = 0;
   for (int i = 0; i < 8; ++i) {
     f.os.spawn_thread(
         "w" + std::to_string(i),
         [&] {
-          q->wait(0);
+          q.wait(0);
           ++woken;
         },
         i);
@@ -145,11 +145,120 @@ TEST(WaitQueue, NotifyAllWakesEveryWaiter) {
       "waker",
       [&] {
         f.engine.sleep_for(1000);
-        q->notify_all();
+        q.notify_all();
       },
       8);
   f.engine.run();
   EXPECT_EQ(woken, 8);
+}
+
+TEST(WaitQueue, TimedOutMiddleWaiterLeavesFifoOrder) {
+  // Waiters sit on their own stacks; the middle one times out and must
+  // leave the queue without disturbing the other two's order.
+  NkFixture f;
+  WaitQueue q(f.os);
+  const sim::Time spin = sim::kTimeNever;  // cacheline-cost wakes
+  std::vector<std::string> woke;
+  bool middle_timed_out = false;
+  std::size_t after_timeout = 0;
+  std::vector<std::string> after_first;
+  f.os.spawn_thread(
+      "first",
+      [&] {
+        q.wait(spin);
+        woke.push_back("first");
+      },
+      0);
+  f.os.spawn_thread(
+      "middle",
+      [&] {
+        f.engine.sleep_for(10);
+        middle_timed_out = !q.wait_until(f.engine.now() + 1000, spin);
+      },
+      1);
+  f.os.spawn_thread(
+      "third",
+      [&] {
+        f.engine.sleep_for(20);
+        q.wait(spin);
+        woke.push_back("third");
+      },
+      2);
+  f.os.spawn_thread(
+      "waker",
+      [&] {
+        f.engine.sleep_for(5000);
+        after_timeout = q.waiters();
+        q.notify_one();
+        f.engine.sleep_for(1000);
+        after_first = woke;
+        q.notify_one();
+      },
+      3);
+  f.engine.run();
+  EXPECT_TRUE(middle_timed_out);
+  EXPECT_EQ(after_timeout, 2u);
+  EXPECT_EQ(after_first, std::vector<std::string>{"first"});
+  EXPECT_EQ(woke, (std::vector<std::string>{"first", "third"}));
+  EXPECT_EQ(q.waiters(), 0u);
+}
+
+TEST(WaitQueue, DeadlineBeforeNotifiedWakeReturnsTrue) {
+  // The notify pops the waiter and posts its wake a blocking-wake
+  // latency later; the deadline, 1 ns after the notify, dispatches
+  // first.  The wait still counts as notified, the late wake is stale,
+  // and a later notify_all reaches only the waiters still queued.
+  sim::Engine engine(7);
+  linuxmodel::LinuxOs os(engine, hw::xeon8());
+  WaitQueue q(os);
+  bool notified = false;
+  sim::Time returned_at = -1;
+  int others_woken = 0;
+  std::uint64_t stale_before = 0, stale_after_late_wake = 0;
+  std::size_t queued_at_broadcast = 0;
+  os.spawn_thread(
+      "timed",
+      [&] {
+        notified = q.wait_until(1001, /*spin_ns=*/0);
+        returned_at = engine.now();
+        engine.sleep_for(sim::kMillisecond);  // a new block() the late wake must miss
+      },
+      0);
+  for (int i = 0; i < 2; ++i) {
+    os.spawn_thread(
+        "plain" + std::to_string(i),
+        [&, i] {
+          engine.sleep_for(10 + i);
+          q.wait(0);
+          ++others_woken;
+        },
+        1 + i);
+  }
+  os.spawn_thread(
+      "waker",
+      [&] {
+        engine.sleep_for(1000);
+        stale_before = engine.stats().stale_wakes;
+        q.notify_one();
+        engine.sleep_for(100 * sim::kMicrosecond);
+        stale_after_late_wake = engine.stats().stale_wakes;
+        queued_at_broadcast = q.waiters();
+        q.notify_all();
+      },
+      3);
+  engine.run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(returned_at, 1001);
+  EXPECT_EQ(stale_after_late_wake - stale_before, 1u);
+  EXPECT_EQ(queued_at_broadcast, 2u);
+  EXPECT_EQ(others_woken, 2);
+  EXPECT_EQ(engine.stats().stale_wakes, stale_after_late_wake);
+  EXPECT_EQ(q.waiters(), 0u);
+  // One wake for the notified wait, one each for the two still queued.
+  using telemetry::Counter;
+  EXPECT_EQ(os.counters().total(Counter::kSpinWakes) +
+                os.counters().total(Counter::kBlockingWakes),
+            3u);
 }
 
 TEST(Sync, MutexProvidesExclusion) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <queue>
 #include <string>
 #include <vector>
@@ -123,10 +125,13 @@ TEST(QueueOrder, FifoSameInstantIsPostingOrder) {
 
 // Model check: EventQueue against a reference min-heap on (at, key,
 // seq) under adversarial interleavings of pushes and pops, with
-// same-instant repeats, near posts and posts up to 50 ms out, for
-// all-zero keys (fifo) and random keys (random/pct).  Plain wakes
-// (stored inline in the heap) and callbacks (stored in the slab) are
-// mixed, so both storage paths keep one order and their payloads.
+// same-instant repeats, near posts, posts up to 50 ms out and rare
+// posts anywhere up to the largest Time (the top bit of at, which the
+// comparator flips), for all-zero keys (fifo), random 64-bit keys
+// (random/pct) and keys from {0,1,2,3}, whose ties leave seq to decide
+// among equal (at, key).  Plain wakes (stored inline in the heap) and
+// callbacks (stored in the slab) are mixed, so both storage paths keep
+// one order and their payloads.
 TEST(QueueOrder, MatchesReferenceHeapModel) {
   struct Ref {
     Time at;
@@ -144,29 +149,39 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
   auto tag = [](std::uint64_t seq) { return seq * 3 + 1; };
   Engine eng;
   SimThread* const target = eng.spawn("target", [] {});
-  for (const bool keyed : {false, true}) {
+  enum class Keys { kZero, kWide, kNarrow };
+  for (const Keys keys : {Keys::kZero, Keys::kWide, Keys::kNarrow}) {
     EventQueue q;
     std::priority_queue<Ref, std::vector<Ref>, decltype(ref_later)> model(
         ref_later);
-    Rng rng(keyed ? 1234 : 4321);
-    Rng kind_rng(keyed ? 55 : 66);
+    const int pass = static_cast<int>(keys);
+    Rng rng(std::array<std::uint64_t, 3>{4321, 1234, 9876}[pass]);
+    Rng kind_rng(std::array<std::uint64_t, 3>{66, 55, 77}[pass]);
     std::uint64_t seq = 0;
     Time now = 0;
     for (int step = 0; step < 20000; ++step) {
       const bool do_push = model.empty() || rng.next_u64() % 100 < 55;
       if (do_push) {
-        Time at;
-        // Mix: same-instant repeats, near ring, and far overflow.
+        // Mix: same-instant repeats, near posts, far posts, and rare
+        // posts anywhere up to the largest Time.  Offsets saturate there.
+        const auto room = static_cast<std::uint64_t>(
+            std::numeric_limits<Time>::max() - now);
         const std::uint64_t r = rng.next_u64() % 100;
+        std::uint64_t offset = 0;
         if (r < 30) {
-          at = now;
-        } else if (r < 90) {
-          at = now + static_cast<Time>(rng.next_u64() % 100000);
+          offset = 0;
+        } else if (r < 89) {
+          offset = rng.next_u64() % 100000;
+        } else if (r < 98) {
+          offset = rng.next_u64() % 50'000'000;
         } else {
-          at = now + static_cast<Time>(rng.next_u64() % 50'000'000);
+          offset = rng.next_u64() % (room + 1);
         }
+        const Time at = now + static_cast<Time>(std::min(offset, room));
         const std::uint64_t s = seq++;
-        const std::uint64_t key = keyed ? rng.next_u64() : 0;
+        std::uint64_t key = 0;
+        if (keys == Keys::kWide) key = rng.next_u64();
+        if (keys == Keys::kNarrow) key = rng.next_u64() % 4;
         const bool wake = kind_rng.next_u64() % 2 == 0;
         if (wake) {
           q.push_wake({at, key, s, target, tag(s)});
