@@ -1,10 +1,11 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
 // raw event dispatch through the engine queue, same-instant yields,
-// fiber switches, timed sleep/wake chains (run-ahead and queued),
-// kernel task dispatch + steals, a full small OpenMP region, OpenMP
-// tasks stolen by many idle thieves, and Linux runs many timeslices
-// long.  These guard the *host* performance of the reproduction (every
-// figure is built from millions of these operations).
+// fiber switches, timed sleep/wake chains (run-ahead, queued, and 192
+// sleepers deep), kernel task dispatch + steals, a full small OpenMP
+// region, OpenMP tasks stolen by many idle thieves, and Linux runs many
+// timeslices long.  These guard the *host* performance of the
+// reproduction (every figure is built from millions of these
+// operations).
 //
 //   simcore_gbench [--quick] [--filter SUBSTR] [--json FILE]
 //
@@ -160,7 +161,28 @@ BenchResult bench_sleep_wake_lockstep(int reps, int n) {
                    [&] { return eng.stats().queue_allocs; });
 }
 
-// Posts spread over a wide horizon (up to 100 ms): a deep heap of
+// A deep queue of sleepers, the shape of an EPCC point on 8XEON: 192
+// threads started one nanosecond apart, each sleeping a full round of
+// 192 ns, so every wake trails 191 others and every sleep takes the
+// queue (a fused push and pop, then a switch to the next sleeper).
+BenchResult bench_sleep_wake_deep(int reps, int n) {
+  static constexpr int kThreads = 192;
+  Engine eng;
+  auto rep = [&]() -> std::uint64_t {
+    const kop::sim::Time base = eng.now();
+    for (int t = 0; t < kThreads; ++t) {
+      eng.wake_at(eng.spawn("sleeper" + std::to_string(t), [&eng, n] {
+        for (int i = 0; i < n; ++i) eng.sleep_for(kThreads);
+      }), base + t);
+    }
+    eng.run();
+    return static_cast<std::uint64_t>(kThreads) * n;
+  };
+  return run_bench("sleep_wake_deep", "wakes", reps, rep,
+                   [&] { return eng.stats().queue_allocs; });
+}
+
+// Posts spread over a wide horizon (up to 100 ms): a deep queue of
 // far-apart instants rather than a shallow one of near collisions.
 BenchResult bench_far_horizon(int reps, int n) {
   Engine eng;
@@ -364,6 +386,8 @@ int main(int argc, char** argv) {
     results.push_back(bench_sleep_wake(reps, quick ? 400'000 : 2'000'000));
   if (want("sleep_wake_lockstep"))
     results.push_back(bench_sleep_wake_lockstep(reps, quick ? 20'000 : 100'000));
+  if (want("sleep_wake_deep"))
+    results.push_back(bench_sleep_wake_deep(reps, quick ? 200 : 1'000));
   if (want("far_horizon"))
     results.push_back(bench_far_horizon(reps, quick ? 10'000 : 50'000));
   if (want("nk_task")) bench_nk_tasks(quick ? 2 : 5, quick ? 500 : 2'000, &results);

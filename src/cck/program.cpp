@@ -65,32 +65,44 @@ void ProgramRunner::run_parallel_loop(const CompiledProgram& program,
   // Generated join code: a counter the landing waits on.  The runtime
   // itself is unaware of the join (§5: "the runtime is unaware of this
   // join").
-  virgil::CountdownLatch latch(*os_, n_chunks);
-  osal::Os* os = os_;
-  const double live_in_ns = program.options.live_in_ns;
-  const int nparts = 64;
-  const int lanes = virgil_->width();
+  //
+  // Every chunk task reads one context on this frame, which latch.wait()
+  // keeps alive until the last task is done, and captures only its
+  // address and the chunk start: 16 bytes fit std::function's inline
+  // buffer, so a submit allocates nothing.
+  struct ChunkContext {
+    osal::Os* os;
+    const Loop* loop;
+    virgil::CountdownLatch latch;
+    std::int64_t chunk;
+    double live_in_ns;
+    double parallel_fraction;
+    int lanes;
+  };
+  ChunkContext ctx{os_, &loop, virgil::CountdownLatch(*os_, n_chunks), chunk,
+                   program.options.live_in_ns, parallel_fraction,
+                   virgil_->width()};
 
   for (std::int64_t b = 0; b < trip; b += chunk) {
-    const std::int64_t e = std::min(trip, b + chunk);
-    virgil_->submit([os, &loop, &latch, b, e, live_in_ns, parallel_fraction,
-                     nparts, lanes]() {
+    virgil_->submit([c = &ctx, b]() {
+      constexpr int kParts = 64;
+      const std::int64_t e = std::min(c->loop->trip, b + c->chunk);
       // Live-in unmarshalling emitted at task entry.
-      os->compute_ns(static_cast<sim::Time>(live_in_ns));
-      hw::WorkBlock work = chunk_work(loop, b, e, lanes);
-      if (parallel_fraction < 1.0) {
+      c->os->compute_ns(static_cast<sim::Time>(c->live_in_ns));
+      hw::WorkBlock work = chunk_work(*c->loop, b, e, c->lanes);
+      if (c->parallel_fraction < 1.0) {
         work.cpu_ns = static_cast<sim::Time>(
-            static_cast<double>(work.cpu_ns) * parallel_fraction);
+            static_cast<double>(work.cpu_ns) * c->parallel_fraction);
         work.bytes_touched = static_cast<std::uint64_t>(
-            static_cast<double>(work.bytes_touched) * parallel_fraction);
+            static_cast<double>(work.bytes_touched) * c->parallel_fraction);
       }
-      const int part = chunk_partition(loop, b, e, nparts);
-      const int zone = os->resolve_data_zone(work.region, part, nparts);
-      os->compute(work, zone);
-      latch.count_down();
+      const int part = chunk_partition(*c->loop, b, e, kParts);
+      const int zone = c->os->resolve_data_zone(work.region, part, kParts);
+      c->os->compute(work, zone);
+      c->latch.count_down();
     });
   }
-  latch.wait();
+  ctx.latch.wait();
   // Landing task: reduce the live-out array (runs on the joiner).
   os_->compute_ns(static_cast<sim::Time>(program.options.live_out_ns *
                                          static_cast<double>(n_chunks)));

@@ -6,7 +6,7 @@
 // invariants on every one (ek-kor2-style test pyramid, SNIPPETS.md):
 //
 //   time-monotonic       virtual time never runs backwards across the
-//                        run's observed event stream (the event heap's
+//                        run's observed event stream (the event queue's
 //                        (at, key, seq) order, near and far events alike)
 //   work-conservation    every iteration of every dispatching
 //                        worksharing construct executes exactly once

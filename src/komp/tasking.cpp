@@ -1,5 +1,8 @@
 #include "komp/tasking.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "hw/topo_tree.hpp"
 #include "sim/racecheck.hpp"
 
@@ -20,6 +23,7 @@ TaskPool::TaskPool(osal::Os& os, int nthreads, const RuntimeTuning& tuning,
     : os_(&os), tuning_(&tuning), spin_ns_(spin_ns), numa_sched_(numa_sched),
       idle_gate_(os) {
   deques_.resize(static_cast<std::size_t>(nthreads));
+  nonempty_.resize((static_cast<std::size_t>(nthreads) + 63) / 64);
   locks_.reserve(static_cast<std::size_t>(nthreads));
   implicit_.reserve(static_cast<std::size_t>(nthreads));
   current_.reserve(static_cast<std::size_t>(nthreads));
@@ -119,6 +123,7 @@ void TaskPool::spawn(int tid, TaskBody body) {
   sim::race::plain_write(os_->engine(), &deques_[static_cast<std::size_t>(tid)],
                          "TaskPool task deque");
   deques_[static_cast<std::size_t>(tid)].push_back(h);
+  mark(tid);
   lock.unlock();
   // Poke one idle helper (threads waiting at a scheduling point).
   idle_gate_.notify_one();
@@ -127,7 +132,38 @@ void TaskPool::spawn(int tid, TaskBody body) {
 bool TaskPool::looks_empty(int victim) const {
   // __kmp_steal_task's relaxed TCR_4(td_deque_ntasks) read: no lock, no
   // event, no simulated time, and no race annotation (see the header).
-  return deques_[static_cast<std::size_t>(victim)].empty();
+  const auto v = static_cast<std::size_t>(victim);
+  return (nonempty_[v / 64] >> (v % 64) & 1) == 0;
+}
+
+void TaskPool::mark(int tid) {
+  const auto v = static_cast<std::size_t>(tid);
+  const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+  if (deques_[v].empty()) {
+    nonempty_[v / 64] &= ~bit;
+  } else {
+    nonempty_[v / 64] |= bit;
+  }
+}
+
+int TaskPool::next_nonempty(int from, int end) const {
+  while (from < end) {
+    const auto v = static_cast<std::size_t>(from);
+    const std::uint64_t word = nonempty_[v / 64] >> (v % 64);
+    if (word != 0) return std::min(end, from + std::countr_zero(word));
+    from = static_cast<int>((v | 63) + 1);
+  }
+  return end;
+}
+
+int TaskPool::next_victim(int tid, int i) const {
+  const auto n = static_cast<int>(deques_.size());
+  if (tid + i < n) {  // victims tid + i .. n - 1
+    const int v = next_nonempty(tid + i, n);
+    if (v < n) return v - tid;
+    i = n - tid;
+  }
+  return next_nonempty(tid + i - n, tid) + n - tid;  // wrapped: .. tid - 1
 }
 
 TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
@@ -145,6 +181,7 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
       sim::race::plain_write(os_->engine(), &dq, "TaskPool task deque");
       const TaskHandle t = dq.back();
       dq.pop_back();
+      mark(tid);
       sim::race::atomic_rmw(os_->engine(), &queued_, "TaskPool::queued_");
       --queued_;
       lock.unlock();
@@ -154,9 +191,11 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   }
   if (!steal_order_.empty()) return steal_hier(tid, steal);
   // Flat steal: FIFO from a victim (breadth-first, big chunks of work).
-  for (int i = 1; i < n; ++i) {
+  // Each step re-reads the bits, after the previous victim's try_lock
+  // may have let other threads run, so the walk skips exactly the
+  // victims that look empty when it reaches them.
+  for (int i = next_victim(tid, 1); i < n; i = next_victim(tid, i + 1)) {
     const int victim = (tid + i) % n;
-    if (looks_empty(victim)) continue;
     auto& lock = locks_[static_cast<std::size_t>(victim)];
     if (!lock.try_lock()) continue;
     auto& dq = deques_[static_cast<std::size_t>(victim)];
@@ -165,6 +204,7 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
       sim::race::plain_write(os_->engine(), &dq, "TaskPool task deque");
       const TaskHandle t = dq.front();
       dq.pop_front();
+      mark(victim);
       sim::race::atomic_rmw(os_->engine(), &queued_, "TaskPool::queued_");
       --queued_;
       lock.unlock();
@@ -226,6 +266,7 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
           dq.pop_front();
         }
       }
+      mark(victim);
       lock.unlock();
       if (!batch.empty()) {
         // Re-home the followers on the thief's deque (they stay counted
@@ -237,6 +278,7 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
         auto& mine = deques_[static_cast<std::size_t>(tid)];
         sim::race::plain_write(os_->engine(), &mine, "TaskPool task deque");
         for (TaskHandle h : batch) mine.push_back(h);
+        mark(tid);
         own.unlock();
         idle_gate_.notify_one();
       }

@@ -20,6 +20,9 @@
 // peek.  The peek models libomp's relaxed TCR_4 read and carries no
 // race annotation: an atomic_load would add an acquire edge libomp
 // does not have and could hide a real deque race from the detector.
+// It reads one bit per deque, kept equal to "non-empty" wherever a
+// deque changes under its lock, so the flat ring skips a run of empty
+// victims by scanning for the next set bit.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +90,14 @@ class TaskPool {
   TaskHandle steal_hier(int tid, StealKind* steal);
   /// Unlocked emptiness peek at a victim's deque (see the file header).
   bool looks_empty(int victim) const;
+  /// Set `tid`'s bit to whether its deque holds a task; called under
+  /// that deque's lock after every change to it.
+  void mark(int tid);
+  /// The first victim in [from, end) that does not look empty, or end.
+  int next_nonempty(int from, int end) const;
+  /// The least ring offset d in [i, nthreads) whose victim
+  /// (tid + d) % nthreads does not look empty, or nthreads.
+  int next_victim(int tid, int i) const;
   TaskHandle alloc_task();
   /// Drop one pin; recycles the slot (and unpins ancestors) at zero.
   void unpin(TaskHandle h);
@@ -106,6 +117,8 @@ class TaskPool {
   std::deque<Task> slab_;
   std::vector<TaskHandle> free_;
   std::vector<sim::RingDeque<TaskHandle>> deques_;
+  /// Bit v of word v / 64: deque v is non-empty (the peek's view).
+  std::vector<std::uint64_t> nonempty_;
   std::vector<osal::Spinlock> locks_;
   /// The implicit task of each team thread (children bookkeeping for
   /// top-level taskwait); slots 0..nthreads-1, pinned for the pool's

@@ -128,10 +128,13 @@ void Engine::block() {
   SimThread* self = current_;
   if (self == nullptr) throw std::logic_error("engine: block outside a sim thread");
   self->blocked_ = true;
-  // Hand off: when the queue is led by a plain wake, dispatch it here and
-  // switch straight to the thread it resumes, which takes over this
-  // fiber's resumer (run()).  Otherwise yield back to run().
-  SimThread* next = settle_wakes();
+  continue_with(self, settle_wakes());
+}
+
+void Engine::continue_with(SimThread* self, SimThread* next) {
+  // Hand off: when dispatch found a woken thread, switch straight to it;
+  // it takes over this fiber's resumer (run()).  Otherwise yield back to
+  // run().
   if (next == self) return;  // this thread's own wake was next
   if (next != nullptr) {
     ++stats_.handoffs;
@@ -147,23 +150,34 @@ void Engine::sleep_for(Time ns) {
   SimThread* self = current_;
   if (self == nullptr) throw std::logic_error("engine: sleep outside a sim thread");
   const Time at = now_ + (ns < 0 ? 0 : ns);
-  // The queue: a race checker needs enqueue's release snapshot, or
-  // another event is due no later than this wake.
-  if (racecheck_ || (!queue_.empty() && queue_.next_time() <= at)) {
+  const bool queued = !queue_.empty() && queue_.next_time() <= at;
+  // The queue and block(): a race checker needs enqueue's release
+  // snapshot, or a callback (or a race-checked wake) is due no later
+  // than this wake.
+  if (racecheck_ || (queued && !queue_.wake_next())) {
     wake_at(self, at);
     block();
     return;
   }
-  // Run ahead: the wake is strictly earlier than every queued event, so
-  // run() would pop it next and resume this thread.  Do what that round
-  // trip does -- take a seq, draw the key, grow the peak depth to what
-  // the push would have, block and dispatch -- and stay on this fiber.
-  // A queued event at the same time (smaller seq under FIFO) takes the
-  // queue.
+  // What the push of this wake does -- take a seq, draw the key, grow
+  // the peak depth -- and then what block() does.
   const std::uint64_t seq = next_seq_++;
-  sched_key(self);
+  const std::uint64_t key = sched_key(self);
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_.size() + 1);
   self->blocked_ = true;
+  if (queued) {
+    // A plain wake leads the queue: push this wake and pop the earliest
+    // in one replay, then dispatch as block() would.
+    const EventQueue::Wake w =
+        queue_.push_pop_wake({at, key, seq, self, self->wake_generation_});
+    SimThread* next = settle(w.at, w.thread, w.generation, w.seq);
+    continue_with(self, next != nullptr ? next : settle_wakes());
+    return;
+  }
+  // Run ahead: the wake is strictly earlier than every queued event, so
+  // run() would pop it next and resume this thread; dispatch it here and
+  // stay on this fiber.  A queued event at the same time (smaller seq
+  // under FIFO) takes the queue.
   settle(at, self, self->wake_generation_, seq);
   ++stats_.run_ahead;
 }

@@ -1,8 +1,8 @@
 // The discrete-event simulation engine.
 //
 // The engine owns a virtual clock, an event queue ordered by
-// (time, key, sequence) -- a binary min-heap (see sim/event_queue.hpp)
-// -- and a set of SimThreads, each backed by a Fiber.
+// (time, key, sequence) -- a winner tree (see sim/event_queue.hpp) --
+// and a set of SimThreads, each backed by a Fiber.
 // Higher layers (the OS models) decide *when* a thread runs; the engine
 // only provides the mechanics:
 //
@@ -41,6 +41,19 @@
 // every wake; Stats::handoffs counts the direct switches.  A race
 // checker turns handoff off: its wakes carry the poster's clock in the
 // queue's slab, so run() dispatches them and joins the clock on resume.
+//
+// Fused sleep: a sleep_for() that cannot run ahead while a plain wake
+// leads the queue pushes its wake and pops the earliest entry in one
+// tree replay (EventQueue::push_pop_wake) -- the wake takes the leaf of
+// the entry it displaces -- instead of a push and then block()'s pop.
+// It does exactly what that pair does: it takes the seq and then draws
+// the key, raises the peak depth as the push would, settles the popped
+// wake (and the ones after it while they are stale) and continues as
+// block() does, through the same tail.  (at, key, seq) is a strict
+// total order, so the pop is the same entry either way, and every
+// simulated number and digest stays; only queue_allocs can tell.  A
+// callback at the head, or a race checker, sends the sleep through
+// push and block().
 //
 // Determinism: events at equal times fire in posting order *under the
 // default FIFO ready-queue policy*, and all randomness flows through
@@ -251,6 +264,11 @@ class Engine {
   /// return that thread; nullptr once the queue is empty or led by a
   /// slab event (a callback or a race-checked wake).
   SimThread* settle_wakes();
+  /// The tail of block() and of sleep_for()'s fused push and pop, once
+  /// `self` is marked blocked and `next` is what dispatch resumes:
+  /// return when it is `self`, switch to any other thread (a handoff),
+  /// and yield to run() when it is nullptr.
+  void continue_with(SimThread* self, SimThread* next);
   [[noreturn]] void report_deadlock() const;
 
   Time now_ = 0;

@@ -12,8 +12,8 @@ namespace {
 // borrow chain, sub/sbb/sbb, with no branch: equal times are common, so
 // which word decides a comparison is hard to predict.  The chain is
 // asm because GCC 12 compiles _subborrow_u64 with a store of each
-// difference and a setb/add between steps to rebuild the borrow, which
-// made the sifts slower than std::pop_heap's branches.
+// difference and a setb/add between steps to rebuild the borrow, and
+// compiles a ternary select of the lesser key into a branch.
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
 std::uint64_t high_word(Time at) {
@@ -32,33 +32,67 @@ constexpr auto before = [](const auto& a, const auto& b) -> bool {
   return borrow;
 };
 
-// The index of the lesser of the siblings h[left] and h[left + 1]: the
-// borrow of h[left + 1] - h[left] added to `left`.
-constexpr auto lesser_child = [](const auto* h,
-                                 std::size_t left) -> std::size_t {
-  const auto& r = h[left + 1];
-  const auto& l = h[left];
-  std::uint64_t s = r.seq, k = r.key, t = high_word(r.at);
-  asm("sub %[ls], %[s]\n\t"
-      "sbb %[lk], %[k]\n\t"
-      "sbb %[lt], %[t]\n\t"
-      "adc $0, %[i]"
-      : [s] "+&r"(s), [k] "+&r"(k), [t] "+&r"(t), [i] "+r"(left)
-      : [ls] "rm"(l.seq), [lk] "rm"(l.key), [lt] "r"(high_word(l.at)));
-  return left;
-};
-
 }  // namespace
 
-void EventQueue::sift_up(std::size_t hole, Entry e) {
-  Entry* const h = heap_.data();
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!before(e, h[parent])) break;
-    h[hole] = h[parent];
-    hole = parent;
+EventQueue::EventQueue() { grow(); }
+
+void EventQueue::grow() {
+  constexpr std::size_t kFirstLeaves = 8;
+  const std::size_t old_k = leaves_.size();
+  const std::size_t k = old_k == 0 ? kFirstLeaves : 2 * old_k;
+  // Each of the three vectors outgrows its capacity (exactly the old K,
+  // or twice it for nodes_).
+  allocs_ += 3;
+  leaves_.resize(k, kVacant);
+  nodes_.assign(2 * k, 0);
+  vacant_.reserve(k);
+  // The stack is empty here; the lowest new leaf ends on top.
+  for (std::size_t leaf = k; leaf-- > old_k;)
+    vacant_.push_back(static_cast<std::uint32_t>(leaf));
+  for (std::size_t leaf = 0; leaf < k; ++leaf)
+    nodes_[k + leaf] = static_cast<std::uint32_t>(leaf);
+  for (std::size_t p = k - 1; p > 0; --p) {
+    const std::uint32_t l = nodes_[2 * p];
+    const std::uint32_t r = nodes_[2 * p + 1];
+    nodes_[p] = before(leaves_[r], leaves_[l]) ? r : l;
   }
-  h[hole] = e;
+}
+
+void EventQueue::replay(std::uint32_t leaf, const Entry& e) {
+  const Entry* const lv = leaves_.data();
+  std::uint32_t* const node = nodes_.data();
+  // The candidate: the lesser key seen so far on the way up and its leaf.
+  std::uint64_t s = e.seq, k = e.key, t = high_word(e.at);
+  std::uint32_t i = leaf;
+  for (std::size_t c = leaves_.size() + leaf; c > 1; c >>= 1) {
+    // The sibling subtree's winner b: the borrow of b - candidate says
+    // b is less, and then four cmovc take it.  No branch, and the loads
+    // of every level depend on the leaf index alone.
+    const std::uint32_t bi = node[c ^ 1];
+    const Entry& b = lv[bi];
+    const std::uint64_t bt = high_word(b.at);
+    std::uint64_t dk = b.key, dt = bt;
+    asm("cmp %[s], %[bs]\n\t"
+        "sbb %[k], %[dk]\n\t"
+        "sbb %[t], %[dt]\n\t"
+        "cmovc %[bs], %[s]\n\t"
+        "cmovc %[bk], %[k]\n\t"
+        "cmovc %[bt], %[t]\n\t"
+        "cmovc %[bi], %[i]"
+        : [s] "+&r"(s), [k] "+&r"(k), [t] "+&r"(t), [i] "+&r"(i),
+          [dk] "+&r"(dk), [dt] "+&r"(dt)
+        : [bs] "r"(b.seq), [bk] "rm"(b.key), [bt] "r"(bt), [bi] "rm"(bi)
+        : "cc");
+    node[c >> 1] = i;
+  }
+}
+
+void EventQueue::insert(const Entry& e) {
+  if (vacant_.empty()) grow();
+  const std::uint32_t leaf = vacant_.back();
+  vacant_.pop_back();
+  leaves_[leaf] = e;
+  replay(leaf, e);
 }
 
 void EventQueue::push(Event ev) {
@@ -71,46 +105,35 @@ void EventQueue::push(Event ev) {
     free_.pop_back();
     slab_[e.data] = std::move(ev);
   }
-  grow_push(heap_, e);
-  sift_up(heap_.size() - 1, e);
+  insert(e);
 }
 
 void EventQueue::push_wake(const Wake& w) {
-  const Entry e{w.at, w.key, w.seq, w.thread, w.generation};
-  grow_push(heap_, e);
-  sift_up(heap_.size() - 1, e);
+  insert(Entry{w.at, w.key, w.seq, w.thread, w.generation});
 }
 
 EventQueue::Entry EventQueue::take_top() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Floyd's pop: walk the hole from the root down to a leaf, taking the
-  // lesser child at each level by adding the comparison's borrow to the
-  // index, then sift the old last entry up from there.  The last entry
-  // belongs near the bottom, so the sift-up is short.
-  Entry* const h = heap_.data();
-  std::size_t hole = 0;
-  std::size_t child = 1;
-  while (child + 1 < n) {
-    child = lesser_child(h, child);
-    h[hole] = h[child];
-    hole = child;
-    child = 2 * hole + 1;
-  }
-  if (child < n) {  // a lone left child at the bottom
-    h[hole] = h[child];
-    hole = child;
-  }
-  sift_up(hole, last);
+  const std::uint32_t leaf = nodes_[1];
+  const Entry top = leaves_[leaf];
+  leaves_[leaf] = kVacant;
+  vacant_.push_back(leaf);  // within the capacity grow() reserved
+  replay(leaf, kVacant);
   return top;
 }
 
 EventQueue::Wake EventQueue::pop_wake() {
   const Entry e = take_top();
   return Wake{e.at, e.key, e.seq, e.thread, e.data};
+}
+
+EventQueue::Wake EventQueue::push_pop_wake(const Wake& w) {
+  const std::uint32_t leaf = nodes_[1];
+  Entry& top = leaves_[leaf];
+  if (before(w, top)) return w;
+  const Wake out{top.at, top.key, top.seq, top.thread, top.data};
+  top = Entry{w.at, w.key, w.seq, w.thread, w.generation};
+  replay(leaf, top);
+  return out;
 }
 
 Event EventQueue::pop() {

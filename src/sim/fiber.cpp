@@ -156,13 +156,16 @@ std::size_t round_up(std::size_t n, std::size_t align) {
 // mmap/mprotect/munmap a stack; recycling the mapping (guard page and
 // all) makes steady-state fiber creation syscall-free.  Thread-local:
 // JobRunner workers each keep their own pool, so no locking, and the
-// pool dies with its host thread.
+// pool dies with its host thread.  It holds the stacks of the largest
+// team a point spawns (192 threads on 8XEON, plus helpers), so the next
+// point maps none; a retained stack costs its address range and the
+// pages its last fiber touched, which were live at that point's peak.
 struct StackPool {
   struct Entry {
     void* base;
     std::size_t map_bytes;
   };
-  static constexpr std::size_t kMaxEntries = 128;
+  static constexpr std::size_t kMaxEntries = 1024;
   std::vector<Entry> entries;
 
   void* take(std::size_t map_bytes) {

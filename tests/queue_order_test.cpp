@@ -124,14 +124,17 @@ TEST(QueueOrder, FifoSameInstantIsPostingOrder) {
 }
 
 // Model check: EventQueue against a reference min-heap on (at, key,
-// seq) under adversarial interleavings of pushes and pops, with
-// same-instant repeats, near posts, posts up to 50 ms out and rare
+// seq) under adversarial interleavings of pushes, pops and fused
+// push_pop_wake() calls (checked against the model's push then pop),
+// with same-instant repeats, near posts, posts up to 50 ms out and rare
 // posts anywhere up to the largest Time (the top bit of at, which the
-// comparator flips), for all-zero keys (fifo), random 64-bit keys
-// (random/pct) and keys from {0,1,2,3}, whose ties leave seq to decide
-// among equal (at, key).  Plain wakes (stored inline in the heap) and
-// callbacks (stored in the slab) are mixed, so both storage paths keep
-// one order and their payloads.
+// comparator flips, and the time of a vacant leaf), for all-zero keys
+// (fifo), random 64-bit keys (random/pct) and keys from {0,1,2,3},
+// whose ties leave seq to decide among equal (at, key).  Each pass
+// starts from an empty queue and grows it through several doublings.
+// Plain wakes (stored inline in the tree) and callbacks (stored in the
+// slab) are mixed, so both storage paths keep one order and their
+// payloads.
 TEST(QueueOrder, MatchesReferenceHeapModel) {
   struct Ref {
     Time at;
@@ -159,42 +162,60 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
     Rng kind_rng(std::array<std::uint64_t, 3>{66, 55, 77}[pass]);
     std::uint64_t seq = 0;
     Time now = 0;
+    std::size_t peak = 0;
+    // A new entry's key: same-instant repeats, near posts, far posts,
+    // and rare posts anywhere up to the largest Time.  Offsets saturate
+    // there.
+    auto draw = [&](bool wake) {
+      const auto room = static_cast<std::uint64_t>(
+          std::numeric_limits<Time>::max() - now);
+      const std::uint64_t r = rng.next_u64() % 100;
+      std::uint64_t offset = 0;
+      if (r < 30) {
+        offset = 0;
+      } else if (r < 89) {
+        offset = rng.next_u64() % 100000;
+      } else if (r < 98) {
+        offset = rng.next_u64() % 50'000'000;
+      } else {
+        offset = rng.next_u64() % (room + 1);
+      }
+      const Time at = now + static_cast<Time>(std::min(offset, room));
+      std::uint64_t key = 0;
+      if (keys == Keys::kWide) key = rng.next_u64();
+      if (keys == Keys::kNarrow) key = rng.next_u64() % 4;
+      return Ref{at, key, seq++, wake};
+    };
     for (int step = 0; step < 20000; ++step) {
-      const bool do_push = model.empty() || rng.next_u64() % 100 < 55;
-      if (do_push) {
-        // Mix: same-instant repeats, near posts, far posts, and rare
-        // posts anywhere up to the largest Time.  Offsets saturate there.
-        const auto room = static_cast<std::uint64_t>(
-            std::numeric_limits<Time>::max() - now);
-        const std::uint64_t r = rng.next_u64() % 100;
-        std::uint64_t offset = 0;
-        if (r < 30) {
-          offset = 0;
-        } else if (r < 89) {
-          offset = rng.next_u64() % 100000;
-        } else if (r < 98) {
-          offset = rng.next_u64() % 50'000'000;
-        } else {
-          offset = rng.next_u64() % (room + 1);
-        }
-        const Time at = now + static_cast<Time>(std::min(offset, room));
-        const std::uint64_t s = seq++;
-        std::uint64_t key = 0;
-        if (keys == Keys::kWide) key = rng.next_u64();
-        if (keys == Keys::kNarrow) key = rng.next_u64() % 4;
-        const bool wake = kind_rng.next_u64() % 2 == 0;
-        if (wake) {
-          q.push_wake({at, key, s, target, tag(s)});
+      const std::uint64_t op = rng.next_u64() % 100;
+      if (model.empty() || op < 55) {
+        const Ref want = draw(kind_rng.next_u64() % 2 == 0);
+        if (want.wake) {
+          q.push_wake({want.at, want.key, want.seq, target, tag(want.seq)});
         } else {
           Event ev;
-          ev.at = at;
-          ev.seq = s;
-          ev.key = key;
-          ev.generation = tag(s);
+          ev.at = want.at;
+          ev.seq = want.seq;
+          ev.key = want.key;
+          ev.generation = tag(want.seq);
           ev.fn = [] {};
           q.push(std::move(ev));
         }
-        model.push(Ref{at, key, s, wake});
+        model.push(want);
+      } else if (op < 70 && model.top().wake) {
+        ASSERT_TRUE(q.wake_next()) << "step " << step;
+        const Ref pushed = draw(true);
+        const EventQueue::Wake got = q.push_pop_wake(
+            {pushed.at, pushed.key, pushed.seq, target, tag(pushed.seq)});
+        model.push(pushed);
+        const Ref want = model.top();
+        model.pop();
+        ASSERT_EQ(got.at, want.at) << "step " << step;
+        ASSERT_EQ(got.key, want.key) << "step " << step;
+        ASSERT_EQ(got.seq, want.seq) << "step " << step;
+        ASSERT_EQ(got.thread, target) << "step " << step;
+        ASSERT_EQ(got.generation, tag(want.seq)) << "step " << step;
+        now = want.at;
       } else {
         ASSERT_EQ(q.next_time(), model.top().at) << "step " << step;
         const Ref want = model.top();
@@ -218,7 +239,10 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
         now = want.at;  // engine invariant: pushes never precede now
       }
       ASSERT_EQ(q.size(), model.size());
+      peak = std::max(peak, model.size());
     }
+    EXPECT_GT(peak, 512u) << "the pass should grow the tree past 8 leaves "
+                             "through several doublings";
     // Drain with pop() alone: an inline wake comes back as an Event.
     while (!model.empty()) {
       const Event got = q.pop();
@@ -231,7 +255,21 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
       ASSERT_EQ(got.generation, tag(want.seq));
     }
     EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.wake_next());
   }
+  // A real entry at the largest Time with the largest key still sorts
+  // before a vacant leaf: seq decides.
+  EventQueue q;
+  const Time last = std::numeric_limits<Time>::max();
+  const std::uint64_t top_key = std::numeric_limits<std::uint64_t>::max();
+  q.push_wake({last, top_key, 7, target, tag(7)});
+  ASSERT_TRUE(q.wake_next());
+  EXPECT_EQ(q.next_time(), last);
+  const EventQueue::Wake got =
+      q.push_pop_wake({last, top_key, 8, target, tag(8)});
+  EXPECT_EQ(got.seq, 7u);
+  EXPECT_EQ(q.pop_wake().seq, 8u);
+  EXPECT_TRUE(q.empty());
 }
 
 // A warm queue cycling through a fixed working set must stop

@@ -492,5 +492,64 @@ TEST(Engine, RunAheadKeepsOrderAndStats) {
   }
 }
 
+// A sleep whose wake is not the next event pushes it and pops the next
+// one in one replay, and block() hands off; an attached race checker
+// turns both off (and run-ahead), sending every wake through the queue
+// and run().  Over sleeps, notifies and timed waits across many
+// threads, the two runs must dispatch the same events in the same
+// order.
+RunAheadOutcome sleep_notify_program(SchedPolicy policy, bool racecheck) {
+  Engine eng(3, {policy, 29});
+  if (racecheck) eng.enable_racecheck();
+  constexpr int kThreads = 48;
+  std::vector<SimThread*> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.push_back(eng.spawn("t" + std::to_string(i), [&eng, &threads, i] {
+      Rng script(100 + static_cast<std::uint64_t>(i));
+      for (int step = 0; step < 60; ++step) {
+        const std::uint64_t op = script.next_u64() % 8;
+        if (op < 4) {
+          // Sleeps from a yield to past most other wakes: ties, run-ahead
+          // and queued sleeps.
+          eng.sleep_for(static_cast<Time>(script.next_u64() % 60));
+        } else if (op < 6) {
+          // Notify: wake another thread out of whatever it is blocked
+          // in, leaving the wake it was waiting for stale.
+          SimThread* other = threads[script.next_u64() % kThreads];
+          if (other != eng.current()) eng.wake(other);
+        } else {
+          // Timed wait: a deadline, or a notify if one comes first.
+          const WakeToken tok = eng.arm_wake_token();
+          eng.wake_token_at(tok, eng.now() + 1 +
+                                     static_cast<Time>(script.next_u64() % 90));
+          eng.block();
+        }
+      }
+    }));
+  }
+  for (int i = 0; i < kThreads; ++i) eng.wake_at(threads[i], i % 5);
+  eng.run();
+  return {eng.stats(), eng.now()};
+}
+
+TEST(Engine, FusedSleepMatchesTheQueuePath) {
+  for (const SchedPolicy policy :
+       {SchedPolicy::kFifo, SchedPolicy::kRandom, SchedPolicy::kPct}) {
+    SCOPED_TRACE(sched_policy_name(policy));
+    const RunAheadOutcome plain = sleep_notify_program(policy, false);
+    const RunAheadOutcome queued = sleep_notify_program(policy, true);
+    EXPECT_EQ(plain.stats.dispatch_digest, queued.stats.dispatch_digest);
+    EXPECT_EQ(plain.stats.events_dispatched, queued.stats.events_dispatched);
+    EXPECT_EQ(plain.stats.peak_queue_depth, queued.stats.peak_queue_depth);
+    EXPECT_EQ(plain.stats.stale_wakes, queued.stats.stale_wakes);
+    EXPECT_EQ(plain.end, queued.end);
+    EXPECT_GT(plain.stats.stale_wakes, 0u);
+    EXPECT_GT(plain.stats.run_ahead, 0u);
+    EXPECT_GT(plain.stats.handoffs, 0u);
+    EXPECT_EQ(queued.stats.run_ahead, 0u);
+    EXPECT_EQ(queued.stats.handoffs, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace kop::sim
