@@ -50,7 +50,8 @@ struct StackConfig {
   std::uint64_t app_static_bytes = 64ULL << 20;
   /// Migration-on-next-touch placement: arm every app allocation so its
   /// first access per slice re-homes the slice to the toucher's
-  /// preferred DRAM zone (third policy beside first-touch/interleave).
+  /// preferred DRAM zone (the policy beside immediate placement and
+  /// first touch).
   bool numa_migrate = false;
   /// Extra environment for the run (OMP_SCHEDULE, KMP_BLOCKTIME, ...).
   std::vector<std::pair<std::string, std::string>> env;

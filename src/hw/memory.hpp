@@ -32,7 +32,8 @@ enum class AccessPattern {
 };
 
 /// One logical allocation.  NUMA placement may be a single zone or a
-/// per-slice assignment (first-touch / interleave produce slices).
+/// per-slice assignment (first touch and next-touch migration produce
+/// slices).
 class MemRegion {
  public:
   MemRegion(std::string name, std::uint64_t bytes)

@@ -9,25 +9,9 @@ LinuxOs::LinuxOs(sim::Engine& engine, hw::MachineConfig machine)
 
 LinuxOs::LinuxOs(sim::Engine& engine, hw::MachineConfig machine,
                  hw::OsCosts costs)
-    : BaseOs(engine, std::move(machine), std::move(costs)) {
+    : Os(engine, std::move(machine), std::move(costs)) {
   futex_ = std::make_unique<FutexTable>(*this);
 }
-
-LinuxOs::~LinuxOs() = default;
-
-void LinuxOs::charge_syscall() {
-  if (engine_->current() != nullptr && costs_.syscall_ns > 0) {
-    counters().add_on(current_cpu(), telemetry::Counter::kSyscalls);
-    engine_->sleep_for(costs_.syscall_ns);
-  }
-}
-
-Process* LinuxOs::create_process(std::string name) {
-  processes_.push_back(std::make_unique<Process>(next_pid_++, std::move(name)));
-  return processes_.back().get();
-}
-
-int LinuxOs::first_touch_zone(int preferred) { return preferred; }
 
 void LinuxOs::place_region(hw::MemRegion& region, osal::AllocPolicy policy) {
   // Anonymous memory: demand paged; THP=madvise backs most of a large
@@ -51,20 +35,6 @@ void LinuxOs::place_region(hw::MemRegion& region, osal::AllocPolicy policy) {
     case Kind::kZone:
       region.set_home_zone(policy.zone);  // numactl --membind
       break;
-    case Kind::kInterleave: {
-      std::vector<int> zones;
-      for (const auto& z : machine_.zones) {
-        if (z.kind == hw::ZoneKind::kDram) zones.push_back(z.id);
-      }
-      std::vector<int> slices(kFirstTouchSlices);
-      for (int i = 0; i < kFirstTouchSlices; ++i)
-        slices[static_cast<std::size_t>(i)] =
-            zones[static_cast<std::size_t>((interleave_next_ + i) % zones.size())];
-      interleave_next_ =
-          (interleave_next_ + kFirstTouchSlices) % static_cast<int>(zones.size());
-      region.set_slice_zones(std::move(slices));
-      break;
-    }
     case Kind::kLocal:
     case Kind::kFirstTouch:
       // Default Linux policy: placement deferred to first touch.

@@ -6,37 +6,23 @@
 #include <memory>
 
 #include "linuxmodel/futex.hpp"
-#include "linuxmodel/process.hpp"
-#include "osal/base_os.hpp"
+#include "osal/osal.hpp"
 
 namespace kop::linuxmodel {
 
-class LinuxOs final : public osal::BaseOs {
+class LinuxOs final : public osal::Os {
  public:
   LinuxOs(sim::Engine& engine, hw::MachineConfig machine);
   /// Variant with an explicit cost sheet (for ablations).
   LinuxOs(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs);
-  ~LinuxOs() override;
 
   FutexTable& futex() { return *futex_; }
 
-  /// Charge one user->kernel->user crossing to the calling thread.
-  void charge_syscall();
-
-  Process* create_process(std::string name);
-  const std::vector<std::unique_ptr<Process>>& processes() const {
-    return processes_;
-  }
-
  protected:
   void place_region(hw::MemRegion& region, osal::AllocPolicy policy) override;
-  int first_touch_zone(int preferred) override;
 
  private:
   std::unique_ptr<FutexTable> futex_;
-  std::vector<std::unique_ptr<Process>> processes_;
-  int next_pid_ = 1000;
-  int interleave_next_ = 0;
 };
 
 }  // namespace kop::linuxmodel

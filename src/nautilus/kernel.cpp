@@ -24,7 +24,7 @@ NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
 
 NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
                                NautilusConfig config, hw::OsCosts costs)
-    : BaseOs(engine, std::move(machine), std::move(costs)), config_(config) {
+    : Os(engine, std::move(machine), std::move(costs)), config_(config) {
   zone_allocators_.reserve(machine_.zones.size());
   for (const auto& z : machine_.zones) {
     zone_allocators_.push_back(std::make_unique<BuddyAllocator>(
@@ -69,20 +69,6 @@ void NautilusKernel::place_region(hw::MemRegion& region,
       if (engine_->current() != nullptr && current_thread() != nullptr)
         cpu = current_cpu();
       region.set_home_zone(machine_.preferred_dram_zone(cpu));
-      break;
-    }
-    case Kind::kInterleave: {
-      std::vector<int> zones;
-      for (const auto& z : machine_.zones) {
-        if (z.kind == hw::ZoneKind::kDram) zones.push_back(z.id);
-      }
-      std::vector<int> slices(kFirstTouchSlices);
-      for (int i = 0; i < kFirstTouchSlices; ++i)
-        slices[static_cast<std::size_t>(i)] =
-            zones[static_cast<std::size_t>((interleave_next_ + i) % zones.size())];
-      interleave_next_ =
-          (interleave_next_ + kFirstTouchSlices) % static_cast<int>(zones.size());
-      region.set_slice_zones(std::move(slices));
       break;
     }
     case Kind::kFirstTouch:

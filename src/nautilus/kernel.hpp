@@ -16,7 +16,7 @@
 #include "nautilus/irq.hpp"
 #include "nautilus/loader.hpp"
 #include "nautilus/tls.hpp"
-#include "osal/base_os.hpp"
+#include "osal/osal.hpp"
 #include "osal/task_queues.hpp"
 
 namespace kop::nautilus {
@@ -33,7 +33,7 @@ struct NautilusConfig {
 /// A shell command takes argv-style arguments and returns an exit code.
 using ShellCommand = std::function<int(const std::vector<std::string>&)>;
 
-class NautilusKernel final : public osal::BaseOs {
+class NautilusKernel final : public osal::Os {
  public:
   NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
                  NautilusConfig config = {});
@@ -74,7 +74,6 @@ class NautilusKernel final : public osal::BaseOs {
   std::unique_ptr<IrqController> irq_;
   std::unique_ptr<TlsSupport> tls_;
   std::map<std::string, ShellCommand> shell_;
-  int interleave_next_ = 0;
 };
 
 }  // namespace kop::nautilus

@@ -1,28 +1,11 @@
-#include "osal/base_os.hpp"
+#include "osal/osal.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
 namespace kop::osal {
 
-class BaseOs::ThreadImpl final : public Thread {
- public:
-  ThreadImpl(std::string name, int cpu) : name_(std::move(name)), cpu_(cpu) {}
-
-  const std::string& name() const override { return name_; }
-  int bound_cpu() const override { return cpu_; }
-  bool done() const override { return done_; }
-
-  sim::SimThread* sim_thread = nullptr;
-  bool done_ = false;
-  std::vector<sim::WakeToken> joiners;
-
- private:
-  std::string name_;
-  int cpu_;
-};
-
-BaseOs::BaseOs(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs)
+Os::Os(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs)
     : engine_(&engine),
       machine_(std::move(machine)),
       costs_(std::move(costs)),
@@ -37,9 +20,9 @@ BaseOs::BaseOs(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs
   }
 }
 
-BaseOs::~BaseOs() = default;
+Os::~Os() = default;
 
-void BaseOs::rebind_costs(const hw::OsCosts& costs) {
+void Os::rebind_costs(const hw::OsCosts& costs) {
   if (costs.personality != costs_.personality)
     throw std::invalid_argument("rebind_costs: personality mismatch (" +
                                 costs.personality + " vs " +
@@ -52,8 +35,8 @@ void BaseOs::rebind_costs(const hw::OsCosts& costs) {
     cpu->set_sched_costs(costs_.timeslice_ns, costs_.context_switch_ns);
 }
 
-Thread* BaseOs::spawn_thread(std::string name, std::function<void()> fn,
-                             int cpu, sim::Time create_cost_ns) {
+Thread* Os::spawn_thread(std::string name, std::function<void()> fn, int cpu,
+                         sim::Time create_cost_ns) {
   if (cpu < 0) {
     cpu = next_rr_cpu_;
     next_rr_cpu_ = (next_rr_cpu_ + 1) % machine_.num_cpus;
@@ -68,55 +51,56 @@ Thread* BaseOs::spawn_thread(std::string name, std::function<void()> fn,
     engine_->sleep_for(create_cost);
   counters_.add_on(cpu, telemetry::Counter::kThreadsCreated);
 
-  auto impl = std::make_unique<ThreadImpl>(std::move(name), cpu);
-  ThreadImpl* raw = impl.get();
+  auto thread = std::make_unique<Thread>(std::move(name), cpu);
+  Thread* raw = thread.get();
   auto body = [this, raw, fn = std::move(fn)]() {
     fn();
     raw->done_ = true;
-    for (auto& tok : raw->joiners) engine_->wake_token_at(tok, engine_->now());
-    raw->joiners.clear();
+    for (auto& tok : raw->joiners_) engine_->wake_token_at(tok, engine_->now());
+    raw->joiners_.clear();
   };
-  raw->sim_thread = engine_->spawn(raw->name(), std::move(body));
-  raw->sim_thread->user_data = raw;
-  threads_.push_back(std::move(impl));
-  engine_->wake(raw->sim_thread);
+  raw->sim_thread_ = engine_->spawn(raw->name(), std::move(body));
+  raw->sim_thread_->user_data = raw;
+  threads_.push_back(std::move(thread));
+  engine_->wake(raw->sim_thread_);
   return raw;
 }
 
-void BaseOs::join_thread(Thread* t) {
-  auto* impl = static_cast<ThreadImpl*>(t);
-  if (impl->done_) return;
-  impl->joiners.push_back(engine_->arm_wake_token());
+void Os::join_thread(Thread* t) {
+  if (t->done_) return;
+  t->joiners_.push_back(engine_->arm_wake_token());
   engine_->block();
 }
 
-BaseOs::ThreadImpl* BaseOs::current_impl() {
+Thread* Os::current_thread() {
   sim::SimThread* st = engine_->current();
   if (st == nullptr || st->user_data == nullptr) return nullptr;
-  return static_cast<ThreadImpl*>(st->user_data);
+  return static_cast<Thread*>(st->user_data);
 }
 
-Thread* BaseOs::current_thread() { return current_impl(); }
-
-int BaseOs::current_cpu() {
-  ThreadImpl* t = current_impl();
+int Os::current_cpu() {
+  Thread* t = current_thread();
   if (t == nullptr)
     throw std::logic_error("current_cpu: not on an OS thread");
   return t->bound_cpu();
 }
 
-void BaseOs::yield() {
+void Os::yield() {
   // sched_yield-ish: a syscall plus requeue.
-  if (costs_.syscall_ns > 0) {
-    counters_.add_on(current_cpu(), telemetry::Counter::kSyscalls);
-    engine_->sleep_for(costs_.syscall_ns);
-  }
+  charge_syscall();
   engine_->yield_now();
 }
 
-void BaseOs::sleep_ns(sim::Time ns) { engine_->sleep_for(ns); }
+void Os::sleep_ns(sim::Time ns) { engine_->sleep_for(ns); }
 
-void BaseOs::compute(const hw::WorkBlock& block, int data_zone) {
+void Os::charge_syscall() {
+  if (engine_->current() != nullptr && costs_.syscall_ns > 0) {
+    counters_.add_on(current_cpu(), telemetry::Counter::kSyscalls);
+    engine_->sleep_for(costs_.syscall_ns);
+  }
+}
+
+void Os::compute(const hw::WorkBlock& block, int data_zone) {
   const int cpu = current_cpu();
   const hw::BlockCharge charge = exec_.charge(block, cpu, data_zone, engine_->rng());
   using telemetry::Counter;
@@ -132,7 +116,7 @@ void BaseOs::compute(const hw::WorkBlock& block, int data_zone) {
   }
 }
 
-void BaseOs::atomic_op(int contenders) {
+void Os::atomic_op(int contenders) {
   // An uncontended RMW costs roughly one cacheline ownership transfer;
   // each additional contender serializes behind the line.
   const sim::Time cost =
@@ -140,8 +124,8 @@ void BaseOs::atomic_op(int contenders) {
   engine_->sleep_for(cost);
 }
 
-hw::MemRegion* BaseOs::alloc_region(std::string name, std::uint64_t bytes,
-                                    AllocPolicy policy) {
+hw::MemRegion* Os::alloc_region(std::string name, std::uint64_t bytes,
+                                AllocPolicy policy) {
   if (engine_->current() != nullptr) engine_->sleep_for(costs_.alloc_base_ns);
   auto region = std::make_unique<hw::MemRegion>(std::move(name), bytes);
   place_region(*region, policy);
@@ -151,18 +135,18 @@ hw::MemRegion* BaseOs::alloc_region(std::string name, std::uint64_t bytes,
   return raw;
 }
 
-void BaseOs::free_region(hw::MemRegion* region) {
+void Os::free_region(hw::MemRegion* region) {
   regions_.erase(
       std::remove_if(regions_.begin(), regions_.end(),
                      [&](const auto& r) { return r.get() == region; }),
       regions_.end());
 }
 
-void BaseOs::defer_placement(hw::MemRegion& region) {
+void Os::defer_placement(hw::MemRegion& region) {
   region.set_slice_zones(std::vector<int>(kFirstTouchSlices, -1));
 }
 
-int BaseOs::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
+int Os::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
   if (region == nullptr) return -1;
   const int my_zone = machine_.zone_of_cpu(current_cpu());
   const int preferred = machine_.preferred_dram_zone(current_cpu());
@@ -186,8 +170,7 @@ int BaseOs::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
     // Nothing migrates, so nothing sleeps: place slices in the map itself.
     for (int i = lo; i < hi; ++i) {
       if (zones[static_cast<std::size_t>(i)] < 0)
-        region->set_slice_zone(static_cast<std::size_t>(i),
-                               first_touch_zone(my_zone));
+        region->set_slice_zone(static_cast<std::size_t>(i), my_zone);
     }
   } else {
     // A migration sleeps for its copy, then stores the whole map as this
@@ -205,7 +188,7 @@ int BaseOs::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
         if (z != preferred) changed = true;
         z = preferred;
       } else if (z < 0) {
-        z = first_touch_zone(my_zone);
+        z = my_zone;
         changed = true;
       }
     }
@@ -228,17 +211,17 @@ int BaseOs::resolve_data_zone(hw::MemRegion* region, int part, int nparts) {
   return z < 0 ? my_zone : z;
 }
 
-std::optional<std::string> BaseOs::get_env(const std::string& key) const {
+std::optional<std::string> Os::get_env(const std::string& key) const {
   auto it = env_.find(key);
   if (it == env_.end()) return std::nullopt;
   return it->second;
 }
 
-void BaseOs::set_env(const std::string& key, std::string value) {
+void Os::set_env(const std::string& key, std::string value) {
   env_[key] = std::move(value);
 }
 
-long BaseOs::sys_conf(SysConfKey key) const {
+long Os::sys_conf(SysConfKey key) const {
   switch (key) {
     case SysConfKey::kNumProcessors:
     case SysConfKey::kNumProcessorsConf:

@@ -1,21 +1,31 @@
-// OS abstraction layer: the contract between the OS substrates
-// (nautilus, linuxmodel) and everything above them (pthread_compat,
-// komp, virgil, the benchmark suites).
+// OS abstraction layer: the kernel that everything above it
+// (pthread_compat, komp, virgil, the benchmark suites) runs on.
 //
 // Mirrors the paper's layering: libomp is written against pthreads +
 // libc-ish services; pthreads is written against kernel primitives.
-// Here those kernel primitives are the Os interface.
+// Here those kernel primitives are the Os class: thread plumbing over
+// the sim engine, CPU occupancy, work charging, env vars.  The OS
+// substrates derive from it and supply what actually differs: cost
+// sheets and memory-placement policy -- plus their own distinctive
+// subsystems (buddy allocator / task system / loader for Nautilus;
+// paging and futexes for the Linux model).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "hw/cost_params.hpp"
+#include "hw/cpu.hpp"
+#include "hw/exec_model.hpp"
 #include "hw/memory.hpp"
 #include "hw/topology.hpp"
 #include "ompt/ompt.hpp"
+#include "osal/tracer.hpp"
 #include "osal/wait_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -23,14 +33,23 @@
 
 namespace kop::osal {
 
-/// Opaque handle to an OS thread (kernel thread in Nautilus, task in
-/// the Linux model).
+/// An OS thread (kernel thread in Nautilus, task in the Linux model).
 class Thread {
  public:
-  virtual ~Thread() = default;
-  virtual const std::string& name() const = 0;
-  virtual int bound_cpu() const = 0;
-  virtual bool done() const = 0;
+  Thread(std::string name, int cpu) : name_(std::move(name)), cpu_(cpu) {}
+
+  const std::string& name() const { return name_; }
+  int bound_cpu() const { return cpu_; }
+  bool done() const { return done_; }
+
+ private:
+  friend class Os;
+
+  std::string name_;
+  int cpu_;
+  bool done_ = false;
+  sim::SimThread* sim_thread_ = nullptr;
+  std::vector<sim::WakeToken> joiners_;
 };
 
 /// NUMA placement request for a region allocation.
@@ -38,7 +57,6 @@ struct AllocPolicy {
   enum class Kind {
     kLocal,       // zone preferred by the allocating CPU
     kZone,        // explicit zone
-    kInterleave,  // round-robin across DRAM zones
     kFirstTouch,  // zones assigned as partitions are first touched
   };
   Kind kind = Kind::kLocal;
@@ -46,7 +64,6 @@ struct AllocPolicy {
 
   static AllocPolicy local() { return {}; }
   static AllocPolicy in_zone(int z) { return {Kind::kZone, z}; }
-  static AllocPolicy interleave() { return {Kind::kInterleave, 0}; }
   static AllocPolicy first_touch() { return {Kind::kFirstTouch, 0}; }
 };
 
@@ -59,45 +76,50 @@ enum class SysConfKey {
 /// The kernel-primitive surface.
 class Os {
  public:
-  virtual ~Os() = default;
+  Os(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs);
+  virtual ~Os();
 
-  virtual sim::Engine& engine() = 0;
-  virtual const hw::MachineConfig& machine() const = 0;
-  virtual const hw::OsCosts& costs() const = 0;
+  sim::Engine& engine() { return *engine_; }
+  const hw::MachineConfig& machine() const { return machine_; }
+  const hw::OsCosts& costs() const { return costs_; }
   /// Swap in a new cost sheet (per-point cost scales): the execution
   /// model and per-CPU scheduling parameters are rebuilt from `costs`.
   /// Call after boot, before the workload runs; the personality must
   /// match the current sheet.
-  virtual void rebind_costs(const hw::OsCosts& costs) = 0;
+  void rebind_costs(const hw::OsCosts& costs);
 
   // --- observability ---
   /// Per-CPU hardware/OS event counters (page faults, TLB misses,
   /// interrupts, ...).  Fed by the hw + osal layers and the substrates;
   /// snapshot after a run to explain the paper's §6.2 contrasts.
-  virtual telemetry::CounterFabric& counters() = 0;
+  telemetry::CounterFabric& counters() { return counters_; }
   /// OMPT-like tool registry: runtimes above (komp, virgil, nautilus
   /// task system) emit construct events; tools attach here without
   /// touching runtime code.
-  virtual ompt::Registry& tools() = 0;
+  ompt::Registry& tools() { return tools_; }
+  /// Per-CPU activity tracing (Chrome trace-event export); disabled by
+  /// default, enable with tracer().enable().
+  Tracer& tracer() { return tracer_; }
 
   // --- threads ---
   /// Spawn a thread bound to `cpu` (-1: round-robin placement).
   /// Creation cost is charged to the *caller*; `create_cost_ns`
   /// overrides the cost sheet's thread_create_ns (used by lighter
   /// execution contexts such as fibers; -1: use the sheet).
-  virtual Thread* spawn_thread(std::string name, std::function<void()> fn,
-                               int cpu = -1,
-                               sim::Time create_cost_ns = -1) = 0;
-  virtual void join_thread(Thread* t) = 0;
-  virtual Thread* current_thread() = 0;
-  virtual int current_cpu() = 0;
-  virtual void yield() = 0;
-  virtual void sleep_ns(sim::Time ns) = 0;
+  Thread* spawn_thread(std::string name, std::function<void()> fn,
+                       int cpu = -1, sim::Time create_cost_ns = -1);
+  void join_thread(Thread* t);
+  Thread* current_thread();
+  int current_cpu();
+  void yield();
+  void sleep_ns(sim::Time ns);
+  /// Charge one user->kernel->user crossing to the calling thread.
+  void charge_syscall();
 
   // --- execution ---
   /// Run a work block on the current CPU (queueing/timeslicing under
   /// the OS's rules); charges the full cost model.
-  virtual void compute(const hw::WorkBlock& block, int data_zone = -1) = 0;
+  void compute(const hw::WorkBlock& block, int data_zone = -1);
   /// Pure-compute convenience.
   void compute_ns(sim::Time ns) {
     hw::WorkBlock b;
@@ -106,25 +128,54 @@ class Os {
   }
   /// Charge an atomic RMW on a cacheline contended by ~`contenders`
   /// other CPUs.
-  virtual void atomic_op(int contenders = 0) = 0;
+  void atomic_op(int contenders = 0);
+
+  hw::Cpu& cpu(int id) { return *cpus_.at(static_cast<std::size_t>(id)); }
+  const hw::ExecModel& exec_model() const { return exec_; }
 
   // --- memory ---
-  virtual hw::MemRegion* alloc_region(std::string name, std::uint64_t bytes,
-                                      AllocPolicy policy) = 0;
-  virtual void free_region(hw::MemRegion* region) = 0;
+  hw::MemRegion* alloc_region(std::string name, std::uint64_t bytes,
+                              AllocPolicy policy);
+  void free_region(hw::MemRegion* region);
   /// Zone the data for partition `part` of `nparts` of `region` lives
   /// in, applying first-touch assignment if the policy deferred it.
-  virtual int resolve_data_zone(hw::MemRegion* region, int part, int nparts) = 0;
+  int resolve_data_zone(hw::MemRegion* region, int part, int nparts);
   /// Enable migration-on-next-touch as the placement policy for regions
   /// allocated from here on: each one is armed so its first access per
   /// slice re-homes the slice to the toucher's preferred DRAM zone.
-  /// Default: unsupported, silently off (substrates opt in).
-  virtual void set_next_touch_migration(bool on) { (void)on; }
+  void set_next_touch_migration(bool on) { next_touch_migration_ = on; }
 
   // --- environment / configuration (libomp's libc dependencies, §3.4) ---
-  virtual std::optional<std::string> get_env(const std::string& key) const = 0;
-  virtual void set_env(const std::string& key, std::string value) = 0;
-  virtual long sys_conf(SysConfKey key) const = 0;
+  std::optional<std::string> get_env(const std::string& key) const;
+  void set_env(const std::string& key, std::string value);
+  long sys_conf(SysConfKey key) const;
+
+ protected:
+  /// OS-specific placement: page size, demand paging, zone assignment.
+  virtual void place_region(hw::MemRegion& region, AllocPolicy policy) = 0;
+
+  /// Granularity of deferred (first-touch) zone assignment.
+  static constexpr int kFirstTouchSlices = 64;
+
+  /// Marks a region for first-touch assignment (all slices unassigned).
+  static void defer_placement(hw::MemRegion& region);
+
+  sim::Engine* engine_;
+  hw::MachineConfig machine_;
+  hw::OsCosts costs_;
+  hw::ExecModel exec_;
+
+ private:
+  Tracer tracer_;
+  telemetry::CounterFabric counters_;
+  ompt::Registry tools_;
+  std::vector<std::unique_ptr<hw::Cpu>> cpus_;
+  std::vector<std::unique_ptr<Thread>> threads_;
+  std::vector<std::unique_ptr<hw::MemRegion>> regions_;
+  std::unordered_map<std::string, std::string> env_;
+  int next_rr_cpu_ = 0;
+  /// Arm regions allocated from now on for migration-on-next-touch.
+  bool next_touch_migration_ = false;
 };
 
 }  // namespace kop::osal

@@ -26,7 +26,7 @@ PikOs::PikOs(sim::Engine& engine, hw::MachineConfig machine)
     : PikOs(engine, machine, pik_costs(machine)) {}
 
 PikOs::PikOs(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs)
-    : BaseOs(engine, std::move(machine), std::move(costs)) {}
+    : Os(engine, std::move(machine), std::move(costs)) {}
 
 void PikOs::place_region(hw::MemRegion& region, osal::AllocPolicy policy) {
   // Emulated mmap: the kernel maps the pages immediately (no demand
@@ -45,7 +45,6 @@ void PikOs::place_region(hw::MemRegion& region, osal::AllocPolicy policy) {
       region.set_home_zone(policy.zone);
       break;
     case Kind::kLocal:
-    case Kind::kInterleave:
     case Kind::kFirstTouch:
       // The emulated mmap preserves Linux *semantics* -- physical
       // backing is assigned as threads first touch their slices (the

@@ -8,7 +8,7 @@
 // Fig. 9 vs Fig. 10).
 #pragma once
 
-#include "osal/base_os.hpp"
+#include "osal/osal.hpp"
 
 namespace kop::pik {
 
@@ -16,7 +16,7 @@ namespace kop::pik {
 /// same-privilege syscall crossing.
 hw::OsCosts pik_costs(const hw::MachineConfig& m);
 
-class PikOs final : public osal::BaseOs {
+class PikOs final : public osal::Os {
  public:
   PikOs(sim::Engine& engine, hw::MachineConfig machine);
   PikOs(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs);

@@ -1,5 +1,5 @@
-// Tests for the Linux substrate: futex table, processes, placement
-// policy, syscall charging.
+// Tests for the Linux substrate: futex table, placement policy,
+// syscall charging.
 #include <gtest/gtest.h>
 
 #include "linuxmodel/linux_os.hpp"
@@ -92,16 +92,6 @@ TEST(Futex, TimedWait) {
       0);
   f.engine.run();
   EXPECT_FALSE(notified);
-}
-
-TEST(Process, TracksThreadsAndRegions) {
-  Fixture f;
-  Process* p = f.os.create_process("nas-bt");
-  EXPECT_EQ(p->pid(), 1000);
-  auto* r = f.os.alloc_region("heap", 1ULL << 20, osal::AllocPolicy::local());
-  p->add_region(r);
-  EXPECT_EQ(p->mapped_bytes(), 1ULL << 20);
-  EXPECT_EQ(f.os.create_process("second")->pid(), 1001);
 }
 
 TEST(Placement, DefaultIsDemandPagedFirstTouchThp) {

@@ -1,4 +1,4 @@
-// Tests for the OS abstraction layer: BaseOs thread plumbing, the
+// Tests for the OS abstraction layer: Os thread plumbing, the
 // wait queue (spin-vs-sleep wake costs, stack waiters), and the shared
 // synchronization primitives.
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@ struct NkFixture {
   nautilus::NautilusKernel os{engine, hw::phi()};
 };
 
-TEST(BaseOs, SpawnJoinAndCurrent) {
+TEST(Os, SpawnJoinAndCurrent) {
   NkFixture f;
   int observed_cpu = -1;
   Thread* inner = nullptr;
@@ -35,7 +35,7 @@ TEST(BaseOs, SpawnJoinAndCurrent) {
   EXPECT_TRUE(inner->done());
 }
 
-TEST(BaseOs, ComputeAdvancesTimeAndOccupiesCpu) {
+TEST(Os, ComputeAdvancesTimeAndOccupiesCpu) {
   NkFixture f;
   sim::Time elapsed = 0;
   f.os.spawn_thread(
@@ -54,7 +54,7 @@ TEST(BaseOs, ComputeAdvancesTimeAndOccupiesCpu) {
   EXPECT_EQ(f.os.cpu(0).busy_time(), expected);
 }
 
-TEST(BaseOs, EnvRoundTripAndSysconf) {
+TEST(Os, EnvRoundTripAndSysconf) {
   NkFixture f;
   EXPECT_FALSE(f.os.get_env("OMP_NUM_THREADS").has_value());
   f.os.set_env("OMP_NUM_THREADS", "16");
@@ -396,7 +396,7 @@ TEST(Sync, SemaphoreBounds) {
   EXPECT_LE(peak, 2);
 }
 
-TEST(BaseOs, FirstTouchResolvesToToucherZone) {
+TEST(Os, FirstTouchResolvesToToucherZone) {
   sim::Engine engine(1);
   linuxmodel::LinuxOs os(engine, hw::xeon8());
   hw::MemRegion* r =
@@ -422,7 +422,7 @@ TEST(BaseOs, FirstTouchResolvesToToucherZone) {
   EXPECT_EQ(zone_cpu0_again, 4);  // sticky after first touch
 }
 
-TEST(BaseOs, NextTouchMigrationRehomesEverySliceToItsToucher) {
+TEST(Os, NextTouchMigrationRehomesEverySliceToItsToucher) {
   // Migration-on-next-touch (the third placement policy): a
   // Nautilus-style immediately-placed single-zone region re-homes each slice to the
   // toucher's preferred DRAM zone on its first access, so a full touch
@@ -454,7 +454,7 @@ TEST(BaseOs, NextTouchMigrationRehomesEverySliceToItsToucher) {
                 telemetry::Counter::kPageMigrations)], 0u);
 }
 
-TEST(BaseOs, ImmediatePlacementWithoutMigrationStaysMisplaced) {
+TEST(Os, ImmediatePlacementWithoutMigrationStaysMisplaced) {
   // Control for the test above: same touch pattern, migration off --
   // the remote half keeps the allocation-time home zone and the
   // misplacement shows up in the region's touch stats.

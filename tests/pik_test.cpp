@@ -160,6 +160,43 @@ TEST(Pik, GigabyteStaticsAreFine) {
   EXPECT_EQ(stack.run_app("big", [](komp::Runtime&) { return 0; }), 0);
 }
 
+TEST(PikPlacement, LocalRegionIsMappedAtOnceAndPlacedOnFirstTouch) {
+  sim::Engine eng(5);
+  PikOs os(eng, hw::phi());
+  hw::MemRegion* r =
+      os.alloc_region("heap", 1ULL << 30, osal::AllocPolicy::local());
+  // The emulated mmap maps at once out of the buddy, on 2 MB pages
+  // with a 4K residue at the block heads and tails.
+  EXPECT_FALSE(r->demand_paged());
+  EXPECT_EQ(r->page_size(), hw::PageSize::k2M);
+  EXPECT_DOUBLE_EQ(r->small_page_fraction(), 0.10);
+  // Zones are assigned slice by slice as CPUs first touch them.
+  ASSERT_TRUE(r->is_sliced());
+  EXPECT_EQ(r->zone_for_partition(1, 4), -1);
+  int zone = -1;
+  os.spawn_thread(
+      "t", [&] { zone = os.resolve_data_zone(r, 1, 4); }, 5);
+  eng.run();
+  EXPECT_EQ(zone, os.machine().zone_of_cpu(5));
+  EXPECT_EQ(r->zone_for_partition(1, 4), zone);
+  EXPECT_EQ(r->zone_for_partition(0, 4), -1);  // still untouched
+}
+
+TEST(PikPlacement, InZoneBindsTheRegion) {
+  sim::Engine eng(6);
+  PikOs os(eng, hw::phi());
+  // Zone 1 is MCDRAM, a zone no CPU prefers.
+  hw::MemRegion* r =
+      os.alloc_region("hbm", 1ULL << 20, osal::AllocPolicy::in_zone(1));
+  EXPECT_FALSE(r->is_sliced());
+  EXPECT_EQ(r->home_zone(), 1);
+  int zone = -1;
+  os.spawn_thread(
+      "t", [&] { zone = os.resolve_data_zone(r, 0, 1); }, 5);
+  eng.run();
+  EXPECT_EQ(zone, 1);
+}
+
 TEST(PikCosts, SitBetweenLinuxAndRtk) {
   const auto m = hw::phi();
   const auto linux = hw::linux_costs(m);

@@ -102,7 +102,7 @@ struct PoolOnPhi {
   }
 
   sim::Engine eng;
-  std::unique_ptr<osal::BaseOs> os;
+  std::unique_ptr<osal::Os> os;
   std::unique_ptr<Virgil> user;
   Virgil* pool = nullptr;
 };
