@@ -43,7 +43,10 @@ std::string hex16(std::uint64_t v);
 /// event; the first waiter preempts it at the first slice boundary
 /// strictly after its arrival, so one arriving exactly on a boundary is
 /// noticed at the next (hw/cpu.hpp).
-inline constexpr int kModelRevision = 3;
+/// 4: a next-touch migration writes each slice it places into the
+/// region's map at once, so slices other threads place while its copy
+/// sleeps are no longer reverted (osal/os.cpp).
+inline constexpr int kModelRevision = 4;
 
 /// 64-bit fingerprint of the whole calibration surface: kModelRevision,
 /// every field of hw::linux_costs()/hw::nautilus_costs() and the

@@ -454,6 +454,28 @@ TEST(Os, NextTouchMigrationRehomesEverySliceToItsToucher) {
                 telemetry::Counter::kPageMigrations)], 0u);
 }
 
+TEST(Os, SimultaneousMigrationsKeepEachOthersSlices) {
+  // Two touches of one armed region at the same instant each sleep for
+  // their copy; neither may put back the slices the other re-homed
+  // meanwhile (their next-touch claims are spent, so a reverted slice
+  // would stay misplaced for good).
+  sim::Engine engine(1);
+  nautilus::NautilusKernel os(engine, hw::xeon8());
+  os.set_next_touch_migration(true);
+  hw::MemRegion* r =
+      os.alloc_region("arr", 1ULL << 30, AllocPolicy::in_zone(2));
+  int zone_a = -1, zone_b = -1;
+  os.spawn_thread(
+      "a", [&] { zone_a = os.resolve_data_zone(r, 0, 2); }, 0);
+  os.spawn_thread(
+      "b", [&] { zone_b = os.resolve_data_zone(r, 1, 2); }, 100);
+  engine.run();
+  EXPECT_EQ(zone_a, 0);
+  EXPECT_EQ(zone_b, 4);
+  EXPECT_EQ(r->zone_for_partition(0, 2), 0);
+  EXPECT_EQ(r->zone_for_partition(1, 2), 4);
+}
+
 TEST(Os, ImmediatePlacementWithoutMigrationStaysMisplaced) {
   // Control for the test above: same touch pattern, migration off --
   // the remote half keeps the allocation-time home zone and the
