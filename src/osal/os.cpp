@@ -59,10 +59,10 @@ Thread* Os::spawn_thread(std::string name, std::function<void()> fn, int cpu,
     for (auto& tok : raw->joiners_) engine_->wake_token_at(tok, engine_->now());
     raw->joiners_.clear();
   };
-  raw->sim_thread_ = engine_->spawn(raw->name(), std::move(body));
-  raw->sim_thread_->user_data = raw;
+  sim::SimThread* st = engine_->spawn(raw->name(), std::move(body));
+  st->user_data = raw;
   threads_.push_back(std::move(thread));
-  engine_->wake(raw->sim_thread_);
+  engine_->wake(st);
   return raw;
 }
 
@@ -90,8 +90,6 @@ void Os::yield() {
   charge_syscall();
   engine_->yield_now();
 }
-
-void Os::sleep_ns(sim::Time ns) { engine_->sleep_for(ns); }
 
 void Os::charge_syscall() {
   if (engine_->current() != nullptr && costs_.syscall_ns > 0) {

@@ -37,6 +37,8 @@ namespace kop::osal {
 class Thread {
  public:
   Thread(std::string name, int cpu) : name_(std::move(name)), cpu_(cpu) {}
+  Thread(const Thread&) = delete;
+  Thread& operator=(const Thread&) = delete;
 
   const std::string& name() const { return name_; }
   int bound_cpu() const { return cpu_; }
@@ -48,7 +50,6 @@ class Thread {
   std::string name_;
   int cpu_;
   bool done_ = false;
-  sim::SimThread* sim_thread_ = nullptr;
   std::vector<sim::WakeToken> joiners_;
 };
 
@@ -77,6 +78,8 @@ enum class SysConfKey {
 class Os {
  public:
   Os(sim::Engine& engine, hw::MachineConfig machine, hw::OsCosts costs);
+  Os(const Os&) = delete;
+  Os& operator=(const Os&) = delete;
   virtual ~Os();
 
   sim::Engine& engine() { return *engine_; }
@@ -112,7 +115,6 @@ class Os {
   Thread* current_thread();
   int current_cpu();
   void yield();
-  void sleep_ns(sim::Time ns);
   /// Charge one user->kernel->user crossing to the calling thread.
   void charge_syscall();
 
