@@ -156,18 +156,18 @@ class Os {
   /// OS-specific placement: page size, demand paging, zone assignment.
   virtual void place_region(hw::MemRegion& region, AllocPolicy policy) = 0;
 
-  /// Granularity of deferred (first-touch) zone assignment.
-  static constexpr int kFirstTouchSlices = 64;
-
   /// Marks a region for first-touch assignment (all slices unassigned).
   static void defer_placement(hw::MemRegion& region);
 
   sim::Engine* engine_;
   hw::MachineConfig machine_;
   hw::OsCosts costs_;
-  hw::ExecModel exec_;
 
  private:
+  /// Granularity of deferred (first-touch) zone assignment.
+  static constexpr int kFirstTouchSlices = 64;
+
+  hw::ExecModel exec_;
   Tracer tracer_;
   telemetry::CounterFabric counters_;
   ompt::Registry tools_;
