@@ -12,10 +12,10 @@
 using namespace kop;
 
 int main() {
-  rtk::RtkOptions options;
-  options.machine = hw::phi();
-  rtk::RtkStack stack(std::move(options));
-  stack.kernel().set_env("OMP_NUM_THREADS", "16");
+  sim::Engine engine(42);
+  nautilus::NautilusKernel kernel(engine, hw::phi());
+  rtk::RtkStack stack(kernel, /*use_pte_pthreads=*/false);
+  kernel.set_env("OMP_NUM_THREADS", "16");
 
   std::printf("RTK: OpenMP inside kernel shell commands\n\n");
 
@@ -67,14 +67,14 @@ int main() {
     });
     os.free_region(zone0);
     std::printf("  [scrub] 2 GiB scrubbed in parallel, virtual time %.3f ms\n",
-                sim::to_seconds(stack.engine().now()) * 1e3);
+                sim::to_seconds(engine.now()) * 1e3);
     return 0;
   });
 
   const int rc1 = stack.run_shell("checksum");
   const int rc2 = stack.run_shell("scrub");
   std::printf("\nshell commands available: ");
-  for (const auto& name : stack.kernel().shell_command_names())
+  for (const auto& name : kernel.shell_command_names())
     std::printf("%s ", name.c_str());
   std::printf("\nexit codes: checksum=%d scrub=%d\n", rc1, rc2);
   return rc1 | rc2;

@@ -11,11 +11,10 @@
 using namespace kop;
 
 int main() {
-  pik::PikOptions options;
-  options.machine = hw::phi();
-  options.app_static_bytes = 256ULL << 20;
-  pik::PikStack stack(std::move(options));
-  stack.os().set_env("OMP_NUM_THREADS", "8");
+  sim::Engine engine(42);
+  pik::PikOs os(engine, hw::phi());
+  pik::PikStack stack(os, /*app_static_bytes=*/256ULL << 20);
+  os.set_env("OMP_NUM_THREADS", "8");
 
   const int code = stack.run_app("npb.kernel.x", [&](komp::Runtime& rt) {
     // The app: a parallel region plus some console output through the

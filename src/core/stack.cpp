@@ -1,11 +1,14 @@
 #include "core/stack.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "hw/topology.hpp"
 #include "komp/tuning.hpp"
 #include "linuxmodel/linux_os.hpp"
 #include "nautilus/kernel.hpp"
+#include "nautilus/loader.hpp"
 #include "pik/pik.hpp"
 #include "rtk/rtk.hpp"
 
@@ -24,6 +27,10 @@ const char* path_name(PathKind p) {
 
 namespace {
 
+/// The Nautilus kernel core in a boot image: the compiled kernel, the
+/// ported libomp and the pthread layer.
+constexpr std::uint64_t kKernelCoreBytes = 48ULL << 20;
+
 void apply_env(osal::Os& os, const StackConfig& config) {
   if (config.num_threads > 0)
     os.set_env("OMP_NUM_THREADS", std::to_string(config.num_threads));
@@ -31,222 +38,109 @@ void apply_env(osal::Os& os, const StackConfig& config) {
   if (config.numa_migrate) os.set_next_touch_migration(true);
 }
 
-int effective_width(const StackConfig& config, const hw::MachineConfig& m) {
-  return config.num_threads > 0 ? std::min(config.num_threads, m.num_cpus)
-                                : m.num_cpus;
-}
-
 [[noreturn]] void wrong_path(const char* wanted, PathKind actual) {
   throw std::logic_error(std::string("Stack: ") + wanted +
                          " is not runnable on path " + path_name(actual));
 }
 
-class LinuxOmpStack final : public Stack {
- public:
-  explicit LinuxOmpStack(StackConfig config)
-      : config_(std::move(config)),
-        machine_(hw::machine_by_name(config_.machine)),
-        engine_(config_.seed, config_.sched),
-        os_(engine_, machine_),
-        pthreads_(os_, pthread_compat::linux_glibc_tuning()) {
-    if (config_.racecheck) engine_.enable_racecheck();
-    apply_env(os_, config_);
-  }
-
-  PathKind path() const override { return PathKind::kLinuxOmp; }
-  sim::Engine& engine() override { return engine_; }
-  osal::Os& os() override { return os_; }
-  const StackConfig& config() const override { return config_; }
-
-  int run_omp_app(OmpApp app) override {
-    int code = -1;
-    os_.spawn_thread(
-        "main",
-        [this, app = std::move(app), &code]() {
-          komp::Runtime runtime(pthreads_, komp::linux_libomp_tuning());
-          code = app(runtime);
-        },
-        /*cpu=*/0);
-    engine_.run();
-    return code;
-  }
-
-  int run_cck_app(CckApp) override { wrong_path("CckApp", path()); }
-
- private:
-  StackConfig config_;
-  hw::MachineConfig machine_;
-  sim::Engine engine_;
-  linuxmodel::LinuxOs os_;
-  pthread_compat::Pthreads pthreads_;
-};
-
-class RtkPathStack final : public Stack {
- public:
-  explicit RtkPathStack(StackConfig config) : config_(std::move(config)) {
-    rtk::RtkOptions opts;
-    opts.machine = hw::machine_by_name(config_.machine);
-    opts.kernel_config.first_touch_at_2mb = config_.nk_first_touch;
-    opts.use_pte_pthreads = config_.rtk_use_pte;
-    opts.seed = config_.seed;
-    opts.sched = config_.sched;
-    opts.racecheck = config_.racecheck;
-    opts.app_static_bytes = config_.app_static_bytes;
-    impl_ = std::make_unique<rtk::RtkStack>(std::move(opts));
-    apply_env(impl_->kernel(), config_);
-  }
-
-  PathKind path() const override { return PathKind::kRtk; }
-  sim::Engine& engine() override { return impl_->engine(); }
-  osal::Os& os() override { return impl_->kernel(); }
-  const StackConfig& config() const override { return config_; }
-
-  int run_omp_app(OmpApp app) override { return impl_->run_app(std::move(app)); }
-  int run_cck_app(CckApp) override { wrong_path("CckApp", path()); }
-
-  rtk::RtkStack& rtk() { return *impl_; }
-
- private:
-  StackConfig config_;
-  std::unique_ptr<rtk::RtkStack> impl_;
-};
-
-class PikPathStack final : public Stack {
- public:
-  explicit PikPathStack(StackConfig config) : config_(std::move(config)) {
-    pik::PikOptions opts;
-    opts.machine = hw::machine_by_name(config_.machine);
-    opts.seed = config_.seed;
-    opts.sched = config_.sched;
-    opts.racecheck = config_.racecheck;
-    opts.app_static_bytes = config_.app_static_bytes;
-    impl_ = std::make_unique<pik::PikStack>(std::move(opts));
-    apply_env(impl_->os(), config_);
-  }
-
-  PathKind path() const override { return PathKind::kPik; }
-  sim::Engine& engine() override { return impl_->engine(); }
-  osal::Os& os() override { return impl_->os(); }
-  const StackConfig& config() const override { return config_; }
-
-  int run_omp_app(OmpApp app) override {
-    return impl_->run_app("app", std::move(app));
-  }
-  int run_cck_app(CckApp) override { wrong_path("CckApp", path()); }
-
-  pik::PikStack& pik() { return *impl_; }
-
- private:
-  StackConfig config_;
-  std::unique_ptr<pik::PikStack> impl_;
-};
-
-class AutoMpLinuxStack final : public Stack {
- public:
-  explicit AutoMpLinuxStack(StackConfig config)
-      : config_(std::move(config)),
-        machine_(hw::machine_by_name(config_.machine)),
-        engine_(config_.seed, config_.sched),
-        os_(engine_, machine_) {
-    if (config_.racecheck) engine_.enable_racecheck();
-    apply_env(os_, config_);
-  }
-
-  PathKind path() const override { return PathKind::kAutoMpLinux; }
-  sim::Engine& engine() override { return engine_; }
-  osal::Os& os() override { return os_; }
-  const StackConfig& config() const override { return config_; }
-
-  int run_omp_app(OmpApp) override { wrong_path("OmpApp", path()); }
-
-  int run_cck_app(CckApp app) override {
-    const int width = effective_width(config_, machine_);
-    int code = -1;
-    os_.spawn_thread(
-        "main",
-        [this, width, app = std::move(app), &code]() {
-          osal::TaskQueues vg(os_, osal::TaskQueues::kUser, width);
-          vg.start();
-          code = app(os_, vg);
-          vg.stop();
-        },
-        /*cpu=*/0);
-    engine_.run();
-    return code;
-  }
-
- private:
-  StackConfig config_;
-  hw::MachineConfig machine_;
-  sim::Engine engine_;
-  linuxmodel::LinuxOs os_;
-};
-
-class AutoMpNautilusStack final : public Stack {
- public:
-  explicit AutoMpNautilusStack(StackConfig config)
-      : config_(std::move(config)),
-        machine_(hw::machine_by_name(config_.machine)) {
-    // CCK links the app into the boot image like RTK does: same
-    // MMIO-overlap constraint (§6.2).
-    nautilus::BootImage image;
-    image.kernel_bytes = 48ULL << 20;
-    image.app_static_bytes = config_.app_static_bytes;
-    nautilus::BootLayout::check(machine_, image);
-
-    engine_ = std::make_unique<sim::Engine>(config_.seed, config_.sched);
-    if (config_.racecheck) engine_->enable_racecheck();
-    nautilus::NautilusConfig kc;
-    kc.first_touch_at_2mb = config_.nk_first_touch;
-    kernel_ = std::make_unique<nautilus::NautilusKernel>(*engine_, machine_, kc);
-    apply_env(*kernel_, config_);
-  }
-
-  PathKind path() const override { return PathKind::kAutoMpNautilus; }
-  sim::Engine& engine() override { return *engine_; }
-  osal::Os& os() override { return *kernel_; }
-  const StackConfig& config() const override { return config_; }
-
-  int run_omp_app(OmpApp) override { wrong_path("OmpApp", path()); }
-
-  int run_cck_app(CckApp app) override {
-    const int width = effective_width(config_, machine_);
-    int code = -1;
-    kernel_->spawn_thread(
-        "main",
-        [this, width, app = std::move(app), &code]() {
-          kernel_->task_system().start(width);
-          code = app(*kernel_, kernel_->task_system());
-          kernel_->task_system().stop();
-        },
-        /*cpu=*/0);
-    engine_->run();
-    return code;
-  }
-
- private:
-  StackConfig config_;
-  hw::MachineConfig machine_;
-  std::unique_ptr<sim::Engine> engine_;
-  std::unique_ptr<nautilus::NautilusKernel> kernel_;
-};
+/// Spawn `main` as thread "main" on CPU 0, drain the engine, and return
+/// the exit code it produced.
+int run_main(osal::Os& os, const std::function<int()>& main) {
+  int code = -1;
+  os.spawn_thread("main", [&]() { code = main(); }, /*cpu=*/0);
+  os.engine().run();
+  return code;
+}
 
 }  // namespace
 
-std::unique_ptr<Stack> Stack::create(const StackConfig& config) {
-  switch (config.path) {
-    case PathKind::kLinuxOmp:
-      return std::make_unique<LinuxOmpStack>(config);
-    case PathKind::kRtk:
-      return std::make_unique<RtkPathStack>(config);
-    case PathKind::kPik:
-      return std::make_unique<PikPathStack>(config);
-    case PathKind::kAutoMpLinux:
-      return std::make_unique<AutoMpLinuxStack>(config);
-    case PathKind::kAutoMpNautilus:
-      return std::make_unique<AutoMpNautilusStack>(config);
+Stack::Stack(const StackConfig& config) : config_(config) {
+  const hw::MachineConfig machine = hw::machine_by_name(config_.machine);
+  if (path() == PathKind::kRtk || path() == PathKind::kAutoMpNautilus) {
+    // RTK and CCK link the app into the Nautilus boot image, so its
+    // static data must clear the MMIO hole (§3.1, §6.2); checked before
+    // anything "runs", like the link step that produces the image.
+    nautilus::BootImage image;
+    image.kernel_bytes = kKernelCoreBytes;
+    image.app_static_bytes = config_.app_static_bytes;
+    nautilus::BootLayout::check(machine, image);
   }
-  throw std::invalid_argument("Stack::create: unknown path");
+
+  engine_ = std::make_unique<sim::Engine>(config_.seed, config_.sched);
+  if (config_.racecheck) engine_->enable_racecheck();
+
+  switch (path()) {
+    case PathKind::kLinuxOmp:
+    case PathKind::kAutoMpLinux:
+      os_ = std::make_unique<linuxmodel::LinuxOs>(*engine_, machine);
+      if (path() == PathKind::kLinuxOmp)
+        pthreads_ = std::make_unique<pthread_compat::Pthreads>(
+            *os_, pthread_compat::linux_glibc_tuning());
+      break;
+    case PathKind::kRtk:
+    case PathKind::kAutoMpNautilus: {
+      nautilus::NautilusConfig kc;
+      kc.first_touch_at_2mb = config_.nk_first_touch;
+      auto kernel =
+          std::make_unique<nautilus::NautilusKernel>(*engine_, machine, kc);
+      kernel_ = kernel.get();
+      os_ = std::move(kernel);
+      if (path() == PathKind::kRtk)
+        rtk_ = std::make_unique<rtk::RtkStack>(*kernel_, config_.rtk_use_pte);
+      break;
+    }
+    case PathKind::kPik: {
+      auto pik_os = std::make_unique<pik::PikOs>(*engine_, machine);
+      pik_ = std::make_unique<pik::PikStack>(*pik_os, config_.app_static_bytes);
+      os_ = std::move(pik_os);
+      break;
+    }
+  }
+  apply_env(*os_, config_);
+}
+
+Stack::~Stack() = default;
+
+std::unique_ptr<Stack> Stack::create(const StackConfig& config) {
+  return std::unique_ptr<Stack>(new Stack(config));
+}
+
+int Stack::run_omp_app(OmpApp app) {
+  switch (path()) {
+    case PathKind::kLinuxOmp:
+      return run_main(*os_, [&]() {
+        komp::Runtime runtime(*pthreads_, komp::linux_libomp_tuning());
+        return app(runtime);
+      });
+    case PathKind::kRtk:
+      return rtk_->run_app(std::move(app));
+    case PathKind::kPik:
+      return pik_->run_app("app", std::move(app));
+    case PathKind::kAutoMpLinux:
+    case PathKind::kAutoMpNautilus:
+      break;
+  }
+  wrong_path("OmpApp", path());
+}
+
+int Stack::run_cck_app(CckApp app) {
+  if (is_omp_path()) wrong_path("CckApp", path());
+  const int cpus = os_->machine().num_cpus;
+  const int width =
+      config_.num_threads > 0 ? std::min(config_.num_threads, cpus) : cpus;
+  return run_main(*os_, [&]() {
+    // Kernel VIRGIL is the kernel's own task system; user VIRGIL is a
+    // pool of `width` lanes on the Linux model, alive for this run.
+    std::optional<osal::TaskQueues> user;
+    virgil::Virgil& vg =
+        kernel_ != nullptr
+            ? kernel_->task_system()
+            : user.emplace(*os_, osal::TaskQueues::kUser, width);
+    vg.start(width);
+    const int code = app(*os_, vg);
+    vg.stop();
+    return code;
+  });
 }
 
 }  // namespace kop::core

@@ -24,6 +24,16 @@
 #include "sim/engine.hpp"
 #include "virgil/virgil.hpp"
 
+namespace kop::nautilus {
+class NautilusKernel;
+}
+namespace kop::pik {
+class PikStack;
+}
+namespace kop::rtk {
+class RtkStack;
+}
+
 namespace kop::core {
 
 enum class PathKind { kLinuxOmp, kRtk, kPik, kAutoMpLinux, kAutoMpNautilus };
@@ -57,33 +67,47 @@ struct StackConfig {
   std::vector<std::pair<std::string, std::string>> env;
 };
 
+/// One configuration's world, built in one order: the boot-image check
+/// (RTK and CCK-on-Nautilus link the app into the kernel image), the
+/// engine, the path's Os, then the libomp launcher.
 class Stack {
  public:
-  virtual ~Stack() = default;
-
   /// Build the full stack for a configuration.  Throws
   /// nautilus::BootOverlapError if an RTK/CCK boot image cannot fit.
   static std::unique_ptr<Stack> create(const StackConfig& config);
+  ~Stack();
 
-  virtual PathKind path() const = 0;
-  virtual sim::Engine& engine() = 0;
-  virtual osal::Os& os() = 0;
-  virtual const StackConfig& config() const = 0;
+  PathKind path() const { return config_.path; }
+  sim::Engine& engine() { return *engine_; }
+  osal::Os& os() { return *os_; }
+  const StackConfig& config() const { return config_; }
 
   using OmpApp = std::function<int(komp::Runtime&)>;
   using CckApp = std::function<int(osal::Os&, virgil::Virgil&)>;
 
   /// Run an OpenMP application (libomp paths only; throws otherwise).
   /// Drains the engine; returns the app's exit code.
-  virtual int run_omp_app(OmpApp app) = 0;
+  int run_omp_app(OmpApp app);
   /// Run a CCK/AutoMP application (AutoMP paths only; throws otherwise).
-  virtual int run_cck_app(CckApp app) = 0;
+  int run_cck_app(CckApp app);
 
   /// Whether this path runs OmpApps (vs CckApps).
   bool is_omp_path() const {
     return path() == PathKind::kLinuxOmp || path() == PathKind::kRtk ||
            path() == PathKind::kPik;
   }
+
+ private:
+  explicit Stack(const StackConfig& config);
+
+  StackConfig config_;
+  // Declared so the engine outlives the Os and the Os its launcher.
+  std::unique_ptr<sim::Engine> engine_;
+  std::unique_ptr<osal::Os> os_;
+  nautilus::NautilusKernel* kernel_ = nullptr;  // rtk, nk-automp
+  std::unique_ptr<pthread_compat::Pthreads> pthreads_;  // linux-omp
+  std::unique_ptr<rtk::RtkStack> rtk_;
+  std::unique_ptr<pik::PikStack> pik_;
 };
 
 }  // namespace kop::core

@@ -221,13 +221,23 @@ TaskPool::TaskHandle TaskPool::pop_or_steal(int tid, StealKind* steal) {
   return kNoTask;
 }
 
+/// Hierarchical stealing (KOMP_NUMA_SCHED=hier) only raids a remote
+/// zone's victim when that victim holds at least this many queued tasks
+/// -- shallow remote deques are not worth the SLIT hop.  A liveness
+/// pass ignores the threshold when no candidate clears it.
+constexpr std::size_t kRemoteStealMinQueue = 4;
+/// Tasks taken per successful remote steal: the first executes as the
+/// stolen task, the rest are re-queued on the thief's own deque so
+/// followers find them locally (amortizes the remote transfer).
+constexpr int kRemoteStealBatch = 4;
+
 // Hierarchical steal: same-zone victims first (flat ring order), then
 // remote zones ascending SLIT distance.  Pass 0 only raids a remote
-// deque holding >= remote_steal_min_queue tasks; if that gate starved
+// deque holding >= kRemoteStealMinQueue tasks; if that gate starved
 // the thief while remote work existed, pass 1 retries remote victims
 // ungated so the pool can never wedge with work outstanding.  A remote
 // hit takes a batch: the front task executes as the stolen one, up to
-// remote_steal_batch-1 followers are re-queued on the thief's own deque
+// kRemoteStealBatch-1 followers are re-queued on the thief's own deque
 // so same-zone neighbours find them locally.
 TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
   const auto& order = steal_order_[static_cast<std::size_t>(tid)];
@@ -247,9 +257,7 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
         lock.unlock();
         continue;
       }
-      if (pass == 0 && remote &&
-          dq.size() <
-              static_cast<std::size_t>(tuning_->remote_steal_min_queue)) {
+      if (pass == 0 && remote && dq.size() < kRemoteStealMinQueue) {
         gated_remote = true;
         lock.unlock();
         continue;
@@ -261,7 +269,7 @@ TaskPool::TaskHandle TaskPool::steal_hier(int tid, StealKind* steal) {
       --queued_;
       std::vector<TaskHandle> batch;
       if (remote) {
-        for (int k = 1; k < tuning_->remote_steal_batch && !dq.empty(); ++k) {
+        for (int k = 1; k < kRemoteStealBatch && !dq.empty(); ++k) {
           batch.push_back(dq.front());
           dq.pop_front();
         }

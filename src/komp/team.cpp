@@ -118,10 +118,6 @@ void TeamThread::for_loop_impl(Schedule sched, int chunk, std::int64_t lo,
                                bool nowait, ompt::WorkKind kind) {
   const RuntimeTuning& tune = runtime().tuning();
   os().compute_ns(tune.dispatch_init_ns);
-  if (sched == Schedule::kRuntime) {
-    sched = runtime().icv().run_sched_var;
-    if (chunk <= 0) chunk = runtime().icv().run_sched_chunk;
-  }
   ompt::Registry& tools = os().tools();
   tools.emit([&](ompt::Tool& t) {
     t.on_work(kind, ompt::Endpoint::kBegin, os().engine().now(), tid_,
@@ -132,7 +128,7 @@ void TeamThread::for_loop_impl(Schedule sched, int chunk, std::int64_t lo,
   const std::int64_t total = std::max<std::int64_t>(0, hi - lo);
 
   switch (sched) {
-    case Schedule::kRuntime:  // resolved above; fall through to static
+    case Schedule::kRuntime:  // for_loop resolves it; unreachable
     case Schedule::kStatic: {
       // One contiguous block per thread, split *proportionally*
       // (thread t gets [t*total/n, (t+1)*total/n)).  Proportional
@@ -157,35 +153,7 @@ void TeamThread::for_loop_impl(Schedule sched, int chunk, std::int64_t lo,
       }
       break;
     }
-    case Schedule::kDynamic: {
-      auto st = team_->loop_state(gen);
-      sim::race::atomic_load(os().engine(), &st->init);
-      if (!st->init) {
-        st->init = true;
-        st->next = lo;
-        st->hi = hi;
-        st->chunk = std::max<std::int64_t>(1, chunk);
-        sim::race::atomic_store(os().engine(), &st->init, "LoopState::init");
-      }
-      for (;;) {
-        os().compute_ns(tune.dispatch_next_ns);
-        ++st->grabbers;
-        os().atomic_op(st->grabbers - 1);
-        --st->grabbers;
-        sim::race::atomic_rmw(os().engine(), &st->next, "LoopState::next");
-        sim::race::plain_read(os().engine(), &st->hi, "LoopState::hi");
-        if (st->next >= st->hi) break;
-        const std::int64_t b = st->next;
-        const std::int64_t e = std::min(st->hi, b + st->chunk);
-        st->next = e;
-        tools.emit([&](ompt::Tool& t) {
-          t.on_dispatch(os().engine().now(), tid_, b, e);
-        });
-        body(b, e);
-      }
-      team_->finish_loop(gen, *st);
-      break;
-    }
+    case Schedule::kDynamic:
     case Schedule::kGuided: {
       auto st = team_->loop_state(gen);
       sim::race::atomic_load(os().engine(), &st->init);
@@ -193,7 +161,7 @@ void TeamThread::for_loop_impl(Schedule sched, int chunk, std::int64_t lo,
         st->init = true;
         st->next = lo;
         st->hi = hi;
-        st->chunk = std::max<std::int64_t>(1, chunk);  // minimum chunk
+        st->chunk = std::max<std::int64_t>(1, chunk);  // guided: the minimum
         sim::race::atomic_store(os().engine(), &st->init, "LoopState::init");
       }
       for (;;) {
@@ -205,8 +173,13 @@ void TeamThread::for_loop_impl(Schedule sched, int chunk, std::int64_t lo,
         sim::race::plain_read(os().engine(), &st->hi, "LoopState::hi");
         const std::int64_t remaining = st->hi - st->next;
         if (remaining <= 0) break;
+        // Guided grabs a 1/(2n) share of what remains, never less than
+        // the chunk; dynamic grabs the chunk.
         const std::int64_t c =
-            std::max(st->chunk, remaining / (2 * static_cast<std::int64_t>(n)));
+            sched == Schedule::kGuided
+                ? std::max(st->chunk,
+                           remaining / (2 * static_cast<std::int64_t>(n)))
+                : st->chunk;
         const std::int64_t b = st->next;
         const std::int64_t e = std::min(st->hi, b + c);
         st->next = e;

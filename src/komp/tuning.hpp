@@ -41,15 +41,6 @@ struct RuntimeTuning {
   /// transfers inside the barrier (models the port's extra layers).
   sim::Time barrier_step_extra_ns = 0;
   BarrierAlgo barrier_algo = BarrierAlgo::kTree;
-  /// Hierarchical stealing (KOMP_NUMA_SCHED=hier) only raids a remote
-  /// zone's victim when that victim holds at least this many queued
-  /// tasks -- shallow remote deques are not worth the SLIT hop.  A
-  /// liveness pass ignores the threshold when no candidate clears it.
-  int remote_steal_min_queue = 4;
-  /// Tasks taken per successful remote steal: the first executes as the
-  /// stolen task, the rest are re-queued on the thief's own deque so
-  /// followers find them locally (amortizes the remote transfer).
-  int remote_steal_batch = 4;
 };
 
 /// Stock libomp on Linux.

@@ -6,17 +6,6 @@
 
 namespace kop::nautilus {
 
-namespace {
-/// Simulated physical layout: zones stacked above 4 GB so the boot/MMIO
-/// area below stays clear for BootLayout.
-std::uint64_t zone_base(int zone_id, const hw::MachineConfig& m) {
-  std::uint64_t base = 4ULL << 30;
-  for (int z = 0; z < zone_id; ++z)
-    base += m.zones[static_cast<std::size_t>(z)].bytes;
-  return base;
-}
-}  // namespace
-
 NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
                                NautilusConfig config)
     : NautilusKernel(engine, machine, config,
@@ -25,24 +14,11 @@ NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
 NautilusKernel::NautilusKernel(sim::Engine& engine, hw::MachineConfig machine,
                                NautilusConfig config, hw::OsCosts costs)
     : Os(engine, std::move(machine), std::move(costs)), config_(config) {
-  zone_allocators_.reserve(machine_.zones.size());
-  for (const auto& z : machine_.zones) {
-    zone_allocators_.push_back(std::make_unique<BuddyAllocator>(
-        zone_base(z.id, machine_), z.bytes, /*min_block=*/4096));
-  }
   task_system_ = std::make_unique<osal::TaskQueues>(
       *this, osal::TaskQueues::kKernel, machine_.num_cpus);
-  loader_ = std::make_unique<Loader>(*zone_allocators_.front());
-  irq_ = std::make_unique<IrqController>(*this, fpu_);
-  tls_ = std::make_unique<TlsSupport>(*zone_allocators_.front());
-  if (config_.steer_interrupts) irq_->steer_all_to(0);
 }
 
 NautilusKernel::~NautilusKernel() = default;
-
-BuddyAllocator& NautilusKernel::zone_allocator(int zone) {
-  return *zone_allocators_.at(static_cast<std::size_t>(zone));
-}
 
 void NautilusKernel::place_region(hw::MemRegion& region,
                                   osal::AllocPolicy policy) {

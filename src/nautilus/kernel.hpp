@@ -1,9 +1,12 @@
 // The Nautilus kernel facade: an osal::Os with the HRT-supporting
-// subsystems the paper relies on -- buddy allocators per NUMA zone,
-// the SoftIRQ-like task system, the executable loader, interrupt
-// steering, hardware TLS, a kernel environment-variable service and
-// sysconf (§3.4), and the shell command registry through which RTK
-// applications' main() is started (§3.1).
+// subsystems a stack reaches -- identity-mapped placement on the
+// largest pages, the SoftIRQ-like task system, a kernel
+// environment-variable service and sysconf (§3.4), and the shell
+// command registry through which RTK applications' main() is started
+// (§3.1).  The buddy allocator, the executable loader, hardware TLS,
+// interrupt steering and lazy SSE (buddy.hpp, loader.hpp, tls.hpp,
+// irq.hpp) are standalone models: PIK's process builds the first
+// three, and the tests build each one they check.
 #pragma once
 
 #include <functional>
@@ -12,10 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "nautilus/buddy.hpp"
-#include "nautilus/irq.hpp"
-#include "nautilus/loader.hpp"
-#include "nautilus/tls.hpp"
 #include "osal/osal.hpp"
 #include "osal/task_queues.hpp"
 
@@ -26,8 +25,6 @@ struct NautilusConfig {
   /// of immediate single-zone allocation (needed for good NUMA behavior
   /// on 8XEON at 24+ cores).
   bool first_touch_at_2mb = false;
-  /// Steer device interrupts to CPU 0 (the HRT default).
-  bool steer_interrupts = true;
 };
 
 /// A shell command takes argv-style arguments and returns an exit code.
@@ -48,11 +45,6 @@ class NautilusKernel final : public osal::Os {
   /// The SoftIRQ-like per-CPU task queues (one lane per CPU); kernel
   /// VIRGIL is this object.
   osal::TaskQueues& task_system() { return *task_system_; }
-  BuddyAllocator& zone_allocator(int zone);
-  Loader& loader() { return *loader_; }
-  IrqController& irq() { return *irq_; }
-  FpuManager& fpu() { return fpu_; }
-  TlsSupport& tls() { return *tls_; }
 
   // --- shell (RTK launch path: main() becomes a shell command) ---
   void register_shell_command(const std::string& name, ShellCommand fn);
@@ -67,12 +59,7 @@ class NautilusKernel final : public osal::Os {
 
  private:
   NautilusConfig config_;
-  std::vector<std::unique_ptr<BuddyAllocator>> zone_allocators_;
   std::unique_ptr<osal::TaskQueues> task_system_;
-  std::unique_ptr<Loader> loader_;
-  FpuManager fpu_;
-  std::unique_ptr<IrqController> irq_;
-  std::unique_ptr<TlsSupport> tls_;
   std::map<std::string, ShellCommand> shell_;
 };
 

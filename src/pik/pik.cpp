@@ -24,10 +24,8 @@ nautilus::ExecutableImage default_app_image(const std::string& name,
   return img;
 }
 
-PikStack::PikStack(PikOptions options) : options_(std::move(options)) {
-  engine_ = std::make_unique<sim::Engine>(options_.seed, options_.sched);
-  if (options_.racecheck) engine_->enable_racecheck();
-  os_ = std::make_unique<PikOs>(*engine_, options_.machine);
+PikStack::PikStack(PikOs& os, std::uint64_t app_static_bytes)
+    : os_(&os), app_static_bytes_(app_static_bytes) {
   // Physical window the loader and mmap emulation draw from.
   phys_ = std::make_unique<nautilus::BuddyAllocator>(
       /*base=*/4ULL << 30, /*size=*/32ULL << 30, /*min_block=*/4096);
@@ -124,13 +122,13 @@ void PikStack::install_syscalls() {
                        [](const SyscallArgs&) { return SyscallResult{0, {}}; });
 
   syscalls_->implement(Sys::kSchedYield, [this](const SyscallArgs&) {
-    if (engine_->current() != nullptr) engine_->post_in(0, [] {});
+    if (os_->engine().current() != nullptr) os_->engine().post_in(0, [] {});
     return SyscallResult{0, {}};
   });
 
   syscalls_->implement(Sys::kNanosleep, [this](const SyscallArgs& a) {
-    if (engine_->current() != nullptr)
-      engine_->sleep_for(static_cast<sim::Time>(a.arg[0]));
+    if (os_->engine().current() != nullptr)
+      os_->engine().sleep_for(static_cast<sim::Time>(a.arg[0]));
     return SyscallResult{0, {}};
   });
 
@@ -180,7 +178,7 @@ void PikStack::install_syscalls() {
   syscalls_->implement(Sys::kClockGettime, [this](const SyscallArgs&) {
     // The vDSO is not detected (§4.3), so time queries are real
     // syscalls in PIK.
-    return SyscallResult{static_cast<long>(engine_->now()), {}};
+    return SyscallResult{static_cast<long>(os_->engine().now()), {}};
   });
 
   syscalls_->implement(Sys::kExitGroup, [this](const SyscallArgs& a) {
@@ -244,7 +242,7 @@ void PikStack::prestart(PikProcess& proc) {
 }
 
 int PikStack::run_app(const std::string& name, AppMain app) {
-  return run_app(name, default_app_image(name, options_.app_static_bytes),
+  return run_app(name, default_app_image(name, app_static_bytes_),
                  std::move(app));
 }
 
@@ -259,7 +257,7 @@ int PikStack::run_app(const std::string& name,
       "pik:" + name,
       [this, image, app = std::move(app)]() {
         // Loader: validate header, place the blob, init BSS/TBSS (§4.2).
-        engine_->sleep_for(loader_->load_cost(image));
+        os_->engine().sleep_for(loader_->load_cost(image));
         process_->program = loader_->load(image);
 
         prestart(*process_);
@@ -275,7 +273,7 @@ int PikStack::run_app(const std::string& name,
         loader_->unload(process_->program);
       },
       /*cpu=*/0);
-  engine_->run();
+  os_->engine().run();
   return process_->exit_code;
 }
 

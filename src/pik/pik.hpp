@@ -3,9 +3,9 @@
 // kernel's multiboot2-aware loader into a kernel-mode process and run
 // against a Linux-emulating syscall interface.
 //
-// PikStack assembles: engine -> PikOs (kernel execution personality,
-// user-layout memory) -> loader + TLS + futex + syscall table ->
-// pristine glibc-tuned pthreads -> pristine libomp tuning -> app.
+// PikStack runs over a PikOs (kernel execution personality, user-layout
+// memory) and adds: loader + TLS + futex + syscall table -> pristine
+// glibc-tuned pthreads -> pristine libomp tuning -> app.
 #pragma once
 
 #include <functional>
@@ -23,18 +23,6 @@
 #include "pthread_compat/pthreads.hpp"
 
 namespace kop::pik {
-
-struct PikOptions {
-  hw::MachineConfig machine;
-  std::uint64_t seed = 42;
-  /// Engine scheduling policy (FIFO / seeded-random / PCT).
-  sim::SchedConfig sched;
-  /// Attach the vector-clock race detector.
-  bool racecheck = false;
-  /// Static data the application links in (PIK has no boot-image/MMIO
-  /// constraint: the loader places the image anywhere, §6.2).
-  std::uint64_t app_static_bytes = 64ULL << 20;
-};
 
 /// Build the static-PIE image nld would produce for an app: text,
 /// data, gigantic BSS, TLS template, and the whole user-space library
@@ -55,14 +43,14 @@ struct PikProcess {
 
 class PikStack {
  public:
-  explicit PikStack(PikOptions options);
+  /// A kernel-mode process world on `os`.  `app_static_bytes` is the
+  /// static data an app image links in; PIK has no boot-image/MMIO
+  /// constraint, since the loader places the image anywhere (§6.2).
+  PikStack(PikOs& os, std::uint64_t app_static_bytes);
   ~PikStack();
 
-  sim::Engine& engine() { return *engine_; }
-  PikOs& os() { return *os_; }
   SyscallTable& syscalls() { return *syscalls_; }
   pthread_compat::Pthreads& pthreads() { return *pthreads_; }
-  nautilus::Loader& loader() { return *loader_; }
   PikProcess* process() { return process_.get(); }
   const std::string& console() const { return console_; }
 
@@ -80,9 +68,8 @@ class PikStack {
   void install_syscalls();
   void prestart(PikProcess& proc);
 
-  PikOptions options_;
-  std::unique_ptr<sim::Engine> engine_;
-  std::unique_ptr<PikOs> os_;
+  PikOs* os_;
+  std::uint64_t app_static_bytes_;
   std::unique_ptr<nautilus::BuddyAllocator> phys_;
   std::unique_ptr<nautilus::Loader> loader_;
   std::unique_ptr<nautilus::TlsSupport> tls_;

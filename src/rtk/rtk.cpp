@@ -1,29 +1,15 @@
 #include "rtk/rtk.hpp"
 
 #include "komp/tuning.hpp"
-#include "nautilus/loader.hpp"
 
 namespace kop::rtk {
 
-RtkStack::RtkStack(RtkOptions options) : options_(std::move(options)) {
-  // The boot-image layout check happens before anything "runs", just
-  // like the link step that produces the bootable kernel.
-  nautilus::BootImage image;
-  image.kernel_bytes = options_.kernel_image_bytes;
-  image.app_static_bytes = options_.app_static_bytes;
-  nautilus::BootLayout::check(options_.machine, image);
-
-  engine_ = std::make_unique<sim::Engine>(options_.seed, options_.sched);
-  if (options_.racecheck) engine_->enable_racecheck();
-  kernel_ = std::make_unique<nautilus::NautilusKernel>(
-      *engine_, options_.machine, options_.kernel_config);
-  pthreads_ = std::make_unique<pthread_compat::Pthreads>(
-      *kernel_, options_.use_pte_pthreads
-                    ? pthread_compat::nautilus_pte_tuning()
-                    : pthread_compat::nautilus_native_tuning());
-}
-
-RtkStack::~RtkStack() = default;
+RtkStack::RtkStack(nautilus::NautilusKernel& kernel, bool use_pte_pthreads)
+    : kernel_(&kernel),
+      use_pte_pthreads_(use_pte_pthreads),
+      pthreads_(kernel, use_pte_pthreads
+                            ? pthread_compat::nautilus_pte_tuning()
+                            : pthread_compat::nautilus_native_tuning()) {}
 
 void RtkStack::register_app(const std::string& name, AppMain app) {
   apps_[name] = std::move(app);
@@ -33,7 +19,7 @@ void RtkStack::register_app(const std::string& name, AppMain app) {
     // lives exactly as long as the application (it is part of the
     // kernel image but its thread pool belongs to the app run).
     komp::RuntimeTuning tuning = komp::rtk_libomp_tuning();
-    if (options_.use_pte_pthreads) {
+    if (use_pte_pthreads_) {
       // The ported libomp suspends and wakes through the pthread
       // layer; the PTE port's per-call indirection (Fig. 2a) therefore
       // lands on every runtime primitive.
@@ -48,7 +34,7 @@ void RtkStack::register_app(const std::string& name, AppMain app) {
       tuning.task_exec_ns += extra / 2;
       tuning.reduction_leaf_ns += extra;
     }
-    komp::Runtime runtime(*pthreads_, tuning);
+    komp::Runtime runtime(pthreads_, tuning);
     return apps_.at(name)(runtime);
   });
 }
@@ -61,7 +47,7 @@ int RtkStack::run_shell(const std::string& name) {
         exit_code = kernel_->run_shell_command(name);
       },
       /*cpu=*/0);
-  engine_->run();
+  kernel_->engine().run();
   return exit_code;
 }
 

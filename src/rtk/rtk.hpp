@@ -4,17 +4,18 @@
 // layer; there are no syscalls -- every service is a function call
 // into the kernel.
 //
-// RtkStack assembles that world:
-//   engine -> NautilusKernel -> Pthreads (PTE port or customized) ->
-//   komp::Runtime (rtk tuning) -> application shell command
-// and reproduces the §3.1/§6.2 build-time constraint: the boot image
-// (kernel + statically linked application data) must not overlap MMIO,
-// which is what forces class-B inputs or dynamic allocation for
-// benchmarks with gigabyte-size globals.
+// RtkStack runs that world over a booted NautilusKernel:
+//   Pthreads (PTE port or customized) -> komp::Runtime (rtk tuning) ->
+//   application shell command
+// The §3.1/§6.2 build-time constraint -- the boot image (kernel +
+// statically linked application data) must not overlap MMIO, which is
+// what forces class-B inputs or dynamic allocation for benchmarks with
+// gigabyte-size globals -- is checked where the kernel is booted
+// (core::Stack).
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <map>
 #include <string>
 
 #include "komp/runtime.hpp"
@@ -23,35 +24,16 @@
 
 namespace kop::rtk {
 
-struct RtkOptions {
-  hw::MachineConfig machine;
-  nautilus::NautilusConfig kernel_config;
-  /// Fig. 2a (PTE port) vs Fig. 2b (customized) pthreads.
-  bool use_pte_pthreads = false;
-  std::uint64_t seed = 42;
-  /// Engine scheduling policy (FIFO / seeded-random / PCT).
-  sim::SchedConfig sched;
-  /// Attach the vector-clock race detector.
-  bool racecheck = false;
-  /// Size of the Nautilus kernel core in the boot image (compiled
-  /// kernel + ported libomp + pthread layer).
-  std::uint64_t kernel_image_bytes = 48ULL << 20;
-  /// Link-time static data of the application (the NAS globals).
-  /// Checked against the MMIO hole at "boot".
-  std::uint64_t app_static_bytes = 0;
-};
-
 class RtkStack {
  public:
-  /// "Boots" the kernel: validates the boot-image layout (throws
-  /// nautilus::BootOverlapError on overlap) and brings up the kernel.
-  explicit RtkStack(RtkOptions options);
-  ~RtkStack();
+  /// libomp over `kernel`'s pthread layer: the PTE port (Fig. 2a) or
+  /// the customized one (Fig. 2b).
+  RtkStack(nautilus::NautilusKernel& kernel, bool use_pte_pthreads);
 
-  sim::Engine& engine() { return *engine_; }
-  nautilus::NautilusKernel& kernel() { return *kernel_; }
-  pthread_compat::Pthreads& pthreads() { return *pthreads_; }
-  const RtkOptions& options() const { return options_; }
+  RtkStack(const RtkStack&) = delete;
+  RtkStack& operator=(const RtkStack&) = delete;
+
+  pthread_compat::Pthreads& pthreads() { return pthreads_; }
 
   /// The application entry point, converted to a shell command (§3.1).
   /// The komp runtime is brought up on the command's kernel thread and
@@ -67,10 +49,9 @@ class RtkStack {
   int run_app(AppMain app);
 
  private:
-  RtkOptions options_;
-  std::unique_ptr<sim::Engine> engine_;
-  std::unique_ptr<nautilus::NautilusKernel> kernel_;
-  std::unique_ptr<pthread_compat::Pthreads> pthreads_;
+  nautilus::NautilusKernel* kernel_;
+  bool use_pte_pthreads_;
+  pthread_compat::Pthreads pthreads_;
   std::map<std::string, AppMain> apps_;
 };
 

@@ -7,6 +7,7 @@
 #include "core/stack.hpp"
 #include "harness/experiment.hpp"
 #include "linuxmodel/linux_os.hpp"
+#include "nautilus/buddy.hpp"
 #include "nautilus/kernel.hpp"
 #include "osal/sync.hpp"
 #include "pthread_compat/pthreads.hpp"

@@ -2,7 +2,11 @@
 // system, loader + boot layout, IRQ/FPU models, TLS, shell, placement.
 #include <gtest/gtest.h>
 
+#include "nautilus/buddy.hpp"
+#include "nautilus/irq.hpp"
 #include "nautilus/kernel.hpp"
+#include "nautilus/loader.hpp"
+#include "nautilus/tls.hpp"
 #include "virgil/virgil.hpp"
 
 namespace kop::nautilus {
@@ -206,25 +210,28 @@ TEST(Fpu, LazySaveIdentifiesOffendersAndNoSseFixesThem) {
 
 TEST(Irq, SteeringSendsInterruptsToOneCpu) {
   sim::Engine eng(3);
-  NautilusKernel nk(eng, hw::phi());  // steers to CPU 0 by default
-  nk.irq().add_source("nic", sim::kMillisecond, 2000);
-  eng.post_at(10 * sim::kMillisecond, [&] { nk.irq().stop(); });
+  NautilusKernel nk(eng, hw::phi());
+  FpuManager fpu;
+  IrqController irq(nk, fpu);
+  irq.steer_all_to(0);  // the HRT default
+  irq.add_source("nic", sim::kMillisecond, 2000);
+  eng.post_at(10 * sim::kMillisecond, [&] { irq.stop(); });
   eng.run();
-  EXPECT_GE(nk.irq().delivered(0), 9u);
-  for (int c = 1; c < 64; ++c) EXPECT_EQ(nk.irq().delivered(c), 0u);
+  EXPECT_GE(irq.delivered(0), 9u);
+  for (int c = 1; c < 64; ++c) EXPECT_EQ(irq.delivered(c), 0u);
 }
 
 TEST(Irq, UnsteeredSpraysAllCpus) {
   sim::Engine eng(3);
-  NautilusConfig cfg;
-  cfg.steer_interrupts = false;
-  NautilusKernel nk(eng, hw::phi(), cfg);
-  nk.irq().add_source("nic", sim::kMillisecond / 10, 2000);
-  eng.post_at(64 * sim::kMillisecond, [&] { nk.irq().stop(); });
+  NautilusKernel nk(eng, hw::phi());
+  FpuManager fpu;
+  IrqController irq(nk, fpu);
+  irq.add_source("nic", sim::kMillisecond / 10, 2000);
+  eng.post_at(64 * sim::kMillisecond, [&] { irq.stop(); });
   eng.run();
   int cpus_hit = 0;
   for (int c = 0; c < 64; ++c)
-    if (nk.irq().delivered(c) > 0) ++cpus_hit;
+    if (irq.delivered(c) > 0) ++cpus_hit;
   EXPECT_GT(cpus_hit, 32);
 }
 

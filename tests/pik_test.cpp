@@ -8,11 +8,14 @@
 namespace kop::pik {
 namespace {
 
-PikOptions phi_options() {
-  PikOptions o;
-  o.machine = hw::phi();
-  return o;
-}
+/// A PIK process world on PHI (engine seed 42).
+struct PikWorld {
+  explicit PikWorld(std::uint64_t app_static_bytes = 64ULL << 20)
+      : stack(os, app_static_bytes) {}
+  sim::Engine engine{42};
+  PikOs os{engine, hw::phi()};
+  PikStack stack;
+};
 
 TEST(Syscalls, UnimplementedReturnsEnosysAndIsRecorded) {
   sim::Engine eng(1);
@@ -38,9 +41,9 @@ TEST(Syscalls, ImplementReplacesStub) {
 }
 
 TEST(Pik, RunsAppAndReturnsExitCode) {
-  PikStack stack(phi_options());
+  PikWorld w;
   int team = 0;
-  const int code = stack.run_app("hello", [&](komp::Runtime& rt) {
+  const int code = w.stack.run_app("hello", [&](komp::Runtime& rt) {
     rt.parallel(8, [&](komp::TeamThread& tt) {
       if (tt.id() == 0) team = tt.nthreads();
     });
@@ -48,14 +51,14 @@ TEST(Pik, RunsAppAndReturnsExitCode) {
   });
   EXPECT_EQ(code, 9);
   EXPECT_EQ(team, 8);
-  EXPECT_TRUE(stack.process()->exited);
+  EXPECT_TRUE(w.stack.process()->exited);
 }
 
 TEST(Pik, PrestartCompletesLinuxIllusion) {
-  PikStack stack(phi_options());
-  stack.run_app("app", [](komp::Runtime&) { return 0; });
-  const auto& sys = stack.syscalls();
-  EXPECT_TRUE(stack.process()->prestart_complete);
+  PikWorld w;
+  w.stack.run_app("app", [](komp::Runtime&) { return 0; });
+  const auto& sys = w.stack.syscalls();
+  EXPECT_TRUE(w.stack.process()->prestart_complete);
   // The C-runtime startup sequence went through the emulated calls.
   EXPECT_GE(sys.calls(Sys::kArchPrctl), 1u);       // FSBASE for TLS
   EXPECT_GE(sys.calls(Sys::kSetTidAddress), 1u);
@@ -66,9 +69,9 @@ TEST(Pik, PrestartCompletesLinuxIllusion) {
 }
 
 TEST(Pik, ProcSelfIsTheOnlyVirtualFs) {
-  PikStack stack(phi_options());
-  stack.run_app("app", [&](komp::Runtime&) {
-    auto& sys = stack.syscalls();
+  PikWorld w;
+  w.stack.run_app("app", [&](komp::Runtime&) {
+    auto& sys = w.stack.syscalls();
     SyscallArgs a;
     a.path = "/proc/self/status";
     const auto fd = sys.invoke(Sys::kOpenat, a);
@@ -93,9 +96,9 @@ TEST(Pik, ProcSelfIsTheOnlyVirtualFs) {
 }
 
 TEST(Pik, MmapMunmapRoundTrip) {
-  PikStack stack(phi_options());
-  stack.run_app("app", [&](komp::Runtime&) {
-    auto& sys = stack.syscalls();
+  PikWorld w;
+  w.stack.run_app("app", [&](komp::Runtime&) {
+    auto& sys = w.stack.syscalls();
     SyscallArgs a;
     a.arg[1] = 16ULL << 20;
     const auto addr = sys.invoke(Sys::kMmap, a);
@@ -109,33 +112,33 @@ TEST(Pik, MmapMunmapRoundTrip) {
 }
 
 TEST(Pik, WriteGoesToConsole) {
-  PikStack stack(phi_options());
-  stack.run_app("app", [&](komp::Runtime&) {
+  PikWorld w;
+  w.stack.run_app("app", [&](komp::Runtime&) {
     SyscallArgs a;
     a.arg[0] = 1;
     a.data = "NAS BT-B: verification ok\n";
-    stack.syscalls().invoke(Sys::kWrite, a);
+    w.stack.syscalls().invoke(Sys::kWrite, a);
     return 0;
   });
-  EXPECT_NE(stack.console().find("verification ok"), std::string::npos);
+  EXPECT_NE(w.stack.console().find("verification ok"), std::string::npos);
 }
 
 TEST(Pik, CloneTrafficFromThreadCreation) {
-  PikStack stack(phi_options());
-  stack.os().set_env("OMP_NUM_THREADS", "8");
-  stack.run_app("app", [&](komp::Runtime& rt) {
+  PikWorld w;
+  w.os.set_env("OMP_NUM_THREADS", "8");
+  w.stack.run_app("app", [&](komp::Runtime& rt) {
     rt.parallel([&](komp::TeamThread& tt) { tt.compute_ns(100); });
     return 0;
   });
   // 7 workers cloned through the emulated interface.
-  EXPECT_GE(stack.syscalls().calls(Sys::kClone), 7u);
+  EXPECT_GE(w.stack.syscalls().calls(Sys::kClone), 7u);
 }
 
 TEST(Pik, LoaderRejectsNonPieApp) {
-  PikStack stack(phi_options());
+  PikWorld w;
   auto img = default_app_image("bad", 1 << 20);
   img.position_independent = false;  // forgot -fPIE
-  EXPECT_THROW(stack.run_app("bad", img, [](komp::Runtime&) { return 0; }),
+  EXPECT_THROW(w.stack.run_app("bad", img, [](komp::Runtime&) { return 0; }),
                nautilus::LoaderError);
 }
 
@@ -154,10 +157,8 @@ TEST(Pik, ImageFoldsInUserLibraries) {
 TEST(Pik, GigabyteStaticsAreFine) {
   // PIK has no boot-image problem (§6.2): the loader places the image
   // anywhere in physical memory.
-  PikOptions o = phi_options();
-  o.app_static_bytes = 3400ULL << 20;
-  PikStack stack(o);
-  EXPECT_EQ(stack.run_app("big", [](komp::Runtime&) { return 0; }), 0);
+  PikWorld w(3400ULL << 20);
+  EXPECT_EQ(w.stack.run_app("big", [](komp::Runtime&) { return 0; }), 0);
 }
 
 TEST(PikPlacement, LocalRegionIsMappedAtOnceAndPlacedOnFirstTouch) {

@@ -1,23 +1,27 @@
-// Tests for the RTK path: boot-image constraint, shell launch,
-// OpenMP-in-kernel execution, pthread flavor selection.
+// Tests for the RTK path: shell launch, OpenMP-in-kernel execution,
+// pthread flavor selection, and dynamic allocation as the way around
+// the boot-image constraint.
 #include <gtest/gtest.h>
 
+#include "core/stack.hpp"
 #include "rtk/rtk.hpp"
 
 namespace kop::rtk {
 namespace {
 
-RtkOptions small_options() {
-  RtkOptions o;
-  o.machine = hw::phi();
-  o.app_static_bytes = 64ULL << 20;
-  return o;
-}
+/// RTK on a PHI Nautilus kernel (engine seed 42).
+struct RtkWorld {
+  explicit RtkWorld(bool use_pte_pthreads = false)
+      : stack(kernel, use_pte_pthreads) {}
+  sim::Engine engine{42};
+  nautilus::NautilusKernel kernel{engine, hw::phi()};
+  RtkStack stack;
+};
 
 TEST(Rtk, BootsAndRunsOmpApp) {
-  RtkStack stack(small_options());
+  RtkWorld w;
   int team = 0;
-  const int code = stack.run_app([&](komp::Runtime& rt) {
+  const int code = w.stack.run_app([&](komp::Runtime& rt) {
     rt.parallel(8, [&](komp::TeamThread& tt) {
       if (tt.id() == 0) team = tt.nthreads();
       tt.compute_ns(1000);
@@ -29,26 +33,21 @@ TEST(Rtk, BootsAndRunsOmpApp) {
 }
 
 TEST(Rtk, MainBecomesShellCommand) {
-  RtkStack stack(small_options());
-  stack.register_app("nas-bt", [](komp::Runtime&) { return 3; });
-  EXPECT_TRUE(stack.kernel().has_shell_command("nas-bt"));
-  EXPECT_EQ(stack.run_shell("nas-bt"), 3);
-}
-
-TEST(Rtk, ClassCStaticsOverlapMmioAtBoot) {
-  RtkOptions o = small_options();
-  o.app_static_bytes = 3400ULL << 20;  // class-C gigabyte globals
-  EXPECT_THROW(RtkStack{o}, nautilus::BootOverlapError);
+  RtkWorld w;
+  w.stack.register_app("nas-bt", [](komp::Runtime&) { return 3; });
+  EXPECT_TRUE(w.kernel.has_shell_command("nas-bt"));
+  EXPECT_EQ(w.stack.run_shell("nas-bt"), 3);
 }
 
 TEST(Rtk, DynamicAllocationAvoidsTheOverlap) {
   // §6.2: converting static arrays to startup-time dynamic allocation
   // shrinks the boot image.
-  RtkOptions o = small_options();
-  o.app_static_bytes = 0;  // moved to malloc at app start
-  RtkStack stack(o);
+  core::StackConfig cfg;
+  cfg.path = core::PathKind::kRtk;
+  cfg.app_static_bytes = 0;  // moved to malloc at app start
+  auto stack = core::Stack::create(cfg);
   bool allocated = false;
-  stack.run_app([&](komp::Runtime& rt) {
+  stack->run_omp_app([&](komp::Runtime& rt) {
     auto* r = rt.os().alloc_region("u", 3400ULL << 20,
                                    osal::AllocPolicy::local());
     allocated = r != nullptr;
@@ -59,11 +58,11 @@ TEST(Rtk, DynamicAllocationAvoidsTheOverlap) {
 }
 
 TEST(Rtk, UsesRtkTuningAndKernelEnvironment) {
-  RtkStack stack(small_options());
-  stack.kernel().set_env("OMP_NUM_THREADS", "4");
+  RtkWorld w;
+  w.kernel.set_env("OMP_NUM_THREADS", "4");
   int team = 0;
   bool tuning_is_rtk = false;
-  stack.run_app([&](komp::Runtime& rt) {
+  w.stack.run_app([&](komp::Runtime& rt) {
     team = rt.max_threads();
     tuning_is_rtk = rt.tuning().barrier_step_extra_ns > 0;
     return 0;
@@ -73,26 +72,24 @@ TEST(Rtk, UsesRtkTuningAndKernelEnvironment) {
 }
 
 TEST(Rtk, PteFlavorSelectable) {
-  RtkOptions o = small_options();
-  o.use_pte_pthreads = true;
-  RtkStack stack(o);
-  EXPECT_EQ(stack.pthreads().tuning().flavor, "nautilus-pte");
-  RtkStack native(small_options());
-  EXPECT_EQ(native.pthreads().tuning().flavor, "nautilus-native");
+  RtkWorld pte(/*use_pte_pthreads=*/true);
+  EXPECT_EQ(pte.stack.pthreads().tuning().flavor, "nautilus-pte");
+  RtkWorld native;
+  EXPECT_EQ(native.stack.pthreads().tuning().flavor, "nautilus-native");
 }
 
 TEST(Rtk, OpenMpUsableFromSecondShellCommand) {
   // RTK's distinctive property: *any* kernel code can use OpenMP, not
   // just the app (§3, Fig. 6 "applies to all code in kernel").
-  RtkStack stack(small_options());
-  stack.register_app("kernel-worker", [](komp::Runtime& rt) {
+  RtkWorld w;
+  w.stack.register_app("kernel-worker", [](komp::Runtime& rt) {
     int sum = 0;
     rt.parallel(4, [&](komp::TeamThread& tt) {
       tt.critical("sum", [&] { sum += tt.id(); });
     });
     return sum;
   });
-  EXPECT_EQ(stack.run_shell("kernel-worker"), 0 + 1 + 2 + 3);
+  EXPECT_EQ(w.stack.run_shell("kernel-worker"), 0 + 1 + 2 + 3);
 }
 
 }  // namespace
