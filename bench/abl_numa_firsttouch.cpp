@@ -97,12 +97,7 @@ int main(int argc, char** argv) try {
     std::fputs(note.c_str(), stdout);
     return harness::finish_figure(opts, sink);
   }
-  harness::jobs::JobRunner runner(opts.jobs);
-  const auto results = runner.run(mx.points());
-  harness::jobs::require_ok(mx.points(), results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
-
-  for (const auto& r : results) sink.add(r.metrics);
+  const auto results = harness::run_points(mx.points(), &sink, opts.jobs);
 
   for (const auto& spec : suite) {
     harness::Table t({"cpus", "immediate", "first-touch", "speedup"});

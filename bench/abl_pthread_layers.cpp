@@ -39,20 +39,13 @@ int main(int argc, char** argv) try {
   const std::size_t i_pte = mx.add(point(true, threads, opts.quick));
   const std::size_t i_native = mx.add(point(false, threads, opts.quick));
 
-  {
-    harness::MetricsSink coord_sink("abl_pthread_layers");
-    std::string note;
-    if (harness::run_coord_mode(mx, &coord_sink, opts.jobs, &note)) {
-      std::fputs(note.c_str(), stdout);
-      return harness::finish_figure(opts, coord_sink);
-    }
-  }
-  harness::jobs::JobRunner runner(opts.jobs);
-  const auto results = runner.run(mx.points());
-  harness::jobs::require_ok(mx.points(), results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
   harness::MetricsSink sink("abl_pthread_layers");
-  for (const auto& r : results) sink.add(r.metrics);
+  std::string note;
+  if (harness::run_coord_mode(mx, &sink, opts.jobs, &note)) {
+    std::fputs(note.c_str(), stdout);
+    return harness::finish_figure(opts, sink);
+  }
+  const auto results = harness::run_points(mx.points(), &sink, opts.jobs);
 
   const auto& pte = results[i_pte].epcc;
   const auto& native = results[i_native].epcc;

@@ -29,22 +29,15 @@ int main(int argc, char** argv) try {
   p.threads = opts.quick ? 8 : 64;
   p.nas = spec;
 
-  {
-    harness::jobs::PointMatrix mx;
-    mx.add(p);
-    harness::MetricsSink coord_sink("abl_redzone");
-    std::string note;
-    if (harness::run_coord_mode(mx, &coord_sink, opts.jobs, &note)) {
-      std::fputs(note.c_str(), stdout);
-      return harness::finish_figure(opts, coord_sink);
-    }
-  }
-  harness::jobs::JobRunner runner(opts.jobs);
-  const auto results = runner.run({p});
-  harness::jobs::require_ok({p}, results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(1).c_str());
+  harness::jobs::PointMatrix mx;
+  mx.add(p);
   harness::MetricsSink sink("abl_redzone");
-  sink.add(results[0].metrics);
+  std::string note;
+  if (harness::run_coord_mode(mx, &sink, opts.jobs, &note)) {
+    std::fputs(note.c_str(), stdout);
+    return harness::finish_figure(opts, sink);
+  }
+  const auto results = harness::run_points(mx.points(), &sink, opts.jobs);
   const double no_redzone = results[0].metrics.timed_seconds;
 
   const double inflation = hw::nautilus_costs(hw::phi()).compute_inflation;

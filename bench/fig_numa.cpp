@@ -138,11 +138,7 @@ int main(int argc, char** argv) try {
     std::fputs(note.c_str(), stdout);
     return harness::finish_figure(opts, sink);
   }
-  harness::jobs::JobRunner runner(opts.jobs);
-  const auto results = runner.run(mx.points());
-  harness::jobs::require_ok(mx.points(), results);
-  std::fprintf(stderr, "[jobs] %s\n", runner.summary(mx.size()).c_str());
-
+  const auto results = harness::run_points(mx.points(), nullptr, opts.jobs);
   for (const auto& r : results) {
     harness::RunMetrics m = r.metrics;
     m.include_per_cpu = true;  // the artifact carries per-zone traffic

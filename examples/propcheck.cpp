@@ -15,11 +15,19 @@
 // --replay (also accepts the "propcheck:" prefix as pinned in
 // tests/schedfuzz_regressions.txt).
 //
+// Cases write their cache and journal files under --scratch.  Without
+// it each run makes a fresh $TMPDIR/kop-propcheck-XXXXXX and removes
+// it on exit, so concurrent runs never share case files; a --scratch
+// dir the user names is left in place.
+//
 // Exit code: 0 all invariants hold, 1 violations found, 2 usage.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "harness/propcheck/propcheck.hpp"
@@ -37,6 +45,29 @@ int usage(const char* argv0) {
                argv0);
   return 2;
 }
+
+// A fresh scratch dir for this run, removed with everything in it when
+// main returns.  path() is empty if the dir could not be made.
+class TempScratch {
+ public:
+  TempScratch() {
+    std::string name =
+        (std::filesystem::temp_directory_path() / "kop-propcheck-XXXXXX")
+            .string();
+    if (mkdtemp(name.data()) != nullptr) path_ = name;
+  }
+  ~TempScratch() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempScratch(const TempScratch&) = delete;
+  TempScratch& operator=(const TempScratch&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string regression_line(const propcheck::CaseParams& p) {
   return "propcheck:" + p.token() + " " + sim::sched_policy_name(p.policy) +
@@ -73,9 +104,7 @@ int main(int argc, char** argv) {
   propcheck::SuiteOptions sopts;
   sopts.gen.seed = 1;
   sopts.gen.count = 200;
-  std::string out_path, replay_token;
-  std::string scratch =
-      (std::filesystem::temp_directory_path() / "kop-propcheck").string();
+  std::string out_path, replay_token, scratch;
   bool list_invariants = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -101,6 +130,16 @@ int main(int argc, char** argv) {
     for (const auto& name : propcheck::invariant_names())
       std::printf("%s\n", name.c_str());
     return 0;
+  }
+  std::optional<TempScratch> temp;
+  if (scratch.empty()) {
+    temp.emplace();
+    scratch = temp->path();
+    if (scratch.empty()) {
+      std::fprintf(stderr, "error: cannot create a scratch dir: %s\n",
+                   std::strerror(errno));
+      return 1;
+    }
   }
   if (!replay_token.empty()) return replay(replay_token, scratch);
   if (sopts.gen.count < 1) return usage(argv[0]);

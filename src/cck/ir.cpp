@@ -36,13 +36,6 @@ const Var* Function::find_var(const std::string& n) const {
   return it == vars.end() ? nullptr : &it->second;
 }
 
-std::size_t Function::loop_count() const {
-  std::size_t n = 0;
-  for (const auto& it : items)
-    if (it.kind == Item::Kind::kLoop) ++n;
-  return n;
-}
-
 Function& Module::entry() {
   auto it = functions.find("main");
   if (it == functions.end()) throw std::logic_error("Module: no main()");

@@ -121,8 +121,6 @@ struct Function {
 
   void declare(Var v) { vars[v.name] = std::move(v); }
   const Var* find_var(const std::string& n) const;
-  /// Number of loop items (post-transform convenience).
-  std::size_t loop_count() const;
 };
 
 /// A whole translation unit: functions by name; `main` is the entry.

@@ -66,11 +66,13 @@ void build_cck_matrix(jobs::PointMatrix& mx, const std::string& machine,
   }
 }
 
-// The execute stage shared by every print_*() and run_coord_mode: run
-// the points through the pool, fail loudly on any failed point, record
-// the metrics of every point this worker ran in enumeration order, and
-// report runner/cache statistics on stderr (so stdout stays
-// byte-identical across --jobs levels and cache states).
+double timed_of(const std::vector<jobs::PointResult>& results,
+                std::size_t idx) {
+  return results[idx].metrics.timed_seconds;
+}
+
+}  // namespace
+
 std::vector<jobs::PointResult> run_points(
     const std::vector<jobs::PointSpec>& points, MetricsSink* sink,
     const jobs::JobOptions& jopts) {
@@ -85,13 +87,6 @@ std::vector<jobs::PointResult> run_points(
   }
   return results;
 }
-
-double timed_of(const std::vector<jobs::PointResult>& results,
-                std::size_t idx) {
-  return results[idx].metrics.timed_seconds;
-}
-
-}  // namespace
 
 bool run_coord_mode(const jobs::PointMatrix& mx, MetricsSink* sink,
                     const jobs::JobOptions& jopts, std::string* out) {

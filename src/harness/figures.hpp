@@ -26,6 +26,16 @@
 
 namespace kop::harness {
 
+/// The execute stage shared by every print_*() builder, run_coord_mode
+/// and the point-based ablations: run the points through the pool,
+/// fail loudly on any failed point, record the metrics of every point
+/// this worker ran in enumeration order (when `sink` is non-null), and
+/// report runner/cache statistics on stderr (so stdout stays
+/// byte-identical across --jobs levels and cache states).
+std::vector<jobs::PointResult> run_points(
+    const std::vector<jobs::PointSpec>& points, MetricsSink* sink,
+    const jobs::JobOptions& jopts);
+
 /// Coord-mode intercept shared by every print_*() builder and the
 /// point-based ablations.  Returns false without --coord (the caller
 /// proceeds normally).  Under --coord ADDR every point is leased from a

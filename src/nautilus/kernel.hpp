@@ -3,10 +3,11 @@
 // largest pages, the SoftIRQ-like task system, a kernel
 // environment-variable service and sysconf (§3.4), and the shell
 // command registry through which RTK applications' main() is started
-// (§3.1).  The buddy allocator, the executable loader, hardware TLS,
-// interrupt steering and lazy SSE (buddy.hpp, loader.hpp, tls.hpp,
-// irq.hpp) are standalone models: PIK's process builds the first
-// three, and the tests build each one they check.
+// (§3.1).  The buddy allocator, the executable loader and hardware TLS
+// (buddy.hpp, loader.hpp, tls.hpp) are standalone models that PIK's
+// process builds.  Interrupt steering and lazy SSE (§3.4) are modelled
+// only by what the kernel cost sheet leaves out (hw::nautilus_costs: no
+// periodic tick, no OS noise); nothing delivers device interrupts.
 #pragma once
 
 #include <functional>

@@ -22,9 +22,4 @@ std::uint64_t TlsSupport::fsbase(std::uint64_t thread_id) const {
   return it == fsbase_by_thread_.end() ? 0 : it->second;
 }
 
-void TlsSupport::on_context_switch(std::uint64_t from_thread,
-                                   std::uint64_t to_thread) {
-  if (fsbase(from_thread) != fsbase(to_thread)) ++switches_;
-}
-
 }  // namespace kop::nautilus

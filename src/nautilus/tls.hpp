@@ -5,7 +5,9 @@
 // block.  Nautilus reserves %gs for per-CPU state, so application TLS
 // uses %fs; the kernel context-switches FSBASE and supports
 // arch_prctl(ARCH_SET_FS).  Thread launch clones the .tdata template
-// and zeroes .tbss.
+// and zeroes .tbss.  This model hands out the blocks and records each
+// thread's FSBASE; the switch itself costs nothing extra here, since
+// the cost sheet's context_switch_ns already prices a kernel switch.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +39,9 @@ class TlsSupport {
   /// arch_prctl(ARCH_GET_FS) equivalent; 0 if never set.
   std::uint64_t fsbase(std::uint64_t thread_id) const;
 
-  /// Called by the context-switch path; counts FSBASE swaps so tests
-  /// can verify the switch code runs.
-  void on_context_switch(std::uint64_t from_thread, std::uint64_t to_thread);
-  std::uint64_t fsbase_switches() const { return switches_; }
-
  private:
   BuddyAllocator* allocator_;
   std::unordered_map<std::uint64_t, std::uint64_t> fsbase_by_thread_;
-  std::uint64_t switches_ = 0;
 };
 
 }  // namespace kop::nautilus

@@ -35,8 +35,7 @@ void Os::rebind_costs(const hw::OsCosts& costs) {
     cpu->set_sched_costs(costs_.timeslice_ns, costs_.context_switch_ns);
 }
 
-Thread* Os::spawn_thread(std::string name, std::function<void()> fn, int cpu,
-                         sim::Time create_cost_ns) {
+Thread* Os::spawn_thread(std::string name, std::function<void()> fn, int cpu) {
   if (cpu < 0) {
     cpu = next_rr_cpu_;
     next_rr_cpu_ = (next_rr_cpu_ + 1) % machine_.num_cpus;
@@ -45,10 +44,8 @@ Thread* Os::spawn_thread(std::string name, std::function<void()> fn, int cpu,
     throw std::out_of_range("spawn_thread: cpu out of range");
 
   // Creation cost is paid by the creator if we are inside the sim.
-  const sim::Time create_cost =
-      create_cost_ns >= 0 ? create_cost_ns : costs_.thread_create_ns;
-  if (engine_->current() != nullptr && create_cost > 0)
-    engine_->sleep_for(create_cost);
+  if (engine_->current() != nullptr && costs_.thread_create_ns > 0)
+    engine_->sleep_for(costs_.thread_create_ns);
   counters_.add_on(cpu, telemetry::Counter::kThreadsCreated);
 
   auto thread = std::make_unique<Thread>(std::move(name), cpu);
@@ -83,19 +80,6 @@ int Os::current_cpu() {
   if (t == nullptr)
     throw std::logic_error("current_cpu: not on an OS thread");
   return t->bound_cpu();
-}
-
-void Os::yield() {
-  // sched_yield-ish: a syscall plus requeue.
-  charge_syscall();
-  engine_->yield_now();
-}
-
-void Os::charge_syscall() {
-  if (engine_->current() != nullptr && costs_.syscall_ns > 0) {
-    counters_.add_on(current_cpu(), telemetry::Counter::kSyscalls);
-    engine_->sleep_for(costs_.syscall_ns);
-  }
 }
 
 void Os::compute(const hw::WorkBlock& block, int data_zone) {

@@ -106,17 +106,12 @@ class Os {
 
   // --- threads ---
   /// Spawn a thread bound to `cpu` (-1: round-robin placement).
-  /// Creation cost is charged to the *caller*; `create_cost_ns`
-  /// overrides the cost sheet's thread_create_ns (used by lighter
-  /// execution contexts such as fibers; -1: use the sheet).
+  /// The cost sheet's thread_create_ns is charged to the *caller*.
   Thread* spawn_thread(std::string name, std::function<void()> fn,
-                       int cpu = -1, sim::Time create_cost_ns = -1);
+                       int cpu = -1);
   void join_thread(Thread* t);
   Thread* current_thread();
   int current_cpu();
-  void yield();
-  /// Charge one user->kernel->user crossing to the calling thread.
-  void charge_syscall();
 
   // --- execution ---
   /// Run a work block on the current CPU (queueing/timeslicing under

@@ -115,12 +115,4 @@ void Semaphore::wait() {
   sim::race::acquire(os_->engine(), this);
 }
 
-bool Semaphore::try_wait() {
-  os_->atomic_op(0);
-  if (count_ <= 0) return false;
-  --count_;
-  sim::race::acquire(os_->engine(), this);
-  return true;
-}
-
 }  // namespace kop::osal

@@ -81,7 +81,6 @@ class Semaphore {
   Semaphore(Os& os, int initial, sim::Time spin_ns = 0);
   void post();
   void wait();
-  bool try_wait();
   int value() const { return count_; }
 
  private:

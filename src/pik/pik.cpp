@@ -37,7 +37,6 @@ PikStack::PikStack(PikOs& os, std::uint64_t app_static_bytes)
   // The unchanged user binary: glibc pthreads tuning, clone() routed
   // through the emulated syscall table.
   auto tuning = pthread_compat::linux_glibc_tuning();
-  tuning.flavor = "pik-glibc";
   tuning.on_thread_create = [this]() {
     SyscallArgs args;
     args.arg[0] = 0x3d0f00;  // CLONE_VM|CLONE_FS|... (flags, informational)

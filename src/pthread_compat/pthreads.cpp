@@ -1,57 +1,8 @@
 #include "pthread_compat/pthreads.hpp"
 
-#include <stdexcept>
+#include <string>
 
 namespace kop::pthread_compat {
-
-PthreadMutex::PthreadMutex(Pthreads& api, sim::Time spin_ns)
-    : api_(&api), impl_(api.os(), spin_ns) {}
-
-void PthreadMutex::lock() {
-  api_->charge_op();
-  impl_.lock();
-}
-
-bool PthreadMutex::try_lock() {
-  api_->charge_op();
-  return impl_.try_lock();
-}
-
-void PthreadMutex::unlock() {
-  api_->charge_op();
-  impl_.unlock();
-}
-
-PthreadCond::PthreadCond(Pthreads& api, sim::Time spin_ns)
-    : api_(&api), impl_(api.os(), spin_ns) {}
-
-void PthreadCond::wait(PthreadMutex& m) {
-  api_->charge_op();
-  impl_.wait(m.raw());
-}
-
-bool PthreadCond::timedwait(PthreadMutex& m, sim::Time deadline) {
-  api_->charge_op();
-  return impl_.wait_until(m.raw(), deadline);
-}
-
-void PthreadCond::signal() {
-  api_->charge_op();
-  impl_.signal();
-}
-
-void PthreadCond::broadcast() {
-  api_->charge_op();
-  impl_.broadcast();
-}
-
-PthreadBarrier::PthreadBarrier(Pthreads& api, int parties, sim::Time spin_ns)
-    : api_(&api), impl_(api.os(), parties, spin_ns) {}
-
-void PthreadBarrier::wait() {
-  api_->charge_op();
-  impl_.arrive_and_wait();
-}
 
 Pthreads::Pthreads(osal::Os& os, Tuning tuning)
     : os_(&os), tuning_(std::move(tuning)) {}
@@ -67,13 +18,11 @@ Pthread* Pthreads::create(const PthreadAttr* attr, StartFn start, void* arg) {
   auto handle = std::make_unique<Pthread>();
   Pthread* raw = handle.get();
   threads_.push_back(std::move(handle));
-  ++threads_created_;
   const int cpu = attr != nullptr ? attr->bound_cpu : -1;
   raw->os_thread_ = os_->spawn_thread(
-      "pthread-" + std::to_string(threads_created_),
+      "pthread-" + std::to_string(threads_.size()),
       [raw, start = std::move(start), arg]() { raw->retval_ = start(arg); },
       cpu);
-  by_os_thread_[raw->os_thread_] = raw;
   return raw;
 }
 
@@ -83,78 +32,25 @@ void* Pthreads::join(Pthread* t) {
   return t->retval_;
 }
 
-Pthread* Pthreads::self() {
-  osal::Thread* cur = os_->current_thread();
-  if (cur == nullptr) return &main_thread_;
-  auto it = by_os_thread_.find(cur);
-  // Threads not created through this API (e.g., the program's initial
-  // thread running on a raw OS thread) map to the main handle.
-  return it == by_os_thread_.end() ? &main_thread_ : it->second;
-}
-
-void Pthreads::yield() {
-  charge_op();
-  os_->yield();
-}
-
-std::unique_ptr<PthreadMutex> Pthreads::make_mutex() {
-  return std::make_unique<PthreadMutex>(*this, tuning_.mutex_spin_ns);
-}
-
-std::unique_ptr<PthreadCond> Pthreads::make_cond() {
-  return std::make_unique<PthreadCond>(*this, tuning_.cond_spin_ns);
-}
-
-std::unique_ptr<PthreadBarrier> Pthreads::make_barrier(int parties) {
-  return std::make_unique<PthreadBarrier>(*this, parties,
-                                          tuning_.barrier_spin_ns);
-}
-
-int Pthreads::key_create() { return next_key_++; }
-
-void Pthreads::set_specific(int key, void* value) {
-  self()->specifics[key] = value;
-}
-
-void* Pthreads::get_specific(int key) {
-  auto& sp = self()->specifics;
-  auto it = sp.find(key);
-  return it == sp.end() ? nullptr : it->second;
-}
-
 Pthreads::Tuning linux_glibc_tuning() {
   Pthreads::Tuning t;
-  t.flavor = "linux-glibc";
   t.op_overhead_ns = 25;  // PLT + glibc wrapper
-  t.mutex_spin_ns = 0;    // default (non-adaptive) mutexes don't spin
-  t.cond_spin_ns = 0;
-  t.barrier_spin_ns = 0;
   return t;
 }
 
 Pthreads::Tuning nautilus_pte_tuning() {
   Pthreads::Tuning t;
-  t.flavor = "nautilus-pte";
   // The PTE port "trades platform-dependent optimization for
   // portability" (§3.3): every call descends through the generic
   // library plus the OS abstraction layer we supplied.
   t.op_overhead_ns = 420;
-  t.mutex_spin_ns = 2 * sim::kMicrosecond;
-  t.cond_spin_ns = 2 * sim::kMicrosecond;
-  t.barrier_spin_ns = 2 * sim::kMicrosecond;
   return t;
 }
 
 Pthreads::Tuning nautilus_native_tuning() {
   Pthreads::Tuning t;
-  t.flavor = "nautilus-native";
   // Customized layer (Fig. 2b): pthread objects are Nautilus objects.
   t.op_overhead_ns = 60;
-  // Kernel threads own their CPUs; spinning is cheap and the wake path
-  // should stay on the fast (shared-memory) path.
-  t.mutex_spin_ns = 20 * sim::kMicrosecond;
-  t.cond_spin_ns = 20 * sim::kMicrosecond;
-  t.barrier_spin_ns = 20 * sim::kMicrosecond;
   return t;
 }
 

@@ -1,104 +1,54 @@
 // The pthreads interface libomp is written against, with the three
-// implementations the paper discusses:
+// implementations the paper discusses, one tuning each:
 //
-//  * LinuxPthreads  -- glibc-style pthreads over the Linux model
-//                      (the user-level baseline, and what PIK reuses
-//                      unmodified inside the kernel).
-//  * PtePthreads    -- the simple port of the embedded PTE library to
-//                      Nautilus (Fig. 2a): portable layering, an OS
-//                      abstraction layer underneath, and measurable
-//                      per-operation indirection overhead.
-//  * NativePthreads -- the customized implementation (Fig. 2b) that
-//                      maps pthread objects directly onto Nautilus
-//                      primitives, "aware of the OpenMP runtime and
-//                      geared to it".
+//  * linux_glibc_tuning()     -- glibc-style pthreads over the Linux
+//                                model (the user-level baseline, and
+//                                what PIK reuses unmodified inside the
+//                                kernel).
+//  * nautilus_pte_tuning()    -- the simple port of the embedded PTE
+//                                library to Nautilus (Fig. 2a):
+//                                portable layering over an OS
+//                                abstraction layer, and measurable
+//                                per-call indirection overhead.
+//  * nautilus_native_tuning() -- the customized implementation (Fig. 2b)
+//                                that maps pthread objects directly onto
+//                                Nautilus primitives, "aware of the
+//                                OpenMP runtime and geared to it".
 //
-// All three share one engine-backed implementation; they differ in the
-// Os they sit on and the per-op layering overhead they pay, which makes
-// the Fig. 2a-vs-2b design choice an ablation we can run (see
-// bench/abl_pthread_layers).
+// komp reaches this layer only to create and join its worker threads,
+// so that is all it models; the tunings differ in the per-call cost
+// and, for PIK, a hook on thread creation.  komp's locks, waits and
+// barriers run on osal's primitives, and the PTE port's extra per-call
+// cost reaches them through komp's RTK tuning (src/rtk/rtk.cpp), which
+// bench/abl_pthread_layers measures.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "osal/osal.hpp"
-#include "osal/sync.hpp"
 
 namespace kop::pthread_compat {
 
 struct PthreadAttr {
-  int bound_cpu = -1;          // CPU affinity (-1: OS placement)
-  std::size_t stack_bytes = 0; // 0: default
+  int bound_cpu = -1;  // CPU affinity (-1: OS placement)
 };
-
-class Pthreads;
 
 /// Opaque thread handle (pthread_t).
 class Pthread {
- public:
-  void* retval() const { return retval_; }
-  osal::Thread* os_thread() const { return os_thread_; }
-
- private:
   friend class Pthreads;
   osal::Thread* os_thread_ = nullptr;
   void* retval_ = nullptr;
-  std::unordered_map<int, void*> specifics;  // pthread_key values
-};
-
-class PthreadMutex {
- public:
-  PthreadMutex(Pthreads& api, sim::Time spin_ns);
-  void lock();
-  bool try_lock();
-  void unlock();
-  osal::Mutex& raw() { return impl_; }
-
- private:
-  Pthreads* api_;
-  osal::Mutex impl_;
-};
-
-class PthreadCond {
- public:
-  PthreadCond(Pthreads& api, sim::Time spin_ns);
-  void wait(PthreadMutex& m);
-  /// False on timeout (ETIMEDOUT).
-  bool timedwait(PthreadMutex& m, sim::Time deadline);
-  void signal();
-  void broadcast();
-
- private:
-  Pthreads* api_;
-  osal::CondVar impl_;
-};
-
-class PthreadBarrier {
- public:
-  PthreadBarrier(Pthreads& api, int parties, sim::Time spin_ns);
-  void wait();
-
- private:
-  Pthreads* api_;
-  osal::Barrier impl_;
 };
 
 /// The pthreads "library".  One instance per assembled stack.
 class Pthreads {
  public:
   struct Tuning {
-    std::string flavor;          // "linux-glibc", "nautilus-pte", ...
     /// Per-call indirection overhead (the PTE port's platform layers).
     sim::Time op_overhead_ns = 0;
-    /// Spin window waiters use before sleeping.
-    sim::Time mutex_spin_ns = 0;
-    sim::Time cond_spin_ns = 0;
-    sim::Time barrier_spin_ns = 0;
     /// Invoked on every pthread_create (PIK wires the clone() syscall
     /// emulation through this so syscall accounting sees thread
     /// creation traffic).
@@ -110,36 +60,20 @@ class Pthreads {
   const Tuning& tuning() const { return tuning_; }
   osal::Os& os() { return *os_; }
 
-  // --- pthread_create / join / self / yield ---
+  // --- pthread_create / join ---
   using StartFn = std::function<void*(void*)>;
   Pthread* create(const PthreadAttr* attr, StartFn start, void* arg);
   void* join(Pthread* t);
-  Pthread* self();
-  void yield();
 
-  // --- object factories ---
-  std::unique_ptr<PthreadMutex> make_mutex();
-  std::unique_ptr<PthreadCond> make_cond();
-  std::unique_ptr<PthreadBarrier> make_barrier(int parties);
+  std::uint64_t threads_created() const { return threads_.size(); }
 
-  // --- pthread_key_create / get/setspecific (hwtls stand-in) ---
-  int key_create();
-  void set_specific(int key, void* value);
-  void* get_specific(int key);
-
+ private:
   /// Charged at the top of every API call (the Fig. 2a layering cost).
   void charge_op();
 
-  std::uint64_t threads_created() const { return threads_created_; }
-
- private:
   osal::Os* os_;
   Tuning tuning_;
   std::vector<std::unique_ptr<Pthread>> threads_;
-  std::unordered_map<const osal::Thread*, Pthread*> by_os_thread_;
-  Pthread main_thread_;
-  int next_key_ = 1;
-  std::uint64_t threads_created_ = 0;
 };
 
 /// Factory helpers for the three paper configurations.

@@ -77,6 +77,4 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   return std::exp(normal(mu, std::sqrt(sigma2)));
 }
 
-Rng Rng::split() { return Rng(next_u64()); }
-
 }  // namespace kop::sim

@@ -45,9 +45,6 @@ class Rng {
   /// distribution; handy for latency jitter that must stay positive.
   double lognormal_mean_cv(double mean, double cv);
 
-  /// Derive an independent stream (e.g., one per simulated CPU).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
 };

@@ -27,7 +27,7 @@ enum class Counter : int {
   kContextSwitches,    // context switches charged (preemption + blocking wakes)
   kSyscalls,           // syscall-priced kernel crossings
   kIpis,               // inter-processor interrupts (kernel-mode remote wakes)
-  kDeviceInterrupts,   // device IRQs delivered by the interrupt controller
+  kDeviceInterrupts,   // device IRQs; no model delivers any, so always 0
   kFutexWaits,         // futex wait operations that actually slept
   kFutexWakes,         // futex wake operations
   kBlockingWakes,      // wait-queue wakes that had to unblock a sleeper

@@ -111,21 +111,6 @@ TEST(Placement, ExplicitZoneBind) {
   EXPECT_EQ(r->home_zone(), 5);
 }
 
-TEST(Syscall, ChargesTime) {
-  Fixture f;
-  sim::Time elapsed = 0;
-  f.os.spawn_thread(
-      "t",
-      [&] {
-        const sim::Time t0 = f.engine.now();
-        f.os.charge_syscall();
-        elapsed = f.engine.now() - t0;
-      },
-      0);
-  f.engine.run();
-  EXPECT_EQ(elapsed, f.os.costs().syscall_ns);
-}
-
 TEST(Costs, LinuxPersonalityHasNoiseAndPaging) {
   const auto m = hw::phi();
   const auto c = hw::linux_costs(m);

@@ -1,9 +1,8 @@
 // Tests for the Nautilus kernel substrate: buddy allocator, task
-// system, loader + boot layout, IRQ/FPU models, TLS, shell, placement.
+// system, loader + boot layout, TLS, shell, placement.
 #include <gtest/gtest.h>
 
 #include "nautilus/buddy.hpp"
-#include "nautilus/irq.hpp"
 #include "nautilus/kernel.hpp"
 #include "nautilus/loader.hpp"
 #include "nautilus/tls.hpp"
@@ -194,47 +193,6 @@ TEST(BootLayout, GigabyteStaticsOverlapMmio) {
   EXPECT_THROW(BootLayout::check(m, class_c), BootOverlapError);
 }
 
-// ----------------------------------------------------------- irq/fpu
-
-TEST(Fpu, LazySaveIdentifiesOffendersAndNoSseFixesThem) {
-  FpuManager fpu(1800);
-  EXPECT_EQ(fpu.interrupt_entry("nic_irq", /*uses_sse=*/true), 1800);
-  EXPECT_EQ(fpu.interrupt_entry("timer", /*uses_sse=*/false), 0);
-  EXPECT_EQ(fpu.offenders().count("nic_irq"), 1u);
-  EXPECT_EQ(fpu.offenders().count("timer"), 0u);
-  // Apply the no-SSE attribute to the identified handler.
-  fpu.mark_no_sse("nic_irq");
-  EXPECT_EQ(fpu.interrupt_entry("nic_irq", true), 0);
-  EXPECT_EQ(fpu.offenders().at("nic_irq"), 1u);
-}
-
-TEST(Irq, SteeringSendsInterruptsToOneCpu) {
-  sim::Engine eng(3);
-  NautilusKernel nk(eng, hw::phi());
-  FpuManager fpu;
-  IrqController irq(nk, fpu);
-  irq.steer_all_to(0);  // the HRT default
-  irq.add_source("nic", sim::kMillisecond, 2000);
-  eng.post_at(10 * sim::kMillisecond, [&] { irq.stop(); });
-  eng.run();
-  EXPECT_GE(irq.delivered(0), 9u);
-  for (int c = 1; c < 64; ++c) EXPECT_EQ(irq.delivered(c), 0u);
-}
-
-TEST(Irq, UnsteeredSpraysAllCpus) {
-  sim::Engine eng(3);
-  NautilusKernel nk(eng, hw::phi());
-  FpuManager fpu;
-  IrqController irq(nk, fpu);
-  irq.add_source("nic", sim::kMillisecond / 10, 2000);
-  eng.post_at(64 * sim::kMillisecond, [&] { irq.stop(); });
-  eng.run();
-  int cpus_hit = 0;
-  for (int c = 0; c < 64; ++c)
-    if (irq.delivered(c) > 0) ++cpus_hit;
-  EXPECT_GT(cpus_hit, 32);
-}
-
 // --------------------------------------------------------------- tls
 
 TEST(Tls, BlocksAndFsbaseSwitches) {
@@ -248,9 +206,7 @@ TEST(Tls, BlocksAndFsbaseSwitches) {
   tls.set_fsbase(1, b1);
   tls.set_fsbase(2, b2);
   EXPECT_EQ(tls.fsbase(1), b1);
-  tls.on_context_switch(1, 2);
-  tls.on_context_switch(2, 2);  // same fsbase: no switch
-  EXPECT_EQ(tls.fsbase_switches(), 1u);
+  EXPECT_EQ(tls.fsbase(2), b2);
   tls.destroy_block(b1);
   tls.destroy_block(b2);
   EXPECT_EQ(phys.allocated_bytes(), 0u);
@@ -315,112 +271,6 @@ TEST(Placement, FirstTouchExtensionDefersAt2M) {
   ASSERT_NE(r, nullptr);
   EXPECT_TRUE(r->is_sliced());
   EXPECT_EQ(r->page_size(), hw::PageSize::k2M);
-}
-
-}  // namespace
-}  // namespace kop::nautilus
-
-// Appended coverage: Nautilus fibers (cooperative contexts, §3.3).
-#include "nautilus/fibers.hpp"
-
-namespace kop::nautilus {
-namespace {
-
-TEST(Fibers, RoundRobinInterleavesAtYields) {
-  sim::Engine eng(31);
-  NautilusKernel nk(eng, hw::phi());
-  std::vector<int> trace;
-  nk.spawn_thread(
-      "host",
-      [&] {
-        FiberPool pool(nk, /*cpu=*/0);
-        for (int f = 0; f < 3; ++f) {
-          pool.spawn("f" + std::to_string(f), [&, f](FiberPool::Yield& yield) {
-            for (int step = 0; step < 2; ++step) {
-              trace.push_back(f * 10 + step);
-              yield();
-            }
-          });
-        }
-        pool.run();
-        EXPECT_EQ(pool.completed(), 3);
-      },
-      0);
-  eng.run();
-  // Cooperative round-robin: first steps of all fibers precede any
-  // second step.
-  ASSERT_EQ(trace.size(), 6u);
-  EXPECT_EQ(trace[0], 0);
-  EXPECT_EQ(trace[1], 10);
-  EXPECT_EQ(trace[2], 20);
-  EXPECT_EQ(trace[3], 1);
-}
-
-TEST(Fibers, CreationIsOrdersOfMagnitudeCheaperThanThreads) {
-  sim::Engine eng(32);
-  NautilusKernel nk(eng, hw::phi());
-  sim::Time fiber_cost = 0, thread_cost = 0;
-  nk.spawn_thread(
-      "host",
-      [&] {
-        FiberPool pool(nk, 0);
-        sim::Time t0 = eng.now();
-        for (int i = 0; i < 100; ++i)
-          pool.spawn("f", [](FiberPool::Yield&) {});
-        fiber_cost = eng.now() - t0;
-        pool.run();
-
-        t0 = eng.now();
-        std::vector<osal::Thread*> threads;
-        for (int i = 0; i < 100; ++i)
-          threads.push_back(nk.spawn_thread("t", [] {}, 0));
-        thread_cost = eng.now() - t0;
-        for (auto* t : threads) nk.join_thread(t);
-      },
-      0);
-  eng.run();
-  EXPECT_GT(thread_cost, fiber_cost * 10);
-}
-
-TEST(Fibers, FibersCanComputeAndSpawnFibers) {
-  sim::Engine eng(33);
-  NautilusKernel nk(eng, hw::phi());
-  int done = 0;
-  nk.spawn_thread(
-      "host",
-      [&] {
-        FiberPool pool(nk, 2);
-        pool.spawn("parent", [&](FiberPool::Yield& yield) {
-          nk.compute_ns(10'000);
-          pool.spawn("child", [&](FiberPool::Yield&) {
-            nk.compute_ns(5'000);
-            ++done;
-          });
-          yield();
-          ++done;
-        });
-        pool.run();
-      },
-      0);
-  eng.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_GE(nk.cpu(2).busy_time(), 15'000);
-}
-
-TEST(Fibers, EmptyPoolRunsImmediately) {
-  sim::Engine eng(34);
-  NautilusKernel nk(eng, hw::phi());
-  bool ok = false;
-  nk.spawn_thread(
-      "host",
-      [&] {
-        FiberPool pool(nk, 0);
-        pool.run();
-        ok = true;
-      },
-      0);
-  eng.run();
-  EXPECT_TRUE(ok);
 }
 
 }  // namespace

@@ -73,9 +73,11 @@ TEST(Rtk, UsesRtkTuningAndKernelEnvironment) {
 
 TEST(Rtk, PteFlavorSelectable) {
   RtkWorld pte(/*use_pte_pthreads=*/true);
-  EXPECT_EQ(pte.stack.pthreads().tuning().flavor, "nautilus-pte");
+  EXPECT_EQ(pte.stack.pthreads().tuning().op_overhead_ns,
+            pthread_compat::nautilus_pte_tuning().op_overhead_ns);
   RtkWorld native;
-  EXPECT_EQ(native.stack.pthreads().tuning().flavor, "nautilus-native");
+  EXPECT_EQ(native.stack.pthreads().tuning().op_overhead_ns,
+            pthread_compat::nautilus_native_tuning().op_overhead_ns);
 }
 
 TEST(Rtk, OpenMpUsableFromSecondShellCommand) {

@@ -74,18 +74,37 @@ TEST(Tracer, EscapesQuotesAndBackslashes) {
   EXPECT_EQ(ev.find("name")->string, "odd \"name\" with \\ inside");
 }
 
+TEST(Tracer, LateSlicesKeepNanoseconds) {
+  // Seconds into a run, timestamps still resolve single nanoseconds:
+  // two back-to-back slices 12.345678901 s in must not collapse onto
+  // one rounded value.
+  Tracer tr;
+  tr.enable();
+  tr.record("a", 0, 12'345'678'901, 1'500);
+  tr.record("b", 0, 12'345'680'401, 2'000);
+  const JsonValue root = parse_json(tr.to_chrome_json());
+  const JsonValue& events = *root.find("traceEvents");
+  ASSERT_EQ(events.array.size(), 2u);
+  EXPECT_EQ(events.array[0].find("ts")->number, 12345678.901);
+  EXPECT_EQ(events.array[0].find("dur")->number, 1.5);
+  EXPECT_EQ(events.array[1].find("ts")->number, 12345680.401);
+}
+
 TEST(Tracer, RealRunHasMonotonicTimestamps) {
   kop::sim::Engine engine(7);
   kop::linuxmodel::LinuxOs os(engine, kop::hw::machine_by_name("phi"));
   os.tracer().enable();
 
   for (int t = 0; t < 4; ++t) {
-    os.spawn_thread("worker-" + std::to_string(t), [&os]() {
+    os.spawn_thread("worker-" + std::to_string(t), [&os, &engine]() {
       for (int i = 0; i < 8; ++i) {
         kop::hw::WorkBlock block;
         block.cpu_ns = 5000;
         os.compute(block, /*data_zone=*/-1);
-        os.yield();
+        // sched_yield: one syscall's time, then requeue behind the
+        // other runnable threads.
+        engine.sleep_for(os.costs().syscall_ns);
+        engine.yield_now();
       }
     }, t % 2);  // two threads per CPU: contended slices
   }

@@ -52,10 +52,7 @@ regressions="$repo/tests/schedfuzz_regressions.txt"
   > schedfuzz.regressions.no-racecheck.stdout
 
 "$build/examples/kop_merge" --fingerprint > kop_merge.fingerprint.stdout
-# A scratch dir of its own, so two trees can be checked at once.
 "$build/examples/propcheck" --seed 20260809 --budget 200 \
-  --scratch "$out/propcheck-scratch" \
   | grep -o 'suite digest [0-9a-f]*' > propcheck.digest.stdout
-rm -rf "$out/propcheck-scratch"
 
 echo "identity_outputs: $(ls | wc -l) files in $out"
